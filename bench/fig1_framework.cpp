@@ -61,7 +61,7 @@ int main() {
   tracker.record(core::Observation{"aorta", pick->instance, pick->n_tasks,
                                    pick->prediction.mflups, meas.mflups});
   const auto refined =
-      dashboard.evaluate(workload, job, cores, &tracker);
+      dashboard.evaluate(workload, job, cores, tracker.correction_factor());
   real_t refined_mflups = 0.0;
   for (const auto& row : refined) {
     if (row.instance == pick->instance && row.n_tasks == pick->n_tasks) {

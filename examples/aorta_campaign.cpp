@@ -106,7 +106,8 @@ int main() {
 
   // Guarded execution on the refined prediction + iterative refinement.
   auto refined_rows =
-      dashboard.evaluate(anatomy, job, core_counts, &tracker);
+      dashboard.evaluate(anatomy, job, core_counts,
+                         tracker.correction_factor());
   const auto refined_chosen = core::Dashboard::recommend(
       refined_rows, core::Objective::kMaxThroughput);
   core::JobGuard guard = core::Dashboard::make_guard(*refined_chosen, 0.10);

@@ -79,6 +79,27 @@ std::vector<sched::CampaignJobSpec> gen_job_specs(
   return jobs;
 }
 
+std::vector<core::Observation> gen_observations(Xoshiro256& rng,
+                                                index_t count) {
+  HEMO_REQUIRE(count >= 3, "observation batch needs at least three entries");
+  const std::vector<std::string>& families = geometry_families();
+  const std::vector<index_t> tasks = {16, 36, 72, 144};
+  std::vector<core::Observation> out;
+  out.reserve(static_cast<std::size_t>(count));
+  for (index_t i = 0; i < count; ++i) {
+    // The first three entries name three distinct families.
+    std::string key = i < 3 ? families[static_cast<std::size_t>(i)]
+                            : pick(rng, families);
+    if (rng.below(3) == 0) key += "@x8";
+    const real_t predicted = rng.uniform(50.0, 5000.0);
+    out.push_back(core::Observation{
+        std::move(key), gen_cpu_instance(rng).abbrev, pick(rng, tasks),
+        units::Mflups(predicted),
+        units::Mflups(predicted * rng.uniform(0.3, 1.5))});
+  }
+  return out;
+}
+
 sched::FaultInjection gen_fault_injection(Xoshiro256& rng) {
   sched::FaultInjection faults;
   if (rng.uniform() < 0.5) faults.slowdown_factor = rng.uniform(1.4, 1.9);

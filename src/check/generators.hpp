@@ -11,6 +11,7 @@
 #include <vector>
 
 #include "cluster/instance.hpp"
+#include "core/campaign.hpp"
 #include "fit/linear.hpp"
 #include "fit/log_models.hpp"
 #include "fit/two_line.hpp"
@@ -48,6 +49,12 @@ template <typename T>
 /// counts, spot tenancy, and ids 1..count.
 [[nodiscard]] std::vector<sched::CampaignJobSpec> gen_job_specs(
     Xoshiro256& rng, index_t count, const std::string& workload);
+
+/// `count` (>= 3) refinement observations over at least three workload
+/// keys: geometry families, some at a refined resolution ("@x8"), on random
+/// CPU instances, with measured/predicted ratios in [0.3, 1.5).
+[[nodiscard]] std::vector<core::Observation> gen_observations(
+    Xoshiro256& rng, index_t count);
 
 /// A randomized fault-injection mix (nemesis storms): each fault class is
 /// enabled with probability 1/2, rates drawn in ranges that reliably

@@ -7,9 +7,16 @@
 // that loop: a multiplicative correction factor is learned as the
 // geometric mean of measured/predicted ratios, applied to future
 // predictions, and updated as more observations arrive.
+//
+// record() keeps running aggregates next to the observation log, so every
+// query except refined_mean_abs_relative_error() is O(1) however long the
+// campaign: each running sum adds the same terms, in the same (insertion)
+// order, as a loop over the log would, so the results are bit-identical to
+// the loop forms.
 #pragma once
 
 #include <string>
+#include <unordered_map>
 #include <vector>
 
 #include "units/units.hpp"
@@ -26,7 +33,9 @@ struct Observation {
   units::Mflups measured_mflups;
 };
 
-/// Accumulates observations and refines predictions.
+/// Accumulates observations and refines predictions. Observations are
+/// grouped by their `workload` field: the refinement key (sched::
+/// workload_key, the geometry plus any resolution factor).
 class CampaignTracker {
  public:
   void record(Observation obs);
@@ -42,6 +51,13 @@ class CampaignTracker {
   /// data. < 1 means the model overpredicts (the expected regime).
   [[nodiscard]] real_t correction_factor() const;
 
+  /// Correction factor from the observations recorded under workload key
+  /// `key` alone; the campaign-wide factor while the key has none.
+  [[nodiscard]] real_t correction_factor_for(const std::string& key) const;
+
+  /// Observations recorded under workload key `key`.
+  [[nodiscard]] index_t count_for(const std::string& key) const;
+
   /// Applies the learned correction to a raw model throughput.
   [[nodiscard]] units::Mflups refined_mflups(units::Mflups raw_mflups) const {
     return raw_mflups * correction_factor();
@@ -55,7 +71,17 @@ class CampaignTracker {
   [[nodiscard]] real_t refined_mean_abs_relative_error() const;
 
  private:
+  /// Running sum of log(measured / predicted) over a group of observations.
+  struct LogRatioSum {
+    real_t sum = 0.0;
+    index_t count = 0;
+    [[nodiscard]] real_t factor() const;
+  };
+
   std::vector<Observation> observations_;
+  LogRatioSum all_;
+  std::unordered_map<std::string, LogRatioSum> by_key_;
+  real_t abs_rel_error_sum_ = 0.0;
 };
 
 /// Model-driven job limit: the user allows `tolerance` (e.g. 0.10) over the

@@ -16,11 +16,9 @@ Dashboard::Dashboard(std::vector<const cluster::InstanceProfile*> profiles) {
 
 std::vector<DashboardRow> Dashboard::evaluate(
     const WorkloadCalibration& workload, const JobSpec& job,
-    std::span<const index_t> core_counts,
-    const CampaignTracker* refinement) const {
+    std::span<const index_t> core_counts, real_t correction) const {
   HEMO_REQUIRE(job.timesteps >= 1, "job needs at least one timestep");
-  const real_t correction =
-      refinement != nullptr ? refinement->correction_factor() : 1.0;
+  HEMO_REQUIRE(correction > 0.0, "correction factor must be positive");
 
   std::vector<DashboardRow> rows;
   for (const InstanceOption& opt : options_) {

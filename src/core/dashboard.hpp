@@ -80,13 +80,13 @@ class Dashboard {
     return options_;
   }
 
-  /// Evaluates the workload at each instance and core count. An optional
-  /// campaign tracker supplies the learned correction factor, refining the
-  /// raw model predictions (phase 2 feedback loop).
+  /// Evaluates the workload at each instance and core count. `correction`
+  /// is the learned campaign correction factor (CampaignTracker::
+  /// correction_factor and friends) that refines the raw model predictions
+  /// (phase 2 feedback loop); 1.0 evaluates the raw model.
   [[nodiscard]] std::vector<DashboardRow> evaluate(
       const WorkloadCalibration& workload, const JobSpec& job,
-      std::span<const index_t> core_counts,
-      const CampaignTracker* refinement = nullptr) const;
+      std::span<const index_t> core_counts, real_t correction = 1.0) const;
 
   /// Eq. 17 matrix over rows (r[b][a] = MFLUPS_b / MFLUPS_a).
   [[nodiscard]] static std::vector<std::vector<real_t>> relative_value_matrix(

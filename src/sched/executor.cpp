@@ -2,7 +2,10 @@
 
 #include <algorithm>
 #include <cmath>
+#include <map>
 #include <set>
+#include <string_view>
+#include <tuple>
 
 #include "obs/drift.hpp"
 #include "obs/metrics.hpp"
@@ -82,6 +85,22 @@ struct InFlight {
   bool ready = false;
   AttemptResult result;
 };
+
+/// Exactly the request fields CampaignScheduler::place() reads (its purity
+/// contract, scheduler.hpp). While the pools and the tracker are unchanged,
+/// requests with equal keys get equal decisions.
+using DecisionKey =
+    std::tuple<std::string_view, real_t, bool, index_t, real_t, real_t>;
+
+DecisionKey decision_key(const PlacementRequest& request) {
+  const CampaignJobSpec& spec = *request.spec;
+  return {spec.geometry,
+          spec.resolution_factor,
+          spec.allow_spot,
+          request.remaining_steps,
+          request.remaining_deadline_s.value(),
+          request.remaining_budget.value()};
+}
 
 const char* attempt_event_name(AttemptEvent::Kind kind) {
   switch (kind) {
@@ -202,6 +221,12 @@ CampaignReport CampaignEngine::run(std::vector<CampaignJobSpec> jobs) {
     // records are id-sorted and re-insertions keep the order).
     const bool in_place = profiler.push_phase("place");
     std::vector<std::size_t> still_pending;
+    // kWait/kInfeasible decisions of this pass, by request class. The
+    // tracker is written and capacity released only between passes, and
+    // reserve() clears the cache, so a hit is what place() would answer
+    // now: a pass costs a few place() calls per request class, not one per
+    // queued job.
+    std::map<DecisionKey, PlacementDecision> unplaced;
     for (const std::size_t idx : pending) {
       JobRecord& rec = records[idx];
       const CampaignJobSpec& spec = rec.spec;
@@ -224,7 +249,14 @@ CampaignReport CampaignEngine::run(std::vector<CampaignJobSpec> jobs) {
         continue;
       }
 
-      const PlacementDecision decision = scheduler_->place(request);
+      const DecisionKey key = decision_key(request);
+      const auto cached = unplaced.find(key);
+      const PlacementDecision decision = cached != unplaced.end()
+                                             ? cached->second
+                                             : scheduler_->place(request);
+      if (decision.kind != PlacementDecision::Kind::kPlaced) {
+        unplaced.emplace(key, decision);
+      }
       if (decision.kind == PlacementDecision::Kind::kInfeasible) {
         fail(rec, decision.reason);
         continue;
@@ -235,6 +267,7 @@ CampaignReport CampaignEngine::run(std::vector<CampaignJobSpec> jobs) {
       }
 
       scheduler_->reserve(decision.placement);
+      unplaced.clear();
       ++rec.attempts;
       rec.placements.push_back(decision.placement);
       rec.state = JobState::kRunning;
@@ -393,11 +426,7 @@ CampaignReport CampaignEngine::run(std::vector<CampaignJobSpec> jobs) {
     // placement pass runs, so later decisions use the refined fit.
     if (res.measured_mflups.value() > 0.0) {
       const std::string wkey = workload_key(rec.spec);
-      index_t round = 0;
-      for (const core::Observation& past :
-           scheduler_->tracker().observations()) {
-        if (past.workload == wkey) ++round;
-      }
+      const index_t round = scheduler_->tracker().count_for(wkey);
       scheduler_->tracker().record(core::Observation{
           wkey, event.placement.instance,
           event.placement.n_tasks, event.placement.raw_mflups,

@@ -130,10 +130,13 @@ PlacementDecision CampaignScheduler::place(
   const CampaignJobSpec& spec = *request.spec;
   const Workload& workload = workload_for(spec.geometry);
 
-  core::WorkloadCalibration cal = workload.calibration;
+  std::optional<core::WorkloadCalibration> scaled;
   if (spec.resolution_factor != 1.0) {
-    cal = core::scale_resolution(cal, spec.resolution_factor);
+    scaled = core::scale_resolution(workload.calibration,
+                                    spec.resolution_factor);
   }
+  const core::WorkloadCalibration& cal =
+      scaled ? *scaled : workload.calibration;
   // Phase-2 refinement, keyed per (geometry, resolution): the model's error
   // mix shifts with the memory/halo balance, so a resolution-scaled job is
   // corrected from observations at its own key once any exist. Before the
@@ -141,22 +144,25 @@ PlacementDecision CampaignScheduler::place(
   // an overrun requeue then self-heals, because the killed attempt records
   // the keyed observation the retry is placed with.
   const std::string key = workload_key(spec);
-  core::CampaignTracker keyed;
-  for (const core::Observation& obs : tracker_.observations()) {
-    if (obs.workload == key) keyed.record(obs);
-  }
-  const core::CampaignTracker& view = keyed.size() > 0 ? keyed : tracker_;
-  const real_t correction = view.correction_factor();
+  const real_t correction = tracker_.correction_factor_for(key);
+  // Telemetry labels are heap strings: build them only for a live registry.
   obs::MetricsRegistry& metrics = obs::MetricsRegistry::global();
-  metrics.set("sched_correction_factor", correction,
-              {{"workload", key}});
+  const bool telemetry = metrics.enabled();
+  if (telemetry) {
+    metrics.set("sched_correction_factor", correction, {{"workload", key}});
+  }
   const auto rows =
       dashboard_.evaluate(cal, core::JobSpec{request.remaining_steps},
-                          config_.core_counts, &view);
+                          config_.core_counts, correction);
 
-  const auto reject = [&metrics](const char* reason) {
+  const auto reject = [&metrics, telemetry](const char* reason) {
+    if (!telemetry) return;
     metrics.add("sched_candidates_rejected_total", 1.0,
                 {{"reason", reason}});
+  };
+  const auto count_outcome = [&metrics, telemetry](const char* outcome) {
+    if (!telemetry) return;
+    metrics.add("sched_place_total", 1.0, {{"outcome", outcome}});
   };
   std::vector<Candidate> feasible;
   for (const core::DashboardRow& raw : rows) {
@@ -194,7 +200,7 @@ PlacementDecision CampaignScheduler::place(
   }
 
   if (feasible.empty()) {
-    metrics.add("sched_place_total", 1.0, {{"outcome", "infeasible"}});
+    count_outcome("infeasible");
     PlacementDecision d;
     d.kind = PlacementDecision::Kind::kInfeasible;
     d.reason = "no (instance, core count) option satisfies the job's "
@@ -207,7 +213,7 @@ PlacementDecision CampaignScheduler::place(
     if (c.fits_now) open.push_back(&c);
   }
   if (open.empty()) {
-    metrics.add("sched_place_total", 1.0, {{"outcome", "wait"}});
+    count_outcome("wait");
     PlacementDecision d;
     d.kind = PlacementDecision::Kind::kWait;
     return d;
@@ -257,10 +263,12 @@ PlacementDecision CampaignScheduler::place(
       break;
   }
 
-  metrics.add("sched_place_total", 1.0, {{"outcome", "placed"}});
-  metrics.add("sched_placements_total", 1.0,
-              {{"instance", chosen->row.instance},
-               {"spot", chosen->spot ? "true" : "false"}});
+  count_outcome("placed");
+  if (telemetry) {
+    metrics.add("sched_placements_total", 1.0,
+                {{"instance", chosen->row.instance},
+                 {"spot", chosen->spot ? "true" : "false"}});
+  }
   PlacementDecision d;
   d.kind = PlacementDecision::Kind::kPlaced;
   d.placement.instance = chosen->row.instance;

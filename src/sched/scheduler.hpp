@@ -93,6 +93,17 @@ class CampaignScheduler {
 
   /// Chooses a placement for the request under the policy, or reports that
   /// the job must wait for capacity / can never run.
+  ///
+  /// Purity contract: apart from telemetry, the decision is a function of
+  ///   * the request fields spec->geometry, spec->resolution_factor,
+  ///     spec->allow_spot, remaining_steps, remaining_deadline_s and
+  ///     remaining_budget,
+  ///   * the pools' in_use counts (changed only by reserve()/release()),
+  ///   * the tracker contents (changed only by tracker().record()),
+  /// and of nothing else. CampaignEngine::run caches kWait/kInfeasible
+  /// decisions within a placement pass keyed on exactly those request
+  /// fields, so a change that makes place() read anything more must extend
+  /// that cache key (executor.cpp, DecisionKey).
   [[nodiscard]] PlacementDecision place(const PlacementRequest& request) const;
 
   /// Capacity accounting (the engine calls these around each attempt).

@@ -2,10 +2,17 @@
 // model-driven job guard (overrun protection).
 #include <gtest/gtest.h>
 
+#include <bit>
 #include <cmath>
+#include <cstdint>
 #include <iterator>
+#include <set>
+#include <sstream>
 
+#include "check/generators.hpp"
+#include "check/property.hpp"
 #include "core/campaign.hpp"
+#include "core/persistence.hpp"
 
 namespace hemo::core {
 namespace {
@@ -125,6 +132,94 @@ TEST(CampaignTracker, ConvergesToTrueBiasWithMoreObservations) {
   const real_t error_after_eight = std::abs(t.correction_factor() - 0.75);
   EXPECT_LT(error_after_eight, error_after_two);
   EXPECT_NEAR(t.correction_factor(), 0.75, 0.02);
+}
+
+// ------------------------------------------- running aggregates vs loops
+
+std::uint64_t bits(real_t x) { return std::bit_cast<std::uint64_t>(x); }
+
+/// The loop forms the running aggregates replace, over `t`'s log.
+real_t loop_correction(const CampaignTracker& t) {
+  if (t.size() == 0) return 1.0;
+  real_t log_sum = 0.0;
+  for (const Observation& o : t.observations()) {
+    log_sum += std::log(o.measured_mflups / o.predicted_mflups);
+  }
+  return std::exp(log_sum / static_cast<real_t>(t.size()));
+}
+
+real_t loop_abs_error(const CampaignTracker& t, real_t c) {
+  if (t.size() == 0) return 0.0;
+  real_t acc = 0.0;
+  for (const Observation& o : t.observations()) {
+    acc += std::abs((o.predicted_mflups * c - o.measured_mflups).value()) /
+           o.measured_mflups.value();
+  }
+  return acc / static_cast<real_t>(t.size());
+}
+
+/// Every O(1) query of `t` against the loop forms, bit for bit; for each
+/// key (and one never recorded), against a tracker of that key alone.
+std::optional<std::string> aggregates_mismatch(const CampaignTracker& t) {
+  if (bits(t.correction_factor()) != bits(loop_correction(t))) {
+    return "correction_factor differs from the loop form";
+  }
+  if (bits(t.mean_abs_relative_error()) != bits(loop_abs_error(t, 1.0))) {
+    return "mean_abs_relative_error differs from the loop form";
+  }
+  if (bits(t.refined_mean_abs_relative_error()) !=
+      bits(loop_abs_error(t, loop_correction(t)))) {
+    return "refined_mean_abs_relative_error differs from the loop form";
+  }
+  std::set<std::string> keys = {"never-recorded"};
+  for (const Observation& o : t.observations()) keys.insert(o.workload);
+  for (const std::string& key : keys) {
+    CampaignTracker alone;
+    for (const Observation& o : t.observations()) {
+      if (o.workload == key) alone.record(o);
+    }
+    if (t.count_for(key) != alone.size()) return "count_for(" + key + ")";
+    const real_t expected = alone.size() > 0 ? loop_correction(alone)
+                                             : loop_correction(t);
+    if (bits(t.correction_factor_for(key)) != bits(expected)) {
+      return "correction_factor_for(" + key + ")";
+    }
+  }
+  return std::nullopt;
+}
+
+TEST(CampaignTrackerProperty, RunningAggregatesMatchLoopFormsBitForBit) {
+  check::Property<std::vector<Observation>> p;
+  p.name = "tracker running aggregates";
+  p.generate = [](Xoshiro256& rng) {
+    return check::gen_observations(rng, 3 + rng.below(60));
+  };
+  p.check = [](const std::vector<Observation>& observations)
+      -> std::optional<std::string> {
+    CampaignTracker t;
+    for (const Observation& o : observations) t.record(o);
+    if (auto bad = aggregates_mismatch(t)) return *bad;
+
+    std::stringstream saved;
+    save_campaign(t, saved);
+    const CampaignTracker loaded = load_campaign(saved);
+    if (auto bad = aggregates_mismatch(loaded)) {
+      return "after save/load: " + *bad;
+    }
+    if (bits(loaded.correction_factor()) != bits(t.correction_factor())) {
+      return std::string("save/load changed correction_factor");
+    }
+    return std::nullopt;
+  };
+  p.describe = [](const std::vector<Observation>& observations) {
+    std::string out = std::to_string(observations.size()) + " observations:";
+    for (const Observation& o : observations) out += " " + o.workload;
+    return out;
+  };
+  check::PropertyConfig config;
+  config.cases = 60;
+  const check::PropertyResult r = check::run_property(p, config);
+  EXPECT_TRUE(r.passed) << r.summary();
 }
 
 TEST(JobGuard, NoProgressYetOnlyHardLimitApplies) {

@@ -140,7 +140,8 @@ TEST_F(DashboardTest, RefinementScalesPredictions) {
   const std::vector<index_t> cores = {36};
   const auto raw = dashboard_->evaluate(*workload_, JobSpec{1000}, cores);
   const auto refined =
-      dashboard_->evaluate(*workload_, JobSpec{1000}, cores, &tracker);
+      dashboard_->evaluate(*workload_, JobSpec{1000}, cores,
+                           tracker.correction_factor());
   ASSERT_EQ(raw.size(), refined.size());
   for (std::size_t i = 0; i < raw.size(); ++i) {
     EXPECT_NEAR(refined[i].prediction.mflups.value(),

@@ -7,6 +7,7 @@
 
 #include <memory>
 
+#include "obs/metrics.hpp"
 #include "sched/executor.hpp"
 #include "sched/guard.hpp"
 #include "sched/report.hpp"
@@ -259,6 +260,46 @@ TEST(SchedEngine, RefinementTightensPredictionsOverCampaign) {
   // Cold-start error is the hidden-efficiency gap (tens of percent); the
   // refined predictions land within a few percent.
   EXPECT_LT(report.late_error, 0.10);
+}
+
+// A placement pass evaluates each request class once per capacity change,
+// not once per queued job: 300 identical jobs queued behind full pools cost
+// a few place() evaluations per job (a pass per settled attempt, each a
+// placement or two plus one "wait"), where one evaluation per queued job
+// per pass costs ~130 per job here.
+TEST(SchedEngine, PlacementPassStaysLinearInQueuedJobs) {
+  obs::MetricsRegistry& metrics = obs::MetricsRegistry::global();
+  metrics.reset();
+  metrics.enable(true);
+
+  auto scheduler = make_scheduler(small_config());
+  EngineConfig engine_config;
+  engine_config.n_workers = 3;
+  engine_config.seed = 11;
+  CampaignEngine engine(*scheduler, engine_config);
+  constexpr index_t kJobs = 300;
+  std::vector<CampaignJobSpec> jobs;
+  for (index_t i = 0; i < kJobs; ++i) {
+    jobs.push_back(cylinder_job(i + 1, 20000));
+  }
+  const CampaignReport report = engine.run(jobs);
+
+  real_t evaluations = 0.0, placed = 0.0;
+  for (const obs::MetricSnapshot& snap : metrics.snapshot()) {
+    if (snap.name != "sched_place_total") continue;
+    evaluations += snap.value;
+    for (const auto& [key, value] : snap.labels) {
+      if (key == "outcome" && value == "placed") placed += snap.value;
+    }
+  }
+  metrics.enable(false);
+  metrics.reset();
+
+  index_t attempts = 0;
+  for (const JobReportRow& row : report.jobs) attempts += row.attempts;
+  EXPECT_EQ(report.n_jobs, kJobs);
+  EXPECT_EQ(placed, static_cast<real_t>(attempts));
+  EXPECT_LE(evaluations, 4.0 * kJobs);
 }
 
 }  // namespace
