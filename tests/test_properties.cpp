@@ -177,8 +177,11 @@ INSTANTIATE_TEST_SUITE_P(
 
 // ------------------------------------------------------------ decomp
 
+// The geometry name is a std::string, not a const char*: gtest prints a
+// const char* parameter with its address, which would put the random load
+// address into the discovered test names.
 class GeometryTaskSweep
-    : public ::testing::TestWithParam<std::tuple<const char*, int>> {};
+    : public ::testing::TestWithParam<std::tuple<std::string, int>> {};
 
 TEST_P(GeometryTaskSweep, DecompositionInvariantsHold) {
   const std::string geo_name = std::get<0>(GetParam());
@@ -225,10 +228,12 @@ TEST_P(GeometryTaskSweep, DecompositionInvariantsHold) {
 
 INSTANTIATE_TEST_SUITE_P(
     GeometriesAndCounts, GeometryTaskSweep,
-    ::testing::Combine(::testing::Values("cylinder", "aorta", "cerebral"),
+    ::testing::Combine(::testing::Values(std::string("cylinder"),
+                                         std::string("aorta"),
+                                         std::string("cerebral")),
                        ::testing::Values(3, 8, 27, 64)),
     [](const auto& info) {
-      return std::string(std::get<0>(info.param)) + "_" +
+      return std::get<0>(info.param) + "_" +
              std::to_string(std::get<1>(info.param));
     });
 
