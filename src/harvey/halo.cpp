@@ -1,16 +1,13 @@
 #include "harvey/halo.hpp"
 
-#include <algorithm>
 #include <map>
 #include <utility>
 
-#include "lbm/point_update.hpp"
+#include "lbm/solver.hpp"
 
 namespace hemo::harvey {
 
 using lbm::kQ;
-using lbm::kSolidLink;
-using lbm::opposite;
 
 real_t HaloExchange::bytes_per_exchange() const {
   real_t bytes = 0.0;
@@ -29,91 +26,25 @@ HaloExchange build_halo_exchange(const lbm::FluidMesh& mesh,
                "partition does not cover the mesh");
 
   HaloExchange topo;
-  const index_t n_points = mesh.num_points();
-  topo.owner_task.assign(static_cast<std::size_t>(n_points), 0);
-  topo.owner_slot.assign(static_cast<std::size_t>(n_points), 0);
-
-  topo.ranks.resize(static_cast<std::size_t>(partition.n_tasks));
+  topo.owner_slot.assign(static_cast<std::size_t>(mesh.num_points()), 0);
+  topo.ranks.reserve(static_cast<std::size_t>(partition.n_tasks));
   for (index_t t = 0; t < partition.n_tasks; ++t) {
-    RankLayout& rank = topo.ranks[static_cast<std::size_t>(t)];
-    rank.local_points = partition.points_of[static_cast<std::size_t>(t)];
-    for (index_t i = 0; i < rank.num_local(); ++i) {
-      const index_t p = rank.local_points[static_cast<std::size_t>(i)];
-      topo.owner_task[static_cast<std::size_t>(p)] =
-          static_cast<std::int32_t>(t);
-      topo.owner_slot[static_cast<std::size_t>(p)] =
-          static_cast<std::int32_t>(i);
-    }
-  }
-
-  // Ghost discovery + local neighbor tables + interior/frontier split.
-  for (index_t t = 0; t < partition.n_tasks; ++t) {
-    RankLayout& rank = topo.ranks[static_cast<std::size_t>(t)];
-    const index_t nl = rank.num_local();
-
-    // Collect remote neighbors (any direction; the pull gather touches all
-    // 18 upstream neighbors, which is the same set).
-    std::vector<index_t> ghosts;
-    for (index_t p : rank.local_points) {
-      for (index_t q = 1; q < kQ; ++q) {
-        const std::int32_t nb = mesh.neighbor(p, q);
-        if (nb == kSolidLink) continue;
-        if (partition.task_of[static_cast<std::size_t>(nb)] !=
-            static_cast<std::int32_t>(t)) {
-          ghosts.push_back(nb);
-        }
-      }
-    }
-    std::sort(ghosts.begin(), ghosts.end());
-    ghosts.erase(std::unique(ghosts.begin(), ghosts.end()), ghosts.end());
-    rank.ghost_points = std::move(ghosts);
-    topo.n_ghosts += rank.num_ghosts();
-
-    // Map: global id -> local slot for this rank.
-    auto local_slot = [&](index_t global) -> std::int32_t {
-      if (topo.owner_task[static_cast<std::size_t>(global)] ==
-          static_cast<std::int32_t>(t)) {
-        return topo.owner_slot[static_cast<std::size_t>(global)];
-      }
-      const auto it = std::lower_bound(rank.ghost_points.begin(),
-                                       rank.ghost_points.end(), global);
-      return static_cast<std::int32_t>(nl +
-                                       (it - rank.ghost_points.begin()));
-    };
-
-    rank.neighbors.assign(static_cast<std::size_t>(nl * kQ), kSolidLink);
-    rank.bulk_point.assign(static_cast<std::size_t>(nl), 0);
-    for (index_t i = 0; i < nl; ++i) {
-      const index_t p = rank.local_points[static_cast<std::size_t>(i)];
-      bool touches_ghost = false;
-      for (index_t q = 0; q < kQ; ++q) {
-        const std::int32_t nb = mesh.neighbor(p, q);
-        if (nb != kSolidLink) {
-          const std::int32_t slot = local_slot(nb);
-          rank.neighbors[static_cast<std::size_t>(i * kQ + q)] = slot;
-          touches_ghost = touches_ghost || slot >= nl;
-        }
-      }
-      (touches_ghost ? rank.frontier_slots : rank.interior_slots)
-          .push_back(i);
-      rank.bulk_point[static_cast<std::size_t>(i)] =
-          (mesh.type(p) == lbm::PointType::kBulk && mesh.solid_links(p) == 0)
-              ? 1
-              : 0;
-    }
+    topo.ranks.push_back(lbm::SegmentedMesh::build_rank(
+        mesh, partition.points_of[static_cast<std::size_t>(t)],
+        partition.task_of, static_cast<std::int32_t>(t), topo.owner_slot));
+    const lbm::SegmentedMesh& view = topo.ranks.back();
+    topo.n_ghosts += view.num_slots() - view.num_points();
   }
 
   // Channels: one directed message per (owner, receiver) pair that shares
-  // ghosts, with pack/unpack slot lists in the receiver's deterministic
-  // ghost order.
+  // ghosts, with pack/unpack slot lists in the receiver's ascending ghost
+  // order.
   std::map<std::pair<std::int32_t, std::int32_t>, index_t> channel_index;
   for (index_t t = 0; t < partition.n_tasks; ++t) {
-    const RankLayout& rank = topo.ranks[static_cast<std::size_t>(t)];
-    const index_t nl = rank.num_local();
-    for (index_t g = 0; g < rank.num_ghosts(); ++g) {
-      const index_t global = rank.ghost_points[static_cast<std::size_t>(g)];
-      const std::int32_t owner =
-          topo.owner_task[static_cast<std::size_t>(global)];
+    const lbm::SegmentedMesh& view = topo.ranks[static_cast<std::size_t>(t)];
+    for (index_t g = view.num_points(); g < view.num_slots(); ++g) {
+      const auto global = static_cast<std::size_t>(view.point_at(g));
+      const std::int32_t owner = partition.task_of[global];
       const auto key = std::make_pair(owner, static_cast<std::int32_t>(t));
       auto it = channel_index.find(key);
       if (it == channel_index.end()) {
@@ -125,86 +56,49 @@ HaloExchange build_halo_exchange(const lbm::FluidMesh& mesh,
       }
       HaloChannel& channel =
           topo.channels[static_cast<std::size_t>(it->second)];
-      channel.src_slots.push_back(
-          topo.owner_slot[static_cast<std::size_t>(global)]);
-      channel.dst_slots.push_back(static_cast<std::int32_t>(nl + g));
+      channel.src_slots.push_back(topo.owner_slot[global]);
+      channel.dst_slots.push_back(static_cast<std::int32_t>(g));
     }
   }
   return topo;
 }
 
-void pack_channel(const HaloChannel& channel, std::span<const double> owner_f,
-                  std::span<double> buffer) {
-  for (std::size_t i = 0; i < channel.src_slots.size(); ++i) {
-    const auto src = static_cast<std::size_t>(channel.src_slots[i]);
-    for (std::size_t q = 0; q < static_cast<std::size_t>(kQ); ++q) {
-      buffer[i * static_cast<std::size_t>(kQ) + q] =
-          owner_f[src * static_cast<std::size_t>(kQ) + q];
+void pack_channel(const HaloChannel& channel, lbm::Layout layout,
+                  std::span<const double> owner_f, std::span<double> buffer) {
+  const auto rows = static_cast<index_t>(owner_f.size()) / kQ;
+  const auto pack = [&]<lbm::Layout L>() {
+    std::size_t k = 0;
+    for (const std::int32_t row : channel.src_slots) {
+      for (index_t q = 0; q < kQ; ++q) {
+        buffer[k++] = owner_f[static_cast<std::size_t>(
+            lbm::dist_offset(L, rows, row, q))];
+      }
     }
+  };
+  if (layout == lbm::Layout::kAoS) {
+    pack.template operator()<lbm::Layout::kAoS>();
+  } else {
+    pack.template operator()<lbm::Layout::kSoA>();
   }
 }
 
-void unpack_channel(const HaloChannel& channel, std::span<const double> buffer,
+void unpack_channel(const HaloChannel& channel, lbm::Layout layout,
+                    std::span<const double> buffer,
                     std::span<double> receiver_f) {
-  for (std::size_t i = 0; i < channel.dst_slots.size(); ++i) {
-    const auto dst = static_cast<std::size_t>(channel.dst_slots[i]);
-    for (std::size_t q = 0; q < static_cast<std::size_t>(kQ); ++q) {
-      receiver_f[dst * static_cast<std::size_t>(kQ) + q] =
-          buffer[i * static_cast<std::size_t>(kQ) + q];
-    }
-  }
-}
-
-void update_rank_slots(const RankStepContext& ctx, const RankLayout& layout,
-                       std::span<const index_t> slots, index_t timestep,
-                       const double* f, double* f2) {
-  double g[kQ], out[kQ];
-  for (const index_t i : slots) {
-    if (ctx.segmented && layout.bulk_point[static_cast<std::size_t>(i)]) {
-      // Branch-free bulk-interior path: no solid links, so the gather
-      // needs no bounce-back fallback and the update skips the type
-      // dispatch — exactly the segmented serial kernel's arithmetic.
+  const auto rows = static_cast<index_t>(receiver_f.size()) / kQ;
+  const auto unpack = [&]<lbm::Layout L>() {
+    std::size_t k = 0;
+    for (const std::int32_t row : channel.dst_slots) {
       for (index_t q = 0; q < kQ; ++q) {
-        const std::int32_t nb =
-            layout
-                .neighbors[static_cast<std::size_t>(i * kQ + opposite(q))];
-        g[q] = f[static_cast<std::size_t>(static_cast<index_t>(nb) * kQ +
-                                          q)];
+        receiver_f[static_cast<std::size_t>(
+            lbm::dist_offset(L, rows, row, q))] = buffer[k++];
       }
-      if (ctx.smagorinsky_cs2 > 0.0) {
-        lbm::update_interior_values<double, true>(
-            g, out, ctx.omega, ctx.force_shift, ctx.smagorinsky_cs2);
-      } else {
-        lbm::update_interior_values<double, false>(
-            g, out, ctx.omega, ctx.force_shift, ctx.smagorinsky_cs2);
-      }
-    } else {
-      const index_t p = layout.local_points[static_cast<std::size_t>(i)];
-      for (index_t q = 0; q < kQ; ++q) {
-        const std::int32_t nb =
-            layout
-                .neighbors[static_cast<std::size_t>(i * kQ + opposite(q))];
-        g[q] = nb != kSolidLink
-                   ? f[static_cast<std::size_t>(static_cast<index_t>(nb) *
-                                                    kQ +
-                                                q)]
-                   : f[static_cast<std::size_t>(i * kQ + opposite(q))];
-      }
-      std::array<double, 3> bc =
-          (*ctx.bc_velocity)[static_cast<std::size_t>(p)];
-      const auto& pulse = (*ctx.bc_pulse)[static_cast<std::size_t>(p)];
-      if (pulse[0] != 0.0) {
-        const double scale =
-            lbm::pulse_scale<double>(pulse[0], pulse[1], timestep);
-        for (auto& component : bc) component *= scale;
-      }
-      lbm::update_point_values<double>(
-          ctx.mesh->type(p), g, out, ctx.omega, bc, ctx.force_shift,
-          ctx.smagorinsky_cs2);
     }
-    for (index_t q = 0; q < kQ; ++q) {
-      f2[static_cast<std::size_t>(i * kQ + q)] = out[q];
-    }
+  };
+  if (layout == lbm::Layout::kAoS) {
+    unpack.template operator()<lbm::Layout::kAoS>();
+  } else {
+    unpack.template operator()<lbm::Layout::kSoA>();
   }
 }
 

@@ -1,42 +1,38 @@
-// Shared halo-exchange topology and rank-local stepping helpers.
+// Halo-exchange topology of a partitioned mesh.
 //
-// Both distributed execution paths — the serial-in-process
-// harvey::DistributedSolver and the threaded runtime::ParallelSolver —
-// need exactly the same structures: per-rank ownership (local points,
-// deterministic ghost lists, a rank-local neighbor table) and the directed
-// pack/unpack channels that stand in for MPI point-to-point messages.
-// Building them once here keeps the two paths structurally identical, so
-// the bit-identity contract between them reduces to "both call
-// update_rank_slots with the same inputs".
-//
-// The layout additionally splits every rank's owned points into an
-// *interior* set (the 19-point gather touches only owned slots, so the
-// update needs no ghost data) and a *frontier* set (at least one upstream
-// neighbor is a ghost). That split is what lets the parallel runtime
-// overlap bulk-interior compute with in-flight halo messages, mirroring
-// the SegmentedMesh bulk/boundary split of the serial hot path.
+// runtime::ParallelSolver runs one rank per partition task. Each rank
+// sweeps its own lbm::SegmentedMesh slot space (SegmentedMesh::build_rank)
+// with the serial solver's segmented range kernels: owned positions in
+// segment order, owned points whose gather reads a ghost slot ordered last
+// (the *frontier*), and the ghost rows as a read-only tail that is never
+// swept. This layer builds those per-rank views and the directed pack/
+// unpack channels that stand in for MPI point-to-point messages: the owner
+// packs the listed owned rows of its array into a message buffer, the
+// receiver unpacks the buffer into its ghost rows. Pack and unpack index
+// the arrays through the kernel layout, so every layout the range kernels
+// sweep can be exchanged.
 #pragma once
 
-#include <array>
 #include <cstdint>
 #include <span>
 #include <vector>
 
 #include "decomp/partition.hpp"
+#include "lbm/kernel_config.hpp"
 #include "lbm/mesh.hpp"
+#include "lbm/mesh_segments.hpp"
 #include "util/common.hpp"
 
 namespace hemo::harvey {
 
-/// One directed per-step halo message: the owner packs the listed local
-/// rows ("send"), the receiver unpacks them into its ghost rows ("recv").
-/// Buffers are owned by the caller (the serial solver keeps plain vectors,
-/// the threaded runtime wraps them in epoch-stamped mailboxes).
+/// One directed per-step halo message: the owner packs the listed rows
+/// ("send"), the receiver unpacks them into its ghost rows ("recv"). The
+/// buffer holds kQ values per row, row by row, in either layout.
 struct HaloChannel {
   std::int32_t from = 0;  ///< owner rank
   std::int32_t to = 0;    ///< receiver rank
-  std::vector<std::int32_t> src_slots;  ///< owner-local point slots
-  std::vector<std::int32_t> dst_slots;  ///< receiver-local ghost slots
+  std::vector<std::int32_t> src_slots;  ///< owner-side owned positions
+  std::vector<std::int32_t> dst_slots;  ///< receiver-side ghost slots
 
   /// Payload length in values (slots * kQ).
   [[nodiscard]] index_t payload_values() const noexcept {
@@ -44,44 +40,13 @@ struct HaloChannel {
   }
 };
 
-/// Rank-local view of the decomposed mesh: owned points first, ghosts
-/// after, and a local neighbor table over that combined slot space.
-struct RankLayout {
-  std::vector<index_t> local_points;  ///< global ids of owned points (ascending)
-  std::vector<index_t> ghost_points;  ///< global ids of ghost points (ascending)
-  /// Local neighbor table: for each owned slot and direction, the local
-  /// slot (owned first, ghosts after) or lbm::kSolidLink.
-  std::vector<std::int32_t> neighbors;
-  /// Owned slots whose full 19-direction gather touches only owned slots
-  /// (including bounce-back from the slot itself) — safe to update before
-  /// any halo message arrives.
-  std::vector<index_t> interior_slots;
-  /// Owned slots with at least one ghost upstream neighbor — must wait for
-  /// the halo exchange.
-  std::vector<index_t> frontier_slots;
-  /// Per owned slot: 1 when the point is kBulk with zero solid links, i.e.
-  /// eligible for the branch-free interior arithmetic of the segmented
-  /// kernel path.
-  std::vector<std::uint8_t> bulk_point;
-
-  [[nodiscard]] index_t num_local() const noexcept {
-    return static_cast<index_t>(local_points.size());
-  }
-  [[nodiscard]] index_t num_ghosts() const noexcept {
-    return static_cast<index_t>(ghost_points.size());
-  }
-  /// Slot count of the rank's distribution arrays (owned + ghosts).
-  [[nodiscard]] index_t total_slots() const noexcept {
-    return num_local() + num_ghosts();
-  }
-};
-
 /// The full halo-exchange topology of a partitioned mesh.
 struct HaloExchange {
-  std::vector<RankLayout> ranks;      ///< indexed by rank
-  std::vector<HaloChannel> channels;  ///< deterministic (from, to) order
-  std::vector<std::int32_t> owner_task;  ///< per global point
-  std::vector<std::int32_t> owner_slot;  ///< per global point
+  std::vector<lbm::SegmentedMesh> ranks;  ///< slot space of each rank
+  std::vector<HaloChannel> channels;      ///< deterministic (from, to) order
+  /// Per global point: its position in the owning rank's view (the owning
+  /// rank is the partition's task_of).
+  std::vector<std::int32_t> owner_slot;
   index_t n_ghosts = 0;  ///< sum of ghost counts over ranks
 
   [[nodiscard]] index_t channel_count() const noexcept {
@@ -93,46 +58,21 @@ struct HaloExchange {
   [[nodiscard]] real_t bytes_per_exchange() const;
 };
 
-/// Builds the halo topology: ghost discovery, local neighbor tables, the
-/// interior/frontier split, and one directed channel per (owner, receiver)
-/// pair that shares ghosts, with pack/unpack slot lists in the receiver's
-/// deterministic ghost order.
+/// Builds every rank's segmented slot space (ghost discovery, local
+/// neighbor table, interior/frontier order and RLE spans in one pass per
+/// rank) and one directed channel per (owner, receiver) pair that shares
+/// ghosts, with rows in the receiver's ascending ghost order.
 [[nodiscard]] HaloExchange build_halo_exchange(
     const lbm::FluidMesh& mesh, const decomp::Partition& partition);
 
-/// Packs the channel's source rows from the owner's distribution array
-/// into `buffer` (length channel.payload_values()).
-void pack_channel(const HaloChannel& channel, std::span<const double> owner_f,
-                  std::span<double> buffer);
+/// Packs the channel's source rows of the owner's array (`layout`,
+/// owner_f.size() / kQ rows) into `buffer` (channel.payload_values()).
+void pack_channel(const HaloChannel& channel, lbm::Layout layout,
+                  std::span<const double> owner_f, std::span<double> buffer);
 
 /// Unpacks `buffer` into the receiver's ghost rows.
-void unpack_channel(const HaloChannel& channel, std::span<const double> buffer,
+void unpack_channel(const HaloChannel& channel, lbm::Layout layout,
+                    std::span<const double> buffer,
                     std::span<double> receiver_f);
-
-/// Everything update_rank_slots needs besides the layout: the shared
-/// physics of one step in the AB + AoS + double configuration. bc tables
-/// are global-point-indexed (shared across ranks, read-only).
-struct RankStepContext {
-  const lbm::FluidMesh* mesh = nullptr;
-  double omega = 0.0;
-  double smagorinsky_cs2 = 0.0;
-  std::array<double, 3> force_shift = {0.0, 0.0, 0.0};
-  const std::vector<std::array<double, 3>>* bc_velocity = nullptr;
-  const std::vector<std::array<double, 2>>* bc_pulse = nullptr;
-  /// kSegmented: bulk-interior points take the branch-free
-  /// update_interior_values fast path (bit-identical arithmetic);
-  /// kReference: every point goes through the general gather + type
-  /// dispatch.
-  bool segmented = false;
-};
-
-/// Fused gather + collide for the listed owned slots of one rank, reading
-/// `f` and writing `f2` (both total_slots * kQ, AoS). The per-point
-/// arithmetic is exactly lbm::update_point_values / update_interior_values,
-/// which is what keeps every execution path bit-identical to the serial
-/// solver.
-void update_rank_slots(const RankStepContext& ctx, const RankLayout& layout,
-                       std::span<const index_t> slots, index_t timestep,
-                       const double* f, double* f2);
 
 }  // namespace hemo::harvey

@@ -23,6 +23,14 @@
 //    per-link neighbor() gathers, which is what lets the inner loop
 //    vectorize.
 //
+// The same view describes one rank of a partitioned mesh (build_rank):
+// the owned points are the swept positions, the non-owned upstream
+// neighbors form a *ghost tail* of read-only slots after them, and owned
+// points whose gather reads a ghost slot form a *frontier* class ordered
+// last, on the boundary path. HARVEY's overlap then needs only positions:
+// [0, frontier_begin()) can be updated before any halo message arrives,
+// [frontier_begin(), num_points()) after.
+//
 // The segmentation is purely a reordering: kernels that process every
 // point with unchanged per-point arithmetic produce bit-identical state
 // (tests/test_kernel_paths.cpp asserts this against the reference path).
@@ -30,6 +38,7 @@
 
 #include <array>
 #include <cstdint>
+#include <span>
 #include <vector>
 
 #include "lbm/mesh.hpp"
@@ -55,31 +64,54 @@ struct SegmentCounts {
   index_t outlet = 0;
 };
 
-/// Immutable segment-reordered companion of a FluidMesh.
+/// Immutable segment-reordered slot space over a FluidMesh.
 class SegmentedMesh {
  public:
-  /// Classifies, permutes, and run-length-encodes `mesh`. The mesh must
-  /// outlive the result.
+  /// Classifies, permutes, and run-length-encodes the whole of `mesh`
+  /// (no ghosts, no frontier).
   static SegmentedMesh build(const FluidMesh& mesh);
 
+  /// The slot space of rank `rank` of a partition: `owned` lists its
+  /// points (ascending global ids), `task_of` maps every global point to
+  /// its rank. `position` (indexed by global point, shared by all ranks)
+  /// receives each owned point's position; the view itself keeps no table
+  /// indexed by global point, so position_of() is unavailable on it.
+  static SegmentedMesh build_rank(const FluidMesh& mesh,
+                                  std::span<const index_t> owned,
+                                  std::span<const std::int32_t> task_of,
+                                  std::int32_t rank,
+                                  std::span<std::int32_t> position);
+
+  /// Swept (owned) positions: [0, num_points()).
   [[nodiscard]] index_t num_points() const noexcept { return n_; }
+
+  /// Rows of a distribution array over this view: the owned positions
+  /// plus the ghost tail [num_points(), num_slots()).
+  [[nodiscard]] index_t num_slots() const noexcept {
+    return static_cast<index_t>(point_at_.size());
+  }
 
   /// Positions [0, bulk_count()) are the bulk-interior segment; positions
   /// [bulk_count(), num_points()) are the boundary segment.
   [[nodiscard]] index_t bulk_count() const noexcept { return bulk_count_; }
 
-  /// Internal position of original mesh point p.
+  /// First position whose gather reads a ghost slot (num_points() when
+  /// there are no ghosts). Always >= bulk_count().
+  [[nodiscard]] index_t frontier_begin() const noexcept {
+    return frontier_begin_;
+  }
+
+  /// Internal position of original mesh point p (whole-mesh views only).
   [[nodiscard]] index_t position_of(index_t p) const noexcept {
     return position_of_[static_cast<std::size_t>(p)];
   }
 
-  /// Original mesh point stored at internal position i.
+  /// Original mesh point stored at slot i (owned or ghost).
   [[nodiscard]] index_t point_at(index_t i) const noexcept {
     return point_at_[static_cast<std::size_t>(i)];
   }
 
-  /// Internal-space neighbor position of position i in direction q, or
-  /// kSolidLink.
+  /// Slot of position i's neighbor in direction q, or kSolidLink.
   [[nodiscard]] std::int32_t neighbor(index_t i, index_t q) const noexcept {
     return neighbors_[static_cast<std::size_t>(i * kQ + q)];
   }
@@ -94,6 +126,7 @@ class SegmentedMesh {
     return spans_;
   }
 
+  /// Mesh point classes of the owned points.
   [[nodiscard]] const SegmentCounts& counts() const noexcept {
     return counts_;
   }
@@ -105,12 +138,17 @@ class SegmentedMesh {
   [[nodiscard]] index_t max_span_length() const noexcept;
 
  private:
+  template <typename PointOf, typename IsOwned>
+  void assemble(const FluidMesh& mesh, index_t n_owned, PointOf point_of,
+                IsOwned is_owned, std::span<std::int32_t> position);
+
   index_t n_ = 0;
   index_t bulk_count_ = 0;
-  std::vector<index_t> position_of_;
-  std::vector<index_t> point_at_;
-  std::vector<std::int32_t> neighbors_;  // n_ * kQ, internal positions
-  std::vector<PointType> types_;         // by internal position
+  index_t frontier_begin_ = 0;
+  std::vector<std::int32_t> position_of_;  // whole-mesh views only
+  std::vector<index_t> point_at_;          // num_slots()
+  std::vector<std::int32_t> neighbors_;    // n_ * kQ, slots
+  std::vector<PointType> types_;           // by position
   std::vector<SegmentSpan> spans_;
   SegmentCounts counts_;
 };

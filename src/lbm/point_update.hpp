@@ -1,8 +1,9 @@
 // Shared per-point update and boundary-profile helpers.
 //
-// Both the serial Solver and the distributed HARVEY solver perform exactly
-// this arithmetic, in this order, so their results agree bit-for-bit — the
-// property the distributed integration tests assert.
+// Every kernel — the reference loops, the segmented range kernels the
+// serial solver and the runtime ranks share, and the SIMD tiles —
+// performs exactly this arithmetic, in this order, so their results agree
+// bit-for-bit.
 #pragma once
 
 #include <array>
@@ -22,8 +23,8 @@ namespace hemo::lbm {
 /// non-inlet/outlet point. The LES branch is resolved at compile time so
 /// the segmented bulk kernels instantiate a version with no runtime
 /// branch at all. This is the single definition of the bulk arithmetic —
-/// the reference path, the segmented path, and the distributed HARVEY
-/// solver all inline it, which is what keeps them bit-identical.
+/// the reference and segmented paths both inline it, which is what keeps
+/// them bit-identical.
 template <typename T, bool WithLes>
 inline void update_interior_values(const T* g, T* out, T omega,
                                    const std::array<T, 3>& force_shift,
@@ -136,8 +137,7 @@ inline void update_point_values(
   }
 }
 
-/// Pulsatile inlet modulation factor: 1 + A sin(2 pi t / T). Shared by the
-/// serial and distributed solvers so their arithmetic stays identical.
+/// Pulsatile inlet modulation factor: 1 + A sin(2 pi t / T).
 template <typename T>
 [[nodiscard]] inline T pulse_scale(T amplitude, T period,
                                    index_t timestep) noexcept {
@@ -145,6 +145,24 @@ template <typename T>
   constexpr T kTwoPi = static_cast<T>(6.283185307179586476925286766559);
   return T{1} + amplitude *
                     std::sin(kTwoPi * static_cast<T>(timestep) / period);
+}
+
+/// update_point_values with the point's inlet velocity `bc` modulated by
+/// its pulse {amplitude, period} at `timestep`: the general (boundary
+/// path) update of every kernel.
+template <typename T>
+inline void update_boundary_values(PointType type, const T* g, T* out,
+                                   T omega, std::array<T, 3> bc,
+                                   const std::array<T, 2>& pulse,
+                                   index_t timestep,
+                                   const std::array<T, 3>& force_shift,
+                                   T smagorinsky_cs2) {
+  if (pulse[0] != T{0}) {
+    const T scale = pulse_scale<T>(pulse[0], pulse[1], timestep);
+    for (auto& component : bc) component *= scale;
+  }
+  update_point_values<T>(type, g, out, omega, bc, force_shift,
+                         smagorinsky_cs2);
 }
 
 /// Per-point pulsatile parameters {amplitude, period} from the inlets

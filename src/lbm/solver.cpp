@@ -98,7 +98,7 @@ Solver<T>::Solver(const FluidMesh& mesh, const SolverParams& params,
 
 template <typename T>
 void Solver<T>::initialize() {
-  const bool aos = params_.kernel.layout == Layout::kAoS;
+  const Layout layout = params_.kernel.layout;
   // Rest equilibrium is point-independent, so the only thing the loop
   // structure decides is which thread first-touches which pages; mirror
   // the step kernels' partition (bulk region and boundary region each
@@ -107,7 +107,7 @@ void Solver<T>::initialize() {
   const auto init_position = [&](index_t i) {
     for (index_t q = 0; q < kQ; ++q) {
       const T feq = equilibrium<T>(q, T{1}, T{0}, T{0}, T{0});
-      const index_t slot = aos ? i * kQ + q : q * n_ + i;
+      const index_t slot = dist_offset(layout, n_, i, q);
       f_[static_cast<std::size_t>(slot)] = feq;
       if (!f2_.empty()) f2_[static_cast<std::size_t>(slot)] = feq;
     }
@@ -141,26 +141,18 @@ void Solver<T>::initialize() {
 
 template <typename T>
 void Solver<T>::update_point(index_t p, const T* g, T* out) const {
-  std::array<T, 3> bc = bc_velocity_[static_cast<std::size_t>(p)];
-  const auto& pulse = bc_pulse_[static_cast<std::size_t>(p)];
-  if (pulse[0] != T{0}) {
-    const T scale = pulse_scale<T>(pulse[0], pulse[1], timestep_);
-    for (auto& component : bc) component *= scale;
-  }
-  update_point_values<T>(mesh_->type(p), g, out, omega_, bc, force_shift_,
-                         cs2_);
+  update_boundary_values<T>(mesh_->type(p), g, out, omega_,
+                            bc_velocity_[static_cast<std::size_t>(p)],
+                            bc_pulse_[static_cast<std::size_t>(p)],
+                            timestep_, force_shift_, cs2_);
 }
 
 template <typename T>
 void Solver<T>::update_boundary_point(index_t i, const T* g, T* out) const {
-  std::array<T, 3> bc = bc_velocity_[static_cast<std::size_t>(i)];
-  const auto& pulse = bc_pulse_[static_cast<std::size_t>(i)];
-  if (pulse[0] != T{0}) {
-    const T scale = pulse_scale<T>(pulse[0], pulse[1], timestep_);
-    for (auto& component : bc) component *= scale;
-  }
-  update_point_values<T>(seg_->type(i), g, out, omega_, bc, force_shift_,
-                         cs2_);
+  update_boundary_values<T>(seg_->type(i), g, out, omega_,
+                            bc_velocity_[static_cast<std::size_t>(i)],
+                            bc_pulse_[static_cast<std::size_t>(i)],
+                            timestep_, force_shift_, cs2_);
 }
 
 // Parallelization notes: in the AB pull kernel every point writes only its
@@ -250,17 +242,18 @@ void Solver<T>::step_aa_odd() {
 // template parameter) no LES branch. Boundary loops run the general
 // gather over the internal-space neighbor table.
 
-template <typename T>
-template <Layout L, bool WithLes>
-void Solver<T>::seg_bulk_ab(index_t lo, index_t hi) {
-  const auto& spans = seg_->spans();
+template <typename T, Layout L, bool WithLes>
+void seg_bulk_ab(const AbSweep<T>& sweep, index_t lo, index_t hi) {
+  const auto& spans = sweep.view->spans();
   auto it = std::upper_bound(
       spans.begin(), spans.end(), lo,
       [](index_t v, const SegmentSpan& s) { return v < s.begin + s.length; });
-  const T* const f = f_.data();
-  T* const f2 = f2_.data();
-  [[maybe_unused]] const simd::TileFn<T> fn =
-      nt_stores_ ? tile_fn_nt_ : tile_fn_;
+  const index_t rows = sweep.view->num_slots();
+  const T* const f = sweep.f;
+  T* const f2 = sweep.f2;
+  const T omega = sweep.omega;
+  const T cs2 = sweep.cs2;
+  const std::array<T, 3> force_shift = sweep.force_shift;
   for (; it != spans.end() && it->begin < hi; ++it) {
     const index_t s0 = std::max(lo, it->begin);
     const index_t s1 = std::min(hi, it->begin + it->length);
@@ -275,10 +268,10 @@ void Solver<T>::seg_bulk_ab(index_t lo, index_t hi) {
         const index_t from =
             s0 + static_cast<index_t>(
                      off[static_cast<std::size_t>(opposite(q))]);
-        src[q] = f + static_cast<std::size_t>(idx<L>(from, q));
-        dst[q] = f2 + static_cast<std::size_t>(idx<L>(s0, q));
+        src[q] = f + static_cast<std::size_t>(dist_offset(L, rows, from, q));
+        dst[q] = f2 + static_cast<std::size_t>(dist_offset(L, rows, s0, q));
       }
-      fn(src, dst, s1 - s0, omega_, force_shift_, cs2_);
+      sweep.tile(src, dst, s1 - s0, omega, force_shift, cs2);
       continue;
     }
 #ifdef _OPENMP
@@ -290,11 +283,11 @@ void Solver<T>::seg_bulk_ab(index_t lo, index_t hi) {
         const index_t src =
             i + static_cast<index_t>(
                     off[static_cast<std::size_t>(opposite(q))]);
-        g[q] = f[static_cast<std::size_t>(idx<L>(src, q))];
+        g[q] = f[static_cast<std::size_t>(dist_offset(L, rows, src, q))];
       }
-      update_interior_values<T, WithLes>(g, out, omega_, force_shift_, cs2_);
+      update_interior_values<T, WithLes>(g, out, omega, force_shift, cs2);
       for (index_t q = 0; q < kQ; ++q) {
-        f2[static_cast<std::size_t>(idx<L>(i, q))] = out[q];
+        f2[static_cast<std::size_t>(dist_offset(L, rows, i, q))] = out[q];
       }
     }
   }
@@ -385,20 +378,24 @@ void Solver<T>::seg_bulk_aa_odd(index_t lo, index_t hi) {
   }
 }
 
-template <typename T>
-template <Layout L>
-void Solver<T>::seg_boundary_ab(index_t lo, index_t hi) {
+template <typename T, Layout L>
+void seg_boundary_ab(const AbSweep<T>& sweep, index_t lo, index_t hi) {
+  const SegmentedMesh& view = *sweep.view;
+  const index_t rows = view.num_slots();
   for (index_t i = lo; i < hi; ++i) {
     T g[kQ], out[kQ];
     for (index_t q = 0; q < kQ; ++q) {
-      const std::int32_t nb = seg_->neighbor(i, opposite(q));
-      g[q] = nb != kSolidLink
-                 ? f_[static_cast<std::size_t>(idx<L>(nb, q))]
-                 : f_[static_cast<std::size_t>(idx<L>(i, opposite(q)))];
+      const std::int32_t nb = view.neighbor(i, opposite(q));
+      g[q] = sweep.f[static_cast<std::size_t>(
+          nb != kSolidLink ? dist_offset(L, rows, nb, q)
+                           : dist_offset(L, rows, i, opposite(q)))];
     }
-    update_boundary_point(i, g, out);
+    update_boundary_values<T>(view.type(i), g, out, sweep.omega,
+                              sweep.bc_velocity[i], sweep.bc_pulse[i],
+                              sweep.timestep, sweep.force_shift, sweep.cs2);
     for (index_t q = 0; q < kQ; ++q) {
-      f2_[static_cast<std::size_t>(idx<L>(i, q))] = out[q];
+      sweep.f2[static_cast<std::size_t>(dist_offset(L, rows, i, q))] =
+          out[q];
     }
   }
 }
@@ -452,6 +449,16 @@ template <Layout L, bool WithLes>
 void Solver<T>::seg_step_ab() {
   const index_t bulk = seg_->bulk_count();
   const auto n_blocks = static_cast<index_t>(block_bounds_.size()) - 1;
+  const AbSweep<T> sweep{.view = seg_.get(),
+                         .f = f_.data(),
+                         .f2 = f2_.data(),
+                         .bc_velocity = bc_velocity_.data(),
+                         .bc_pulse = bc_pulse_.data(),
+                         .omega = omega_,
+                         .cs2 = cs2_,
+                         .force_shift = force_shift_,
+                         .timestep = timestep_,
+                         .tile = nt_stores_ ? tile_fn_nt_ : tile_fn_};
 #ifdef _OPENMP
 #pragma omp parallel num_threads(static_cast<int>(threads_))
 #endif
@@ -459,14 +466,15 @@ void Solver<T>::seg_step_ab() {
     const auto [tid, nt] = omp_ids();
     const auto [b0, b1] = static_chunk(n_blocks, tid, nt);
     for (index_t b = b0; b < b1; ++b) {
-      seg_bulk_ab<L, WithLes>(block_bounds_[static_cast<std::size_t>(b)],
-                              block_bounds_[static_cast<std::size_t>(b + 1)]);
+      seg_bulk_ab<T, L, WithLes>(
+          sweep, block_bounds_[static_cast<std::size_t>(b)],
+          block_bounds_[static_cast<std::size_t>(b + 1)]);
     }
     // Streaming stores are weakly ordered: fence them (per thread) ahead
     // of the implicit barrier that publishes this step's back array.
     if (nt_stores_) simd::store_fence(backend_);
     const auto [blo, bhi] = static_chunk(n_ - bulk, tid, nt);
-    seg_boundary_ab<L>(bulk + blo, bulk + bhi);
+    seg_boundary_ab<T, L>(sweep, bulk + blo, bulk + bhi);
   }
   f_.swap(f2_);
 }
@@ -513,6 +521,12 @@ void Solver<T>::seg_step_aa_odd() {
   }
 }
 
+bool streaming_stores_pay(Backend backend, std::size_t ab_bytes) {
+  if (backend == Backend::kScalar) return false;
+  if (const char* env = std::getenv("HEMO_NT_STORES")) return env[0] == '1';
+  return ab_bytes > (std::size_t{64} << 20);
+}
+
 template <typename T>
 void Solver<T>::bind_kernels() {
   const bool aos = params_.kernel.layout == Layout::kAoS;
@@ -556,16 +570,11 @@ void Solver<T>::bind_kernels() {
     backend_ = simd::resolve_backend(params_.kernel.backend);
     tile_fn_ = simd::tile_kernel<T>(backend_, les, false);
     tile_fn_nt_ = simd::tile_kernel<T>(backend_, les, true);
-    // Streaming stores pay off only when the two distribution arrays
-    // dwarf the cache (otherwise they evict lines the next step would
-    // hit); AB only — the AA sweeps re-read what they write in place.
-    const bool big = static_cast<std::size_t>(n_) * kQ * sizeof(T) * 2 >
-                     (std::size_t{64} << 20);
-    bool want_nt = ab && backend_ != Backend::kScalar && big;
-    if (const char* env = std::getenv("HEMO_NT_STORES")) {
-      want_nt = ab && backend_ != Backend::kScalar && env[0] == '1';
-    }
-    nt_stores_ = want_nt && tile_fn_nt_ != nullptr;
+    // AB only — the AA sweeps re-read what they write in place.
+    nt_stores_ =
+        ab && tile_fn_nt_ != nullptr &&
+        streaming_stores_pay(backend_,
+                             static_cast<std::size_t>(n_) * kQ * sizeof(T) * 2);
   }
 
   // Span-aligned bulk blocks: cut only at RLE span ends so the tile
@@ -635,10 +644,9 @@ Moments<real_t> Solver<T>::moments_at(index_t p) const {
   HEMO_REQUIRE(natural_order(),
                "moments require natural distribution order (AA: even step)");
   std::array<T, kQ> g;
-  const bool aos = params_.kernel.layout == Layout::kAoS;
   const index_t i = internal_pos(p);
   for (index_t q = 0; q < kQ; ++q) {
-    const index_t slot = aos ? i * kQ + q : q * n_ + i;
+    const index_t slot = dist_offset(params_.kernel.layout, n_, i, q);
     g[static_cast<std::size_t>(q)] = f_[static_cast<std::size_t>(slot)];
   }
   const Moments<T> m = moments<T>(std::span<const T, kQ>(g));
@@ -709,12 +717,12 @@ std::vector<T> Solver<T>::export_state() const {
     std::copy(f_.begin(), f_.end(), state.begin());
     return state;
   }
-  const bool aos = params_.kernel.layout == Layout::kAoS;
+  const Layout layout = params_.kernel.layout;
   for (index_t p = 0; p < n_; ++p) {
     const index_t i = seg_->position_of(p);
     for (index_t q = 0; q < kQ; ++q) {
-      const index_t dst = aos ? p * kQ + q : q * n_ + p;
-      const index_t src = aos ? i * kQ + q : q * n_ + i;
+      const index_t dst = dist_offset(layout, n_, p, q);
+      const index_t src = dist_offset(layout, n_, i, q);
       state[static_cast<std::size_t>(dst)] =
           f_[static_cast<std::size_t>(src)];
     }
@@ -730,12 +738,12 @@ void Solver<T>::restore_state(std::span<const T> state, index_t timestep) {
   if (!seg_) {
     std::copy(state.begin(), state.end(), f_.begin());
   } else {
-    const bool aos = params_.kernel.layout == Layout::kAoS;
+    const Layout layout = params_.kernel.layout;
     for (index_t p = 0; p < n_; ++p) {
       const index_t i = seg_->position_of(p);
       for (index_t q = 0; q < kQ; ++q) {
-        const index_t src = aos ? p * kQ + q : q * n_ + p;
-        const index_t dst = aos ? i * kQ + q : q * n_ + i;
+        const index_t src = dist_offset(layout, n_, p, q);
+        const index_t dst = dist_offset(layout, n_, i, q);
         f_[static_cast<std::size_t>(dst)] =
             state[static_cast<std::size_t>(src)];
       }
@@ -749,12 +757,25 @@ real_t Solver<T>::f_value(index_t p, index_t q) const {
   HEMO_REQUIRE(p >= 0 && p < n_ && q >= 0 && q < kQ,
                "f_value index out of range");
   const index_t i = internal_pos(p);
-  const index_t slot =
-      params_.kernel.layout == Layout::kAoS ? i * kQ + q : q * n_ + i;
+  const index_t slot = dist_offset(params_.kernel.layout, n_, i, q);
   return static_cast<real_t>(f_[static_cast<std::size_t>(slot)]);
 }
 
 template class Solver<float>;
 template class Solver<double>;
+
+// The runtime ranks' instantiations (AB + double, either layout).
+template void seg_bulk_ab<double, Layout::kAoS, false>(const AbSweep<double>&,
+                                                       index_t, index_t);
+template void seg_bulk_ab<double, Layout::kAoS, true>(const AbSweep<double>&,
+                                                      index_t, index_t);
+template void seg_bulk_ab<double, Layout::kSoA, false>(const AbSweep<double>&,
+                                                       index_t, index_t);
+template void seg_bulk_ab<double, Layout::kSoA, true>(const AbSweep<double>&,
+                                                      index_t, index_t);
+template void seg_boundary_ab<double, Layout::kAoS>(const AbSweep<double>&,
+                                                    index_t, index_t);
+template void seg_boundary_ab<double, Layout::kSoA>(const AbSweep<double>&,
+                                                    index_t, index_t);
 
 }  // namespace hemo::lbm

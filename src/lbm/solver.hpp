@@ -21,7 +21,9 @@
 //    small boundary segment runs the general gather + type-switch path.
 //    Public point indices remain the original mesh order — moments_at,
 //    f_value, IO, observables, and the decomposition layer see no
-//    difference.
+//    difference. The AB range kernels (seg_bulk_ab / seg_boundary_ab) are
+//    free functions over an AbSweep: runtime::ParallelSolver's ranks
+//    sweep their own slot spaces through the very same definitions.
 // The layout/propagation/path dispatch is hoisted out of step() into
 // kernel function pointers bound at construction.
 //
@@ -59,12 +61,53 @@ struct SolverParams {
   real_t smagorinsky_cs = 0.0;
 
   /// OpenMP threads for the step kernels and reductions; 0 takes the
-  /// OpenMP default team size. The decomposition layer runs one solver
-  /// per rank and pins this to 1 unless told otherwise — ranks x threads
-  /// should not exceed the physical cores (see runtime/parallel_solver).
-  /// All results are bit-stable across thread counts.
+  /// OpenMP default team size. All results are bit-stable across thread
+  /// counts. (runtime::ParallelSolver ignores it: each rank is one thread
+  /// calling the range kernels directly.)
   index_t num_threads = 0;
 };
+
+/// Offset of (row p, direction q) in a distribution array of `rows` rows.
+[[nodiscard]] constexpr index_t dist_offset(Layout layout, index_t rows,
+                                            index_t p, index_t q) noexcept {
+  return layout == Layout::kAoS ? p * kQ + q : q * rows + p;
+}
+
+/// One AB step over a segmented slot space: reads `f`, writes `f2`, both
+/// view->num_slots() rows in the kernel's layout. Only owned positions
+/// [0, view->num_points()) are ever swept; the ghost tail is read-only.
+template <typename T>
+struct AbSweep {
+  const SegmentedMesh* view = nullptr;
+  const T* f = nullptr;
+  T* f2 = nullptr;
+  /// Inlet velocity and pulse {amplitude, period} per owned position.
+  const std::array<T, 3>* bc_velocity = nullptr;
+  const std::array<T, 2>* bc_pulse = nullptr;
+  T omega = T{0};
+  T cs2 = T{0};  ///< smagorinsky_cs^2
+  std::array<T, 3> force_shift = {T{0}, T{0}, T{0}};  ///< tau * body_force
+  index_t timestep = 0;
+  /// SoA bulk tile kernel (normal or streaming-store variant; a caller
+  /// that binds the latter must simd::store_fence() before publishing f2).
+  simd::TileFn<T> tile = nullptr;
+};
+
+/// Bulk-interior positions [lo, hi) of [0, bulk_count()), span by span.
+template <typename T, Layout L, bool WithLes>
+void seg_bulk_ab(const AbSweep<T>& sweep, index_t lo, index_t hi);
+
+/// Boundary-path positions [lo, hi) of [bulk_count(), num_points()):
+/// neighbor-table gather with bounce-back, then the type dispatch.
+template <typename T, Layout L>
+void seg_boundary_ab(const AbSweep<T>& sweep, index_t lo, index_t hi);
+
+/// Whether an AB sweep should bind the streaming-store tile variant: a
+/// vector backend and two arrays of `ab_bytes` in total that dwarf the
+/// cache (otherwise the stores evict lines the next step would hit).
+/// HEMO_NT_STORES=1/0 forces the choice for vector backends.
+[[nodiscard]] bool streaming_stores_pay(Backend backend,
+                                        std::size_t ab_bytes);
 
 /// The solver. T is the distribution storage type (float or double).
 template <typename T>
@@ -142,11 +185,7 @@ class Solver {
  private:
   template <Layout L>
   [[nodiscard]] index_t idx(index_t p, index_t q) const noexcept {
-    if constexpr (L == Layout::kAoS) {
-      return p * kQ + q;
-    } else {
-      return q * n_ + p;
-    }
+    return dist_offset(L, n_, p, q);
   }
 
   /// Internal storage position of original mesh point p.
@@ -176,13 +215,9 @@ class Solver {
   void seg_step_aa_odd();
 
   template <Layout L, bool WithLes>
-  void seg_bulk_ab(index_t lo, index_t hi);
-  template <Layout L, bool WithLes>
   void seg_bulk_aa_even(index_t lo, index_t hi);
   template <Layout L, bool WithLes>
   void seg_bulk_aa_odd(index_t lo, index_t hi);
-  template <Layout L>
-  void seg_boundary_ab(index_t lo, index_t hi);
   template <Layout L>
   void seg_boundary_aa_even(index_t lo, index_t hi);
   template <Layout L>

@@ -3,7 +3,6 @@
 #include <algorithm>
 #include <barrier>
 #include <chrono>
-#include <cstdlib>
 #include <thread>
 #include <utility>
 
@@ -12,10 +11,6 @@
 #include "obs/metrics.hpp"
 #include "obs/profile.hpp"
 #include "obs/trace.hpp"
-
-#ifdef _OPENMP
-#include <omp.h>
-#endif
 
 namespace hemo::runtime {
 
@@ -29,17 +24,26 @@ real_t seconds_between(Clock::time_point a, Clock::time_point b) {
   return std::chrono::duration<real_t>(b - a).count();
 }
 
-/// OpenMP team size for code entered from a rank thread. Each rank is
-/// already one thread of the lockstep ensemble; an OpenMP region that
-/// inherited the process-wide default would multiply to ranks x cores.
-/// Pinned to 1 unless HEMO_RANK_THREADS grants more — keep
-/// ranks x HEMO_RANK_THREADS within the physical core count.
-int rank_omp_threads() {
-  if (const char* env = std::getenv("HEMO_RANK_THREADS")) {
-    const int v = std::atoi(env);
-    if (v > 0) return v;
+/// A distribution array of `rows` rows at rest equilibrium (rho = 1,
+/// u = 0), written in one pass.
+std::vector<double> rest_array(lbm::Layout layout, index_t rows) {
+  std::array<double, kQ> rest;
+  for (index_t q = 0; q < kQ; ++q) {
+    rest[static_cast<std::size_t>(q)] =
+        lbm::equilibrium<double>(q, 1.0, 0.0, 0.0, 0.0);
   }
-  return 1;
+  std::vector<double> f;
+  f.reserve(static_cast<std::size_t>(rows * kQ));
+  if (layout == lbm::Layout::kAoS) {
+    for (index_t s = 0; s < rows; ++s) {
+      f.insert(f.end(), rest.begin(), rest.end());
+    }
+  } else {
+    for (const double value : rest) {
+      f.insert(f.end(), static_cast<std::size_t>(rows), value);
+    }
+  }
+  return f;
 }
 
 }  // namespace
@@ -57,37 +61,47 @@ ParallelSolver::ParallelSolver(const lbm::FluidMesh& mesh,
                                std::span<const geometry::InletSpec> inlets,
                                RuntimeOptions options)
     : mesh_(&mesh),
+      inlets_(inlets.begin(), inlets.end()),
       partition_(partition),
+      layout_(params.kernel.layout),
+      omega_(1.0 / params.tau),
+      cs2_(params.smagorinsky_cs * params.smagorinsky_cs),
+      force_shift_{params.tau * params.body_force[0],
+                   params.tau * params.body_force[1],
+                   params.tau * params.body_force[2]},
       options_(std::move(options)),
       controller_(options_.rebalance) {
   HEMO_REQUIRE(params.kernel.propagation == lbm::Propagation::kAB &&
-                   params.kernel.layout == lbm::Layout::kAoS &&
-                   params.kernel.precision == lbm::Precision::kDouble,
-               "ParallelSolver supports the AB + AoS + double configuration");
+                   params.kernel.precision == lbm::Precision::kDouble &&
+                   params.kernel.path == lbm::KernelPath::kSegmented,
+               "ParallelSolver supports AB + double on the segmented "
+               "kernel path");
   HEMO_REQUIRE(params.tau > 0.5, "tau must exceed 0.5");
-  bc_velocity_ = lbm::inlet_velocities<double>(mesh, inlets);
-  bc_pulse_ = lbm::inlet_pulse_params<double>(mesh, inlets);
 
-  ctx_.mesh = mesh_;
-  ctx_.omega = 1.0 / params.tau;
-  ctx_.smagorinsky_cs2 = params.smagorinsky_cs * params.smagorinsky_cs;
-  for (std::size_t d = 0; d < 3; ++d) {
-    ctx_.force_shift[d] = params.tau * params.body_force[d];
+  // The serial solver's range kernels, bound once: each rank step is a
+  // few indirect calls over position ranges of its view.
+  const bool les = cs2_ > 0.0;
+  if (layout_ == lbm::Layout::kAoS) {
+    bulk_ = les ? &lbm::seg_bulk_ab<double, lbm::Layout::kAoS, true>
+                : &lbm::seg_bulk_ab<double, lbm::Layout::kAoS, false>;
+    boundary_ = &lbm::seg_boundary_ab<double, lbm::Layout::kAoS>;
+  } else {
+    bulk_ = les ? &lbm::seg_bulk_ab<double, lbm::Layout::kSoA, true>
+                : &lbm::seg_bulk_ab<double, lbm::Layout::kSoA, false>;
+    boundary_ = &lbm::seg_boundary_ab<double, lbm::Layout::kSoA>;
+    backend_ = lbm::simd::resolve_backend(params.kernel.backend);
+    // The ranks share the cache, so the streaming-store test sizes the
+    // whole mesh's two arrays, as the serial solver does.
+    const auto nt = lbm::simd::tile_kernel<double>(backend_, les, true);
+    nt_stores_ = nt != nullptr &&
+                 lbm::streaming_stores_pay(
+                     backend_, static_cast<std::size_t>(mesh.num_points()) *
+                                   kQ * sizeof(double) * 2);
+    tile_ = nt_stores_ ? nt : lbm::simd::tile_kernel<double>(backend_, les,
+                                                             false);
   }
-  ctx_.bc_velocity = &bc_velocity_;
-  ctx_.bc_pulse = &bc_pulse_;
-  ctx_.segmented = params.kernel.path == lbm::KernelPath::kSegmented;
 
   build_runtime_structures();
-  for (std::size_t r = 0; r < states_.size(); ++r) {
-    const index_t total = topo_.ranks[r].total_slots();
-    for (index_t s = 0; s < total; ++s) {
-      for (index_t q = 0; q < kQ; ++q) {
-        states_[r].f[static_cast<std::size_t>(s * kQ + q)] =
-            lbm::equilibrium<double>(q, 1.0, 0.0, 0.0, 0.0);
-      }
-    }
-  }
   timings_.assign(states_.size(), RankTimings{});
   window_start_busy_.assign(states_.size(), 0.0);
 }
@@ -98,12 +112,24 @@ void ParallelSolver::build_runtime_structures() {
   topo_ = harvey::build_halo_exchange(*mesh_, partition_);
   const std::size_t n_ranks = topo_.ranks.size();
 
+  // Inlet targets per owned position; the global tables live only here.
+  const auto bc_velocity = lbm::inlet_velocities<double>(*mesh_, inlets_);
+  const auto bc_pulse = lbm::inlet_pulse_params<double>(*mesh_, inlets_);
   states_.resize(n_ranks);
   for (std::size_t r = 0; r < n_ranks; ++r) {
-    const auto total =
-        static_cast<std::size_t>(topo_.ranks[r].total_slots() * kQ);
-    states_[r].f.assign(total, 0.0);
-    states_[r].f2.assign(total, 0.0);
+    const lbm::SegmentedMesh& view = topo_.ranks[r];
+    RankState& rank = states_[r];
+    rank.f = rest_array(layout_, view.num_slots());
+    rank.f2.assign(rank.f.size(), 0.0);
+    const auto owned = static_cast<std::size_t>(view.num_points());
+    rank.bc_velocity.resize(owned);
+    rank.bc_pulse.resize(owned);
+    for (std::size_t i = 0; i < owned; ++i) {
+      const auto p =
+          static_cast<std::size_t>(view.point_at(static_cast<index_t>(i)));
+      rank.bc_velocity[i] = bc_velocity[p];
+      rank.bc_pulse[i] = bc_pulse[p];
+    }
   }
 
   mailboxes_.clear();
@@ -130,15 +156,14 @@ void ParallelSolver::build_runtime_structures() {
 }
 
 std::vector<double> ParallelSolver::gather_state() const {
-  std::vector<double> state(
-      static_cast<std::size_t>(mesh_->num_points() * kQ));
+  const index_t n = mesh_->num_points();
+  std::vector<double> state(static_cast<std::size_t>(n * kQ));
   for (std::size_t r = 0; r < states_.size(); ++r) {
-    const harvey::RankLayout& layout = topo_.ranks[r];
-    for (index_t i = 0; i < layout.num_local(); ++i) {
-      const index_t p = layout.local_points[static_cast<std::size_t>(i)];
+    const lbm::SegmentedMesh& view = topo_.ranks[r];
+    for (index_t i = 0; i < view.num_points(); ++i) {
+      const index_t p = view.point_at(i);
       for (index_t q = 0; q < kQ; ++q) {
-        state[static_cast<std::size_t>(p * kQ + q)] =
-            states_[r].f[static_cast<std::size_t>(i * kQ + q)];
+        state[at(n, p, q)] = states_[r].f[at(view.num_slots(), i, q)];
       }
     }
   }
@@ -146,13 +171,13 @@ std::vector<double> ParallelSolver::gather_state() const {
 }
 
 void ParallelSolver::scatter_state(std::span<const double> state) {
+  const index_t n = mesh_->num_points();
   for (std::size_t r = 0; r < states_.size(); ++r) {
-    const harvey::RankLayout& layout = topo_.ranks[r];
-    for (index_t i = 0; i < layout.num_local(); ++i) {
-      const index_t p = layout.local_points[static_cast<std::size_t>(i)];
+    const lbm::SegmentedMesh& view = topo_.ranks[r];
+    for (index_t i = 0; i < view.num_points(); ++i) {
+      const index_t p = view.point_at(i);
       for (index_t q = 0; q < kQ; ++q) {
-        states_[r].f[static_cast<std::size_t>(i * kQ + q)] =
-            state[static_cast<std::size_t>(p * kQ + q)];
+        states_[r].f[at(view.num_slots(), i, q)] = state[at(n, p, q)];
       }
     }
   }
@@ -177,8 +202,18 @@ void ParallelSolver::restore_state(std::span<const double> state,
 
 void ParallelSolver::rank_step(std::size_t r, index_t t) {
   RankState& rank = states_[r];
-  const harvey::RankLayout& layout = topo_.ranks[r];
+  const lbm::SegmentedMesh& view = topo_.ranks[r];
   RankTimings& timing = timings_[r];
+  const lbm::AbSweep<double> sweep{.view = &view,
+                                   .f = rank.f.data(),
+                                   .f2 = rank.f2.data(),
+                                   .bc_velocity = rank.bc_velocity.data(),
+                                   .bc_pulse = rank.bc_pulse.data(),
+                                   .omega = omega_,
+                                   .cs2 = cs2_,
+                                   .force_shift = force_shift_,
+                                   .timestep = t,
+                                   .tile = tile_};
 
   const auto t0 = Clock::now();
   {
@@ -186,19 +221,23 @@ void ParallelSolver::rank_step(std::size_t r, index_t t) {
     for (const index_t c : out_channels_[r]) {
       Mailbox& box = *mailboxes_[static_cast<std::size_t>(c)];
       harvey::pack_channel(
-          topo_.channels[static_cast<std::size_t>(box.channel)], rank.f,
-          box.buffer);
+          topo_.channels[static_cast<std::size_t>(box.channel)], layout_,
+          rank.f, box.buffer);
       box.seq.store(t + 1, std::memory_order_release);
     }
   }
   const auto t1 = Clock::now();
 
-  // Interior overlap window: no slot here gathers from a ghost row, so
-  // this compute proceeds while neighbor ranks are still publishing.
+  // Interior overlap window: no position before frontier_begin() gathers
+  // from a ghost slot, so this compute proceeds while neighbor ranks are
+  // still publishing.
   {
     const obs::PhaseScope phase("interior");
-    harvey::update_rank_slots(ctx_, layout, layout.interior_slots, t,
-                              rank.f.data(), rank.f2.data());
+    bulk_(sweep, 0, view.bulk_count());
+    // Streaming stores are weakly ordered: fence them ahead of the
+    // barrier that ends the step.
+    if (nt_stores_) lbm::simd::store_fence(backend_);
+    boundary_(sweep, view.bulk_count(), view.frontier_begin());
   }
   const auto t2 = Clock::now();
 
@@ -216,8 +255,8 @@ void ParallelSolver::rank_step(std::size_t r, index_t t) {
     {
       const obs::PhaseScope phase("unpack");
       harvey::unpack_channel(
-          topo_.channels[static_cast<std::size_t>(box.channel)], box.buffer,
-          rank.f);
+          topo_.channels[static_cast<std::size_t>(box.channel)], layout_,
+          box.buffer, rank.f);
     }
     const auto w2 = Clock::now();
     wait_s += seconds_between(w0, w1);
@@ -227,8 +266,7 @@ void ParallelSolver::rank_step(std::size_t r, index_t t) {
 
   {
     const obs::PhaseScope phase("frontier");
-    harvey::update_rank_slots(ctx_, layout, layout.frontier_slots, t,
-                              rank.f.data(), rank.f2.data());
+    boundary_(sweep, view.frontier_begin(), view.num_points());
   }
   const auto t4 = Clock::now();
 
@@ -319,11 +357,6 @@ void ParallelSolver::run(index_t n) {
   for (std::size_t r = 0; r < states_.size(); ++r) {
     threads.emplace_back([this, r, t0, n, &sync] {
       obs::set_thread_label("rank" + std::to_string(r));
-#ifdef _OPENMP
-      // Thread-local in the OpenMP runtime: bounds any OpenMP region this
-      // rank enters without touching other ranks or the main thread.
-      omp_set_num_threads(rank_omp_threads());
-#endif
       for (index_t s = 0; s < n; ++s) {
         // timestep_ is written only by the barrier completion step, which
         // happens-before every thread's release from the wait — reading it
@@ -339,14 +372,14 @@ void ParallelSolver::run(index_t n) {
 lbm::Moments<real_t> ParallelSolver::moments_at(index_t global_point) const {
   HEMO_REQUIRE(global_point >= 0 && global_point < mesh_->num_points(),
                "point index out of range");
-  const RankState& rank = states_[static_cast<std::size_t>(
-      topo_.owner_task[static_cast<std::size_t>(global_point)])];
+  const auto r = static_cast<std::size_t>(
+      partition_.task_of[static_cast<std::size_t>(global_point)]);
   const index_t s = static_cast<index_t>(
       topo_.owner_slot[static_cast<std::size_t>(global_point)]);
+  const index_t rows = topo_.ranks[r].num_slots();
   std::array<double, kQ> g;
   for (index_t q = 0; q < kQ; ++q) {
-    g[static_cast<std::size_t>(q)] =
-        rank.f[static_cast<std::size_t>(s * kQ + q)];
+    g[static_cast<std::size_t>(q)] = states_[r].f[at(rows, s, q)];
   }
   const auto m = lbm::moments<double>(std::span<const double, kQ>(g));
   return lbm::Moments<real_t>{m.rho, m.ux, m.uy, m.uz};
@@ -355,9 +388,11 @@ lbm::Moments<real_t> ParallelSolver::moments_at(index_t global_point) const {
 real_t ParallelSolver::total_mass() const {
   real_t mass = 0.0;
   for (std::size_t r = 0; r < states_.size(); ++r) {
-    const index_t nl = topo_.ranks[r].num_local();
-    for (index_t i = 0; i < nl * kQ; ++i) {
-      mass += states_[r].f[static_cast<std::size_t>(i)];
+    const lbm::SegmentedMesh& view = topo_.ranks[r];
+    for (index_t i = 0; i < view.num_points(); ++i) {
+      for (index_t q = 0; q < kQ; ++q) {
+        mass += states_[r].f[at(view.num_slots(), i, q)];
+      }
     }
   }
   return mass;

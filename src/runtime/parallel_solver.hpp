@@ -1,7 +1,8 @@
 // Threaded-rank parallel LBM execution with real halo messaging.
 //
 // Each partition task becomes a *rank*: a dedicated std::thread owning a
-// private distribution array (local points + ghost rows) that no other
+// private distribution array over its lbm::SegmentedMesh slot space
+// (owned positions in segment order, then a ghost tail) that no other
 // thread ever writes. Ranks exchange halos through mailboxes — one per
 // directed halo channel, owned send buffer, epoch-stamped with an atomic
 // sequence number — so communication is real message passing: the owner
@@ -10,11 +11,15 @@
 // No rank ever peeks into a neighbor's distribution array.
 //
 // A step overlaps bulk-interior compute with boundary communication
-// (HARVEY's overlap scheme, Sec. II of the paper):
+// (HARVEY's overlap scheme, Sec. II of the paper). Each update is a call
+// of the serial solver's own range kernels (lbm::seg_bulk_ab /
+// lbm::seg_boundary_ab) over a position range of the rank's view:
 //   1. pack + publish all outgoing channels        (t_comm: pack)
-//   2. update interior slots — no ghosts needed    (t_mem)
+//   2. interior [0, frontier_begin): bulk spans,
+//      then boundary points — no ghosts read       (t_mem)
 //   3. await + unpack all incoming channels        (t_comm: wait + unpack)
-//   4. update frontier slots — ghosts now fresh    (t_mem)
+//   4. frontier [frontier_begin, num_points):
+//      boundary path — ghosts now fresh            (t_mem)
 //   5. swap front/back arrays, barrier arrive
 // Ranks run in lockstep: a std::barrier ends every step, and its
 // completion step (running while every rank thread is quiescent) advances
@@ -30,14 +35,9 @@
 // compares them against the paper's direct model (Eq. 9 byte counts over
 // measured STREAM bandwidth, Eq. 12 per-message times).
 //
-// Ranks x OpenMP threads: the rank ensemble is the process's parallelism
-// — every rank thread pins its OpenMP team to 1 at entry so an OpenMP
-// region reached from rank code (the lbm::Solver kernels are
-// OpenMP-parallel) cannot silently multiply to ranks x cores. Set
-// HEMO_RANK_THREADS=k to grant each rank a k-thread team; keep
-// ranks x k within the physical core count. The main thread is not
-// affected — a serial lbm::Solver in the same process keeps the global
-// default (or its SolverParams::num_threads).
+// The rank ensemble is the process's parallelism: a rank calls the range
+// kernels directly, outside any OpenMP region, so it is exactly one busy
+// thread (SolverParams::num_threads does not apply to ranks).
 //
 // Dynamic rebalancing: when measured busy-time imbalance (max/mean) stays
 // above threshold for `patience` windows, a contiguous canonical-order
@@ -46,11 +46,12 @@
 // partition/topology/mailboxes, and scatters the state back — bit-identical
 // to a run that never migrated, which the tier-1 tests assert exactly.
 //
-// Supported configuration: AB + AoS + double, reference or segmented
-// kernel path (the segmented path takes the branch-free bulk fast path on
-// local partitions). All arithmetic goes through lbm/point_update.hpp, so
-// the result is bit-identical to the serial lbm::Solver for every rank
-// count.
+// Supported configuration: AB x {AoS, SoA} x double on the segmented
+// kernel path (SoA ranks run the SIMD tile kernels of the configured
+// backend). AA, float and KernelPath::kReference are rejected. Because a
+// rank runs the serial solver's kernels on the same per-point arithmetic,
+// export_state() is bit-identical to the serial lbm::Solver<double> for
+// every rank count.
 #pragma once
 
 #include <array>
@@ -98,8 +99,8 @@ struct RuntimeOptions {
 class ParallelSolver {
  public:
   /// The mesh must outlive the solver; the partition is copied (it evolves
-  /// under dynamic rebalancing). `params.kernel` must be AB + AoS + double
-  /// (either kernel path).
+  /// under dynamic rebalancing). `params.kernel` must be AB + double on the
+  /// segmented path (either layout).
   ParallelSolver(const lbm::FluidMesh& mesh,
                  const decomp::Partition& partition,
                  const lbm::SolverParams& params,
@@ -126,7 +127,8 @@ class ParallelSolver {
   [[nodiscard]] real_t total_mass() const;
 
   /// Distribution state in canonical order (original mesh point indices,
-  /// AoS) — directly comparable to lbm::Solver<double>::export_state().
+  /// configured layout) — directly comparable to
+  /// lbm::Solver<double>::export_state().
   [[nodiscard]] std::vector<double> export_state() const;
 
   /// Restores a canonical-order state and timestep.
@@ -163,9 +165,13 @@ class ParallelSolver {
  private:
   friend struct EpochCallback;
 
-  /// One rank's private distribution arrays, (owned + ghosts) * kQ, AoS.
+  /// One rank's private arrays: distributions over its view's slots
+  /// (owned + ghosts) * kQ in the configured layout, and the inlet
+  /// targets of its owned positions.
   struct RankState {
     std::vector<double> f, f2;
+    std::vector<std::array<double, 3>> bc_velocity;
+    std::vector<std::array<double, 2>> bc_pulse;
   };
 
   /// One directed halo message: owner-packed buffer plus the epoch stamp
@@ -181,7 +187,7 @@ class ParallelSolver {
   };
 
   /// (Re)builds topology, mailboxes, channel maps, and rank arrays from
-  /// partition_; distribution values are left uninitialized.
+  /// partition_; the front arrays start at rest equilibrium.
   void build_runtime_structures();
 
   /// Canonical-order gather / scatter of all ranks' owned rows.
@@ -200,9 +206,27 @@ class ParallelSolver {
   /// quiescence (completion step or idle).
   void apply_migration(const MigrationPlan& plan);
 
+  /// Offset of (slot s, direction q) in an array of `rows` rows.
+  [[nodiscard]] std::size_t at(index_t rows, index_t s, index_t q) const {
+    return static_cast<std::size_t>(lbm::dist_offset(layout_, rows, s, q));
+  }
+
+  using RangeFn = void (*)(const lbm::AbSweep<double>&, index_t, index_t);
+
   const lbm::FluidMesh* mesh_;
+  std::vector<geometry::InletSpec> inlets_;
   decomp::Partition partition_;
   index_t timestep_ = 0;
+
+  lbm::Layout layout_;
+  double omega_;
+  double cs2_;
+  std::array<double, 3> force_shift_;
+  RangeFn bulk_ = nullptr;      ///< lbm::seg_bulk_ab for layout and LES
+  RangeFn boundary_ = nullptr;  ///< lbm::seg_boundary_ab for layout
+  lbm::Backend backend_ = lbm::Backend::kScalar;  ///< SoA tile backend
+  lbm::simd::TileFn<double> tile_ = nullptr;
+  bool nt_stores_ = false;
 
   harvey::HaloExchange topo_;
   std::vector<RankState> states_;
@@ -210,10 +234,6 @@ class ParallelSolver {
   std::vector<std::vector<index_t>> out_channels_;  ///< per rank
   std::vector<std::vector<index_t>> in_channels_;   ///< per rank
   std::vector<std::vector<std::int32_t>> neighbors_of_;  ///< per rank
-
-  harvey::RankStepContext ctx_;
-  std::vector<std::array<double, 3>> bc_velocity_;
-  std::vector<std::array<double, 2>> bc_pulse_;
 
   RuntimeOptions options_;
   RebalanceController controller_;

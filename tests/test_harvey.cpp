@@ -1,12 +1,11 @@
 // Integration tests for the HARVEY-equivalent: the simulation driver and,
-// critically, the distributed halo-exchange solver against the serial one.
+// critically, the halo-exchanging rank solver against the serial one.
 #include <gtest/gtest.h>
 
 #include <cmath>
 
-#include "decomp/comm_graph.hpp"
-#include "harvey/distributed.hpp"
 #include "harvey/simulation.hpp"
+#include "runtime/parallel_solver.hpp"
 
 namespace hemo::harvey {
 namespace {
@@ -51,7 +50,7 @@ class DistributedEquivalence
 
 TEST_P(DistributedEquivalence, MatchesSerialSolverBitwise) {
   // The decisive correctness test for the halo-exchange semantics the
-  // performance models count: a distributed run over per-task arrays with
+  // performance models count: ranks stepping their own slot spaces with
   // ghost exchange must reproduce the serial solver exactly.
   const auto geo = geometry::make_cylinder({.radius = 5, .length = 24});
   const auto mesh = lbm::FluidMesh::build(geo.grid);
@@ -60,18 +59,19 @@ TEST_P(DistributedEquivalence, MatchesSerialSolverBitwise) {
 
   lbm::Solver<double> serial(mesh, params, std::span(geo.inlets));
   const auto part = decomp::make_partition(mesh, 7, GetParam());
-  DistributedSolver dist(mesh, part, params, std::span(geo.inlets));
+  runtime::ParallelSolver ranks(mesh, part, params, std::span(geo.inlets));
 
   serial.run(60);
-  dist.run(60);
+  ranks.run(60);
 
+  EXPECT_EQ(ranks.export_state(), serial.export_state());
   for (index_t p = 0; p < mesh.num_points(); ++p) {
     const auto ms = serial.moments_at(p);
-    const auto md = dist.moments_at(p);
+    const auto md = ranks.moments_at(p);
     ASSERT_DOUBLE_EQ(ms.rho, md.rho) << "point " << p;
     ASSERT_DOUBLE_EQ(ms.uz, md.uz) << "point " << p;
   }
-  EXPECT_NEAR(serial.total_mass(), dist.total_mass(), 1e-9);
+  EXPECT_NEAR(serial.total_mass(), ranks.total_mass(), 1e-9);
 }
 
 INSTANTIATE_TEST_SUITE_P(Strategies, DistributedEquivalence,
@@ -81,31 +81,6 @@ INSTANTIATE_TEST_SUITE_P(Strategies, DistributedEquivalence,
                          [](const auto& info) {
                            return std::string(decomp::to_string(info.param));
                          });
-
-TEST(DistributedSolver, GhostsMatchCommGraphStructure) {
-  const auto geo = geometry::make_cylinder({.radius = 5, .length = 24});
-  const auto mesh = lbm::FluidMesh::build(geo.grid);
-  const auto part = decomp::make_partition(mesh, 5, decomp::Strategy::kRcb);
-  lbm::SolverParams params;
-  DistributedSolver dist(mesh, part, params, std::span(geo.inlets));
-  const auto graph = decomp::build_comm_graph(mesh, part);
-  // Every communicated link corresponds to a ghost point; ghosts
-  // deduplicate links that share an upstream point, so ghosts <= links.
-  index_t total_links = 0;
-  for (const auto& m : graph.messages) total_links += m.link_count;
-  EXPECT_GT(dist.ghost_count(), 0);
-  EXPECT_LE(dist.ghost_count(), total_links);
-}
-
-TEST(DistributedSolver, RejectsUnsupportedKernels) {
-  const auto geo = geometry::make_cylinder({.radius = 4, .length = 12});
-  const auto mesh = lbm::FluidMesh::build(geo.grid);
-  const auto part = decomp::make_partition(mesh, 2, decomp::Strategy::kRcb);
-  lbm::SolverParams params;
-  params.kernel.propagation = lbm::Propagation::kAA;
-  EXPECT_THROW(DistributedSolver(mesh, part, params, std::span(geo.inlets)),
-               PreconditionError);
-}
 
 TEST(Simulation, GeometryEffectsMatchPaperOrdering) {
   // Fig. 3: with the same core budget, the wall-point-rich cerebral

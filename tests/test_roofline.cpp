@@ -7,8 +7,8 @@
 #include "core/roofline.hpp"
 #include "decomp/comm_graph.hpp"
 #include "geometry/generators.hpp"
-#include "harvey/distributed.hpp"
 #include "lbm/mesh.hpp"
+#include "runtime/parallel_solver.hpp"
 
 namespace hemo {
 namespace {
@@ -82,13 +82,13 @@ TEST(PointFlops, BoundaryPointsSkipRelaxation) {
 }
 
 TEST(HaloChannels, MatchCommGraphEndpoints) {
-  // The distributed solver's message channels must connect exactly the
-  // task pairs the communication graph predicts.
+  // The rank solver's message channels must connect exactly the task
+  // pairs the communication graph predicts.
   const auto geo = geometry::make_cylinder({.radius = 5, .length = 30});
   const auto mesh = lbm::FluidMesh::build(geo.grid);
   const auto part = decomp::make_partition(mesh, 6, decomp::Strategy::kRcb);
   lbm::SolverParams params;
-  harvey::DistributedSolver dist(mesh, part, params, std::span(geo.inlets));
+  runtime::ParallelSolver dist(mesh, part, params, std::span(geo.inlets));
   const auto graph = decomp::build_comm_graph(mesh, part);
   EXPECT_EQ(dist.channel_count(),
             static_cast<index_t>(graph.messages.size()));

@@ -26,18 +26,24 @@ TEST(RuntimeStress, OversubscribedRanksStayBitIdentical) {
   // gets exercised under forced preemption.
   const auto geo = geometry::make_cylinder({.radius = 4, .length = 20});
   const auto mesh = lbm::FluidMesh::build(geo.grid);
-  const auto params = base_params();
   const auto hw =
       static_cast<index_t>(std::max(1u, std::thread::hardware_concurrency()));
   const index_t n_ranks = std::min<index_t>(2 * hw + 6, 16);
+  const auto part =
+      decomp::make_partition(mesh, n_ranks, decomp::Strategy::kRcb);
 
-  lbm::Solver<double> serial(mesh, params, std::span(geo.inlets));
-  ParallelSolver parallel(
-      mesh, decomp::make_partition(mesh, n_ranks, decomp::Strategy::kRcb),
-      params, std::span(geo.inlets));
-  serial.run(25);
-  parallel.run(25);
-  EXPECT_EQ(parallel.export_state(), serial.export_state());
+  // Both layouts: SoA ranks pack/unpack direction-major rows and run the
+  // SIMD tile kernels.
+  for (const lbm::Layout layout : {lbm::Layout::kAoS, lbm::Layout::kSoA}) {
+    SCOPED_TRACE(lbm::to_string(layout));
+    auto params = base_params();
+    params.kernel.layout = layout;
+    lbm::Solver<double> serial(mesh, params, std::span(geo.inlets));
+    ParallelSolver parallel(mesh, part, params, std::span(geo.inlets));
+    serial.run(25);
+    parallel.run(25);
+    EXPECT_EQ(parallel.export_state(), serial.export_state());
+  }
 }
 
 TEST(RuntimeStress, RebalanceStormStaysBitIdentical) {

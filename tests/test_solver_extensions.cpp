@@ -7,11 +7,11 @@
 #include <sstream>
 
 #include "geometry/generators.hpp"
-#include "harvey/distributed.hpp"
 #include "lbm/io.hpp"
 #include "lbm/point_update.hpp"
 #include "lbm/mesh.hpp"
 #include "lbm/solver.hpp"
+#include "runtime/parallel_solver.hpp"
 
 namespace hemo::lbm {
 namespace {
@@ -220,27 +220,31 @@ TEST(Checkpoint, RejectsGarbageStream) {
 }
 
 TEST(DistributedExtensions, ForcedPeriodicFlowMatchesSerialBitwise) {
-  // Distributed solver with body force over a periodic mesh must still
-  // match the serial solver exactly.
+  // Ranks with body force over a periodic mesh (ghosts wrap across the
+  // seam) must still match the serial solver exactly, in both layouts.
   const auto geo = geometry::make_periodic_cylinder({.radius = 4,
                                                      .length = 12});
   MeshOptions options;
   options.periodic_z = true;
   const FluidMesh mesh = FluidMesh::build(geo.grid, options);
-  SolverParams params;
-  params.body_force = {0.0, 0.0, 1e-5};
-
-  Solver<double> serial(mesh, params, {});
-  serial.run(40);
-
   const auto part =
       decomp::make_partition(mesh, 5, decomp::Strategy::kRcb);
-  harvey::DistributedSolver dist(mesh, part, params, {});
-  dist.run(40);
-  for (index_t p = 0; p < mesh.num_points(); p += 3) {
-    const auto ms = serial.moments_at(p);
-    const auto md = dist.moments_at(p);
-    ASSERT_DOUBLE_EQ(ms.uz, md.uz);
+  for (const Layout layout : {Layout::kAoS, Layout::kSoA}) {
+    SCOPED_TRACE(to_string(layout));
+    SolverParams params;
+    params.body_force = {0.0, 0.0, 1e-5};
+    params.kernel.layout = layout;
+
+    Solver<double> serial(mesh, params, {});
+    serial.run(40);
+    runtime::ParallelSolver ranks(mesh, part, params, {});
+    ranks.run(40);
+    EXPECT_EQ(ranks.export_state(), serial.export_state());
+    for (index_t p = 0; p < mesh.num_points(); p += 3) {
+      const auto ms = serial.moments_at(p);
+      const auto md = ranks.moments_at(p);
+      ASSERT_DOUBLE_EQ(ms.uz, md.uz);
+    }
   }
 }
 
