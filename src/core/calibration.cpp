@@ -8,7 +8,7 @@
 #include "microbench/pingpong.hpp"
 #include "microbench/stream.hpp"
 #include "obs/metrics.hpp"
-#include "obs/trace.hpp"
+#include "obs/profile.hpp"
 
 namespace hemo::core {
 
@@ -54,8 +54,9 @@ fit::CommModel fit_pingpong(
 
 InstanceCalibration calibrate_instance(
     const cluster::InstanceProfile& profile) {
-  const auto span = obs::TraceRecorder::global().wall_span(
-      "calibrate_instance", "calibration", {{"instance", profile.abbrev}});
+  const obs::Phase span("calibrate_instance", "calibration", [&] {
+    return obs::TraceArgs{{"instance", profile.abbrev}};
+  });
   InstanceCalibration cal;
   cal.abbrev = profile.abbrev;
 
@@ -121,9 +122,9 @@ WorkloadCalibration calibrate_workload(harvey::Simulation& sim,
                                        index_t tasks_per_node) {
   HEMO_REQUIRE(task_counts.size() >= 2,
                "need at least two task counts to fit the workload laws");
-  const auto span = obs::TraceRecorder::global().wall_span(
-      "calibrate_workload", "calibration",
-      {{"geometry", sim.geometry().name}});
+  const obs::Phase span("calibrate_workload", "calibration", [&] {
+    return obs::TraceArgs{{"geometry", sim.geometry().name}};
+  });
   WorkloadCalibration cal;
   cal.name = sim.geometry().name;
   cal.kernel = sim.options().solver.kernel;

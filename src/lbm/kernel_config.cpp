@@ -26,7 +26,6 @@ std::string to_string(Backend b) {
   switch (b) {
     case Backend::kAuto: return "auto";
     case Backend::kScalar: return "scalar";
-    case Backend::kSSE2: return "sse2";
     case Backend::kAVX2: return "avx2";
     case Backend::kAVX512: return "avx512";
     case Backend::kNEON: return "neon";

@@ -50,7 +50,6 @@ enum class KernelPath {
 enum class Backend {
   kAuto,    ///< resolve at bind time: HEMO_SIMD env, else best detected
   kScalar,  ///< portable autovectorized tile (always compiled)
-  kSSE2,    ///< 128-bit x86 vectors (baseline on x86-64)
   kAVX2,    ///< 256-bit x86 vectors, masked tails
   kAVX512,  ///< 512-bit x86 vectors, native masked tails
   kNEON,    ///< 128-bit AArch64 vectors

@@ -16,19 +16,12 @@ namespace {
 
 /// Widest-first order in which kAuto considers backends.
 constexpr Backend kPreferenceOrder[] = {Backend::kAVX512, Backend::kAVX2,
-                                        Backend::kSSE2, Backend::kNEON,
-                                        Backend::kScalar};
+                                        Backend::kNEON, Backend::kScalar};
 
 [[nodiscard]] bool compiled(Backend b) {
   switch (b) {
     case Backend::kScalar:
       return true;
-    case Backend::kSSE2:
-#ifdef HEMO_SIMD_HAVE_SSE2
-      return true;
-#else
-      return false;
-#endif
     case Backend::kAVX2:
 #ifdef HEMO_SIMD_HAVE_AVX2
       return true;
@@ -75,11 +68,9 @@ bool cpu_supports(Backend b) {
   switch (b) {
     case Backend::kScalar:
       return true;
-    case Backend::kSSE2:
     case Backend::kAVX2:
     case Backend::kAVX512:
 #if defined(__x86_64__) || defined(__i386__)
-      if (b == Backend::kSSE2) return __builtin_cpu_supports("sse2") != 0;
       if (b == Backend::kAVX2) return __builtin_cpu_supports("avx2") != 0;
       return __builtin_cpu_supports("avx512f") != 0;
 #else
@@ -109,7 +100,6 @@ std::optional<Backend> parse_backend(std::string_view name) {
   const std::string n = lower(name);
   if (n == "auto") return Backend::kAuto;
   if (n == "scalar") return Backend::kScalar;
-  if (n == "sse2") return Backend::kSSE2;
   if (n == "avx2") return Backend::kAVX2;
   if (n == "avx512") return Backend::kAVX512;
   if (n == "neon") return Backend::kNEON;
@@ -122,7 +112,7 @@ Backend resolve_backend(Backend requested) {
     if (const char* env = std::getenv("HEMO_SIMD")) {
       const auto parsed = parse_backend(env);
       HEMO_REQUIRE(parsed.has_value(),
-                   "HEMO_SIMD must be auto|scalar|sse2|avx2|avx512|neon");
+                   "HEMO_SIMD must be auto|scalar|avx2|avx512|neon");
       want = *parsed;
     }
   }
@@ -144,10 +134,6 @@ TileFn<float> tile_kernel<float>(Backend b, bool with_les, bool nt_stores) {
   switch (b) {
     case Backend::kScalar:
       return detail::scalar_tile_f32(with_les, nt_stores);
-#ifdef HEMO_SIMD_HAVE_SSE2
-    case Backend::kSSE2:
-      return detail::sse2_tile_f32(with_les, nt_stores);
-#endif
 #ifdef HEMO_SIMD_HAVE_AVX2
     case Backend::kAVX2:
       return detail::avx2_tile_f32(with_les, nt_stores);
@@ -171,10 +157,6 @@ TileFn<double> tile_kernel<double>(Backend b, bool with_les,
   switch (b) {
     case Backend::kScalar:
       return detail::scalar_tile_f64(with_les, nt_stores);
-#ifdef HEMO_SIMD_HAVE_SSE2
-    case Backend::kSSE2:
-      return detail::sse2_tile_f64(with_les, nt_stores);
-#endif
 #ifdef HEMO_SIMD_HAVE_AVX2
     case Backend::kAVX2:
       return detail::avx2_tile_f64(with_les, nt_stores);
@@ -196,7 +178,7 @@ void store_fence(Backend b) noexcept {
 #if defined(__x86_64__) || defined(__i386__)
   // Streaming stores bypass the normal store ordering; fence them ahead
   // of whatever flag or barrier publishes the data to other threads.
-  if (b == Backend::kSSE2 || b == Backend::kAVX2 || b == Backend::kAVX512) {
+  if (b == Backend::kAVX2 || b == Backend::kAVX512) {
     _mm_sfence();
   }
 #else
@@ -207,7 +189,6 @@ void store_fence(Backend b) noexcept {
 index_t lanes(Backend b, index_t bytes) noexcept {
   const index_t width = [&]() -> index_t {
     switch (b) {
-      case Backend::kSSE2:
       case Backend::kNEON:
         return 16;
       case Backend::kAVX2:

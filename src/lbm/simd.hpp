@@ -56,8 +56,8 @@ using TileFn = void (*)(const T* const* src, T* const* dst, index_t w,
 /// Compiled-in backends the running CPU supports, widest first.
 [[nodiscard]] std::vector<Backend> detected_backends();
 
-/// Parses a backend name ("auto", "scalar", "sse2", "avx2", "avx512",
-/// "neon", case-insensitive); nullopt for anything else.
+/// Parses a backend name ("auto", "scalar", "avx2", "avx512", "neon",
+/// case-insensitive); nullopt for anything else.
 [[nodiscard]] std::optional<Backend> parse_backend(std::string_view name);
 
 /// Resolves a KernelConfig backend request to the backend to bind.

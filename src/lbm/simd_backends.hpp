@@ -14,11 +14,6 @@ namespace hemo::lbm::simd::detail {
 TileFn<float> scalar_tile_f32(bool with_les, bool nt_stores);
 TileFn<double> scalar_tile_f64(bool with_les, bool nt_stores);
 
-#ifdef HEMO_SIMD_HAVE_SSE2
-TileFn<float> sse2_tile_f32(bool with_les, bool nt_stores);
-TileFn<double> sse2_tile_f64(bool with_les, bool nt_stores);
-#endif
-
 #ifdef HEMO_SIMD_HAVE_AVX2
 TileFn<float> avx2_tile_f32(bool with_les, bool nt_stores);
 TileFn<double> avx2_tile_f64(bool with_les, bool nt_stores);

@@ -2,9 +2,9 @@
 //
 // One templated kernel (tile_run) implements the segmented SoA bulk update
 // over any vector trait class V; each backend translation unit
-// (simd_scalar.cpp, simd_sse2.cpp, simd_avx2.cpp, simd_avx512.cpp,
-// simd_neon.cpp) instantiates it with its own traits under the ISA flags
-// that TU is compiled with. The trait operations map 1:1 onto single
+// (simd_scalar.cpp, simd_avx2.cpp, simd_avx512.cpp, simd_neon.cpp)
+// instantiates it with its own traits under the ISA flags that TU is
+// compiled with. The trait operations map 1:1 onto single
 // IEEE-754 vector instructions, and the kernel performs, lane by lane,
 // the exact operation sequence of update_interior_values
 // (lbm/point_update.hpp): moments accumulated in direction order, the
@@ -39,7 +39,7 @@
 #include "lbm/lattice.hpp"
 #include "util/common.hpp"
 
-#if defined(__SSE2__)
+#if defined(__AVX2__) || defined(__AVX512F__)
 #include <immintrin.h>
 #endif
 #if defined(__aarch64__) && defined(__ARM_NEON)
@@ -94,71 +94,6 @@ template <typename T>
   return reinterpret_cast<std::uintptr_t>(p) % bytes == 0;
 }
 }  // namespace detail_align
-
-#if defined(__SSE2__)
-
-/// 128-bit x86 float vectors (baseline on x86-64). No masked memory ops in
-/// SSE2: partial groups go through a zero-padded stack image.
-struct Sse2VecF {
-  using value_type = float;
-  using reg = __m128;
-  static constexpr index_t kLanes = 4;
-  static reg load(const float* p) noexcept { return _mm_loadu_ps(p); }
-  static reg load_n(const float* p, index_t n) noexcept {
-    alignas(16) float tmp[4] = {0.0F, 0.0F, 0.0F, 0.0F};
-    std::memcpy(tmp, p, static_cast<std::size_t>(n) * sizeof(float));
-    return _mm_load_ps(tmp);
-  }
-  static void store(float* p, reg v) noexcept { _mm_storeu_ps(p, v); }
-  static void store_n(float* p, reg v, index_t n) noexcept {
-    alignas(16) float tmp[4];
-    _mm_store_ps(tmp, v);
-    std::memcpy(p, tmp, static_cast<std::size_t>(n) * sizeof(float));
-  }
-  static void stream(float* p, reg v) noexcept { _mm_stream_ps(p, v); }
-  static bool aligned(const float* p) noexcept {
-    return detail_align::is_aligned(p, 16);
-  }
-  static reg set1(float v) noexcept { return _mm_set1_ps(v); }
-  static reg zero() noexcept { return _mm_setzero_ps(); }
-  static reg add(reg a, reg b) noexcept { return _mm_add_ps(a, b); }
-  static reg sub(reg a, reg b) noexcept { return _mm_sub_ps(a, b); }
-  static reg mul(reg a, reg b) noexcept { return _mm_mul_ps(a, b); }
-  static reg div(reg a, reg b) noexcept { return _mm_div_ps(a, b); }
-  static reg sqrt(reg a) noexcept { return _mm_sqrt_ps(a); }
-};
-
-/// 128-bit x86 double vectors.
-struct Sse2VecD {
-  using value_type = double;
-  using reg = __m128d;
-  static constexpr index_t kLanes = 2;
-  static reg load(const double* p) noexcept { return _mm_loadu_pd(p); }
-  static reg load_n(const double* p, index_t n) noexcept {
-    alignas(16) double tmp[2] = {0.0, 0.0};
-    std::memcpy(tmp, p, static_cast<std::size_t>(n) * sizeof(double));
-    return _mm_load_pd(tmp);
-  }
-  static void store(double* p, reg v) noexcept { _mm_storeu_pd(p, v); }
-  static void store_n(double* p, reg v, index_t n) noexcept {
-    alignas(16) double tmp[2];
-    _mm_store_pd(tmp, v);
-    std::memcpy(p, tmp, static_cast<std::size_t>(n) * sizeof(double));
-  }
-  static void stream(double* p, reg v) noexcept { _mm_stream_pd(p, v); }
-  static bool aligned(const double* p) noexcept {
-    return detail_align::is_aligned(p, 16);
-  }
-  static reg set1(double v) noexcept { return _mm_set1_pd(v); }
-  static reg zero() noexcept { return _mm_setzero_pd(); }
-  static reg add(reg a, reg b) noexcept { return _mm_add_pd(a, b); }
-  static reg sub(reg a, reg b) noexcept { return _mm_sub_pd(a, b); }
-  static reg mul(reg a, reg b) noexcept { return _mm_mul_pd(a, b); }
-  static reg div(reg a, reg b) noexcept { return _mm_div_pd(a, b); }
-  static reg sqrt(reg a) noexcept { return _mm_sqrt_pd(a); }
-};
-
-#endif  // __SSE2__
 
 #if defined(__AVX2__)
 

@@ -2,7 +2,6 @@
 
 #include <algorithm>
 #include <cmath>
-#include <cstdlib>
 #include <utility>
 
 #include "lbm/point_update.hpp"
@@ -11,12 +10,8 @@
 #include <omp.h>
 #endif
 
-#ifdef HEMO_OBS_DETAIL
-#include <chrono>
-
 #include "obs/metrics.hpp"
 #include "obs/profile.hpp"
-#endif
 
 namespace hemo::lbm {
 
@@ -523,7 +518,6 @@ void Solver<T>::seg_step_aa_odd() {
 
 bool streaming_stores_pay(Backend backend, std::size_t ab_bytes) {
   if (backend == Backend::kScalar) return false;
-  if (const char* env = std::getenv("HEMO_NT_STORES")) return env[0] == '1';
   return ab_bytes > (std::size_t{64} << 20);
 }
 
@@ -601,34 +595,25 @@ template <typename T>
 void Solver<T>::step() {
   // The layout/propagation/path dispatch is bound once at construction;
   // a step is one indirect call through the parity-selected kernel.
-#ifdef HEMO_OBS_DETAIL
-  const bool aos = params_.kernel.layout == Layout::kAoS;
-  const char* phase = params_.kernel.propagation == Propagation::kAB
-                          ? "ab_pull"
-                          : (timestep_ % 2 == 0 ? "aa_even" : "aa_odd");
-  const auto t0 = std::chrono::steady_clock::now();
-  // `phase` always points at one of the three literals above, so handing
-  // it to the profiler's pointer-keeping scope is safe.
-  const obs::PhaseScope profile_phase(phase);
-#endif
-  const bool even = params_.kernel.propagation == Propagation::kAB ||
-                    timestep_ % 2 == 0;
-  (this->*(even ? step_even_fn_ : step_odd_fn_))();
-#ifdef HEMO_OBS_DETAIL
+  const bool ab = params_.kernel.propagation == Propagation::kAB;
+  const bool even = ab || timestep_ % 2 == 0;
+  const char* phase = ab ? "ab_pull" : (even ? "aa_even" : "aa_odd");
   obs::MetricsRegistry& metrics = obs::MetricsRegistry::global();
-  if (metrics.enabled()) {
-    const std::chrono::duration<real_t> dt =
-        std::chrono::steady_clock::now() - t0;
-    metrics.observe("lbm_step_seconds", dt.count(),
-                    {{"phase", phase},
-                     {"layout", aos ? "aos" : "soa"},
-                     {"path", to_string(params_.kernel.path)},
-                     {"precision",
-                      params_.kernel.precision == Precision::kSingle
-                          ? "f32"
-                          : "f64"}});
+  const bool timed = metrics.enabled();
+  real_t seconds = 0.0;
+  {
+    const obs::Phase scope(phase, timed ? &seconds : nullptr);
+    (this->*(even ? step_even_fn_ : step_odd_fn_))();
   }
-#endif
+  if (timed) {
+    metrics.observe(
+        "lbm_step_seconds", seconds,
+        {{"phase", phase},
+         {"layout", params_.kernel.layout == Layout::kAoS ? "aos" : "soa"},
+         {"path", to_string(params_.kernel.path)},
+         {"precision",
+          params_.kernel.precision == Precision::kSingle ? "f32" : "f64"}});
+  }
   ++timestep_;
 }
 

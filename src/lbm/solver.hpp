@@ -105,7 +105,6 @@ void seg_boundary_ab(const AbSweep<T>& sweep, index_t lo, index_t hi);
 /// Whether an AB sweep should bind the streaming-store tile variant: a
 /// vector backend and two arrays of `ab_bytes` in total that dwarf the
 /// cache (otherwise the stores evict lines the next step would hit).
-/// HEMO_NT_STORES=1/0 forces the choice for vector backends.
 [[nodiscard]] bool streaming_stores_pay(Backend backend,
                                         std::size_t ab_bytes);
 

@@ -7,7 +7,7 @@
 #include <vector>
 
 #include "cluster/hardware.hpp"
-#include "obs/trace.hpp"
+#include "obs/profile.hpp"
 
 namespace hemo::microbench {
 
@@ -49,10 +49,10 @@ struct Mailbox {
 std::vector<PingPongSample> run_pingpong_local(
     const std::vector<real_t>& sizes, index_t iterations) {
   HEMO_REQUIRE(iterations >= 1, "need at least one iteration");
-  const auto obs_span = obs::TraceRecorder::global().wall_span(
-      "pingpong_local", "microbench",
-      {{"sizes", std::to_string(sizes.size())},
-       {"iterations", std::to_string(iterations)}});
+  const obs::Phase obs_span("pingpong_local", "microbench", [&] {
+    return obs::TraceArgs{{"sizes", std::to_string(sizes.size())},
+                          {"iterations", std::to_string(iterations)}};
+  });
   using Clock = std::chrono::steady_clock;
   std::vector<PingPongSample> out;
   out.reserve(sizes.size());

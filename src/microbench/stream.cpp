@@ -6,7 +6,7 @@
 
 #include "cluster/hardware.hpp"
 #include "obs/metrics.hpp"
-#include "obs/trace.hpp"
+#include "obs/profile.hpp"
 
 #ifdef _OPENMP
 #include <omp.h>
@@ -69,11 +69,11 @@ StreamResult run_stream_local(index_t elements, index_t repetitions,
   HEMO_REQUIRE(elements >= 1024, "STREAM arrays must hold >= 1024 elements");
   HEMO_REQUIRE(repetitions >= 1, "need at least one repetition");
   HEMO_REQUIRE(threads >= 1, "need at least one thread");
-  const auto span = obs::TraceRecorder::global().wall_span(
-      "stream_local", "microbench",
-      {{"elements", std::to_string(elements)},
-       {"repetitions", std::to_string(repetitions)},
-       {"threads", std::to_string(threads)}});
+  const obs::Phase span("stream_local", "microbench", [&] {
+    return obs::TraceArgs{{"elements", std::to_string(elements)},
+                          {"repetitions", std::to_string(repetitions)},
+                          {"threads", std::to_string(threads)}};
+  });
   const auto n = static_cast<std::size_t>(elements);
   std::vector<double> a(n), b(n), c(n);
   const StreamKernels k{a.data(), b.data(), c.data(), n, 3.0, threads};

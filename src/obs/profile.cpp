@@ -24,6 +24,7 @@ struct PhaseProfiler::Holder {
 
 namespace {
 thread_local PhaseProfiler::Holder t_holder;  // sync-ok(thread-local handle)
+thread_local std::string t_label = "thread";  // sync-ok(thread-local label)
 }  // namespace
 
 PhaseProfiler::~PhaseProfiler() { stop(); }
@@ -39,6 +40,7 @@ PhaseProfiler::stack_for_this_thread() {
     return t_holder.stack;
   }
   auto stack = std::make_shared<ThreadStack>();
+  stack->label = t_label;
   {
     const MutexLock lock(mutex_);
     threads_.push_back(stack);
@@ -49,6 +51,7 @@ PhaseProfiler::stack_for_this_thread() {
 }
 
 void PhaseProfiler::set_thread_label(std::string_view label) {
+  t_label = label;
   if (!enabled()) return;
   const std::shared_ptr<ThreadStack> stack = stack_for_this_thread();
   // The label is only read by the sampler; publish it under the lock so
@@ -76,6 +79,28 @@ void PhaseProfiler::pop_phase() noexcept {
   if (depth > 0) {
     stack.depth.store(depth - 1, std::memory_order_release);
   }
+}
+
+void Phase::begin() {
+  pushed_ = PhaseProfiler::global().push_phase(name_);
+  traced_ = TraceRecorder::global().enabled();
+  if (traced_ || seconds_ != nullptr) {
+    start_ = std::chrono::steady_clock::now();
+  }
+}
+
+void Phase::end() {
+  if (traced_ || seconds_ != nullptr) {
+    const auto stop = std::chrono::steady_clock::now();
+    if (seconds_ != nullptr) {
+      *seconds_ += std::chrono::duration<real_t>(stop - start_).count();
+    }
+    if (traced_) {
+      TraceRecorder::global().record_wall(name_, category_, start_, stop,
+                                          std::move(args_), t_label);
+    }
+  }
+  if (pushed_) PhaseProfiler::global().pop_phase();
 }
 
 void PhaseProfiler::start(real_t hz) {

@@ -1,10 +1,20 @@
-// Cooperative phase-stack sampling profiler.
+// Cooperative phase-stack sampling profiler, and obs::Phase — the one
+// phase timer of the tree.
 //
-// Instrumented threads push/pop RAII PhaseScope markers ("attempt",
-// "pack", "interior", ...) onto a small per-thread stack of static string
-// pointers; a sampler thread wakes at a fixed period, snapshots every
-// registered stack, and accumulates one count per observed stack path.
-// The aggregate renders directly as collapsed-stack ("folded") flamegraph
+// A Phase ("attempt", "pack", "interior", "ab_pull", ...) is an RAII
+// marker that feeds every consumer of phase time from one pair of
+// construction/destruction points: it pushes a frame onto its thread's
+// profiler stack while the profiler is on, adds its wall time to the
+// caller's accumulator when given one (the rank step's RankTimings, the
+// solver's lbm_step_seconds), and records a wall-clock trace event on the
+// calling thread's own track while the TraceRecorder is on. With all of
+// these off a Phase is two relaxed loads: no clock read, lock or
+// allocation.
+//
+// The profiler keeps a small per-thread stack of static string pointers;
+// a sampler thread wakes at a fixed period, snapshots every registered
+// stack, and accumulates one count per observed stack path. The
+// aggregate renders directly as collapsed-stack ("folded") flamegraph
 // input — `label;phase_a;phase_b 172` — and as per-phase *self time*
 // gauges (leaf-frame samples x sampling period).
 //
@@ -14,11 +24,10 @@
 // jitter, and the total attributed self time is within one period of
 // elapsed wall time per thread. Individual phases shorter than the period
 // are seen probabilistically (standard sampling-profiler behaviour) but
-// their *expected* attributed time is unbiased. A phase push/pop is two
+// their *expected* attributed time is unbiased. A frame push/pop is two
 // relaxed/release atomic stores on the owning thread — cheap enough for
-// per-window runtime phases, and the whole layer compiles to an
-// early-return when disabled (the default), preserving the repo's
-// behaviour-neutrality contract.
+// per-step runtime phases — and the profiler is off by default,
+// preserving the repo's behaviour-neutrality contract.
 //
 // Thread-safety: registration and aggregation are guarded by a
 // hemo::Mutex. The per-thread frame stacks are written only by the owning
@@ -41,6 +50,7 @@
 #include <vector>
 
 #include "obs/metrics.hpp"
+#include "obs/trace.hpp"
 #include "util/sync.hpp"
 
 namespace hemo::obs {
@@ -56,11 +66,11 @@ class PhaseProfiler {
   PhaseProfiler(const PhaseProfiler&) = delete;
   PhaseProfiler& operator=(const PhaseProfiler&) = delete;
 
-  /// The process-wide profiler the PhaseScope markers record into.
+  /// The process-wide profiler the Phase markers record into.
   [[nodiscard]] static PhaseProfiler& global();
 
-  /// Profiling is opt-in; while disabled PhaseScope and set_thread_label
-  /// are no-ops (one relaxed load).
+  /// Profiling is opt-in; while disabled a Phase pushes no frame (one
+  /// relaxed load).
   void enable(bool on) noexcept {
     enabled_.store(on, std::memory_order_relaxed);
   }
@@ -98,21 +108,22 @@ class PhaseProfiler {
   /// Sampling period of the most recent start() (0 before any start).
   [[nodiscard]] real_t period_seconds() const HEMO_EXCLUDES(mutex_);
 
-  /// Labels the calling thread in folded output ("rank3", "worker1",
-  /// "cli"); unlabeled threads render as "thread". Registers the calling
-  /// thread if it is not yet known. No-op while disabled.
+  /// Labels the calling thread in folded output and on its wall trace
+  /// track ("rank3", "worker1", "coordinator"); unlabeled threads render
+  /// as "thread". The label is kept per thread even while profiling is
+  /// off; while on, the calling thread is registered if not yet known.
   void set_thread_label(std::string_view label) HEMO_EXCLUDES(mutex_);
 
-  // -- owning-thread fast path (called by PhaseScope) ----------------------
+  struct Holder;  ///< thread_local registration handle (deregisters on exit)
+
+ private:
+  friend class Phase;
 
   /// Pushes a phase frame; returns false when not pushed (disabled or
   /// stack full) so the matching pop is skipped.
   [[nodiscard]] bool push_phase(const char* literal) HEMO_EXCLUDES(mutex_);
   void pop_phase() noexcept;
 
-  struct Holder;  ///< thread_local registration handle (deregisters on exit)
-
- private:
   /// Per-thread marker stack. Written by the owning thread only; the
   /// sampler reads depth (acquire) then frames below it. Frames are
   /// pointers to string literals, so a stale read is always a valid
@@ -142,24 +153,47 @@ class PhaseProfiler {
   std::jthread sampler_ HEMO_GUARDED_BY(mutex_);
 };
 
-/// RAII phase marker. The `literal` argument must be a string literal (or
-/// otherwise have static storage duration) — the profiler stores the
-/// pointer, not a copy.
-class PhaseScope {
+/// RAII phase marker (see the file comment). `name` and `category` must
+/// be string literals (or otherwise have static storage duration) — the
+/// profiler stores the pointer, not a copy. `seconds`, when given,
+/// receives `+=` the phase's wall time.
+class Phase {
  public:
-  explicit PhaseScope(const char* literal)
-      : pushed_(PhaseProfiler::global().push_phase(literal)) {}
-  ~PhaseScope() {
-    if (pushed_) PhaseProfiler::global().pop_phase();
+  explicit Phase(const char* name, real_t* seconds = nullptr)
+      : name_(name), seconds_(seconds) {
+    begin();
   }
-  PhaseScope(const PhaseScope&) = delete;
-  PhaseScope& operator=(const PhaseScope&) = delete;
+
+  /// A phase whose trace event carries annotations. `make_args` (returning
+  /// TraceArgs) runs once, on construction, only while the trace recorder
+  /// is on, so a disabled phase builds no strings.
+  template <typename MakeArgs>
+  Phase(const char* name, const char* category, MakeArgs&& make_args)
+      : name_(name), category_(category) {
+    begin();
+    if (traced_) args_ = make_args();
+  }
+
+  ~Phase() {
+    if (pushed_ || traced_ || seconds_ != nullptr) end();
+  }
+  Phase(const Phase&) = delete;
+  Phase& operator=(const Phase&) = delete;
 
  private:
-  bool pushed_;
+  void begin();
+  void end();
+
+  const char* name_;
+  const char* category_ = "phase";
+  real_t* seconds_ = nullptr;
+  bool pushed_ = false;
+  bool traced_ = false;
+  std::chrono::steady_clock::time_point start_{};
+  TraceArgs args_;
 };
 
-/// Convenience forwarding to PhaseProfiler::global().set_thread_label().
+/// Labels the calling thread (PhaseProfiler::set_thread_label).
 inline void set_thread_label(std::string_view label) {
   PhaseProfiler::global().set_thread_label(label);
 }

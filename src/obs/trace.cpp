@@ -45,6 +45,7 @@ TraceRecorder& TraceRecorder::global() {
 void TraceRecorder::reset() {
   const MutexLock lock(mutex_);
   events_.clear();
+  wall_threads_.clear();
 }
 
 void TraceRecorder::record(Event event) {
@@ -84,31 +85,33 @@ void TraceRecorder::virtual_instant(std::string name, std::string category,
   record(std::move(event));
 }
 
-TraceRecorder::WallSpan::WallSpan(TraceRecorder& recorder, std::string name,
-                                  std::string category, TraceArgs args)
-    : recorder_(recorder.enabled() ? &recorder : nullptr),
-      name_(std::move(name)),
-      category_(std::move(category)),
-      args_(std::move(args)) {
-  if (recorder_ != nullptr) start_ = std::chrono::steady_clock::now();
-}
-
-TraceRecorder::WallSpan::~WallSpan() {
-  if (recorder_ == nullptr || !recorder_->enabled()) return;
-  const auto end = std::chrono::steady_clock::now();
+void TraceRecorder::record_wall(const char* name, const char* category,
+                                std::chrono::steady_clock::time_point start,
+                                std::chrono::steady_clock::time_point end,
+                                TraceArgs args,
+                                std::string_view thread_label) {
+  if (!enabled()) return;
+  // One tid per OS thread for the life of the process, in first-record
+  // order.
+  static std::atomic<index_t> next_tid{1};  // atomic-ok(relaxed id counter)
+  thread_local const index_t tid =
+      next_tid.fetch_add(1, std::memory_order_relaxed);
   Event event;
-  event.name = std::move(name_);
-  event.category = std::move(category_);
+  event.name = name;
+  event.category = category;
   event.phase = 'X';
   event.wall = true;
-  event.track = 0;
+  event.track = tid;
   event.ts_us =
-      std::chrono::duration<real_t, std::micro>(start_.time_since_epoch())
+      std::chrono::duration<real_t, std::micro>(start.time_since_epoch())
           .count();
   event.dur_us =
-      std::chrono::duration<real_t, std::micro>(end - start_).count();
-  event.args = std::move(args_);
-  recorder_->record(std::move(event));
+      std::chrono::duration<real_t, std::micro>(end - start).count();
+  event.args = std::move(args);
+  const MutexLock lock(mutex_);
+  std::string& label = wall_threads_[tid];
+  if (label != thread_label) label = thread_label;
+  events_.push_back(std::move(event));
 }
 
 std::size_t TraceRecorder::virtual_event_count() const {
@@ -141,9 +144,11 @@ std::vector<TraceRecorder::VirtualEvent> TraceRecorder::virtual_events()
 
 std::string TraceRecorder::to_chrome_json(bool include_wall) const {
   std::vector<Event> events;
+  std::map<index_t, std::string> wall_threads;
   {
     const MutexLock lock(mutex_);
     events = events_;
+    wall_threads = wall_threads_;
   }
 
   std::string out = "{\"traceEvents\":[\n";
@@ -199,6 +204,12 @@ std::string TraceRecorder::to_chrome_json(bool include_wall) const {
     out +=
         "{\"ph\":\"M\",\"pid\":2,\"name\":\"process_name\","
         "\"args\":{\"name\":\"wall clock\"}}";
+    for (const auto& [tid, label] : wall_threads) {
+      out += ",\n{\"ph\":\"M\",\"pid\":2,\"tid\":" + std::to_string(tid) +
+             ",\"name\":\"thread_name\",\"args\":{\"name\":\"";
+      append_json_escaped(out, label);
+      out += "\"}}";
+    }
     for (const Event& event : events) {
       if (event.wall) emit(event);
     }

@@ -5,16 +5,18 @@
 // that clock are a pure function of the campaign seed — byte-stable across
 // worker counts, which extends the PR-1 determinism contract from the CSV
 // report to the trace itself (tests/test_obs.cpp asserts it). Real work —
-// calibration sweeps, microbenches, HEMO_OBS_DETAIL solver steps — is
-// covered by RAII wall-clock spans instead; the two domains are kept on
-// separate trace "processes" (pid 1 = virtual campaign time, pid 2 = wall
-// clock) so a mixed export still reads sensibly in the Perfetto timeline,
-// and the virtual track can be exported alone for byte-comparison.
+// rank steps, solver steps, coordinator passes, calibration sweeps,
+// microbenches — is recorded by obs::Phase (obs/profile.hpp) on the wall
+// clock instead; the two domains are kept on separate trace "processes"
+// (pid 1 = virtual campaign time, pid 2 = wall clock) so a mixed export
+// still reads sensibly in the Perfetto timeline, and the virtual track can
+// be exported alone for byte-comparison. Each recording thread gets its
+// own wall tid, named after its profiler thread label.
 //
 // Recording is OFF by default with the same near-zero disabled path as
 // MetricsRegistry: one relaxed atomic load per call, no locks, no
 // allocations. Virtual-time events must be recorded from one thread at a
-// time (the engine's coordinator is the only producer); wall spans are
+// time (the engine's coordinator is the only producer); wall events are
 // thread-safe.
 //
 // Open an exported file in https://ui.perfetto.dev or chrome://tracing.
@@ -22,7 +24,9 @@
 
 #include <atomic>
 #include <chrono>
+#include <map>
 #include <string>
+#include <string_view>
 #include <utility>
 #include <vector>
 
@@ -68,32 +72,14 @@ class TraceRecorder {
                        units::Seconds at, TraceArgs args = {})
       HEMO_EXCLUDES(mutex_);
 
-  /// RAII wall-clock span: stamps steady_clock on construction and records
-  /// the complete event on destruction. A span from a disabled recorder is
-  /// inert (and stays inert even if the recorder is enabled mid-flight, so
-  /// begin/end stamps always come from the same recording session).
-  class WallSpan {
-   public:
-    WallSpan(TraceRecorder& recorder, std::string name, std::string category,
-             TraceArgs args = {});
-    ~WallSpan();
-    WallSpan(const WallSpan&) = delete;
-    WallSpan& operator=(const WallSpan&) = delete;
-
-   private:
-    TraceRecorder* recorder_ = nullptr;  ///< null when inert
-    std::string name_;
-    std::string category_;
-    TraceArgs args_;
-    std::chrono::steady_clock::time_point start_;
-  };
-
-  /// Convenience factory: `auto span = recorder.wall_span("stream", "bench");`
-  [[nodiscard]] WallSpan wall_span(std::string name, std::string category,
-                                   TraceArgs args = {}) {
-    return WallSpan(*this, std::move(name), std::move(category),
-                    std::move(args));
-  }
+  /// Complete wall-clock span [start, end] on the calling thread's own
+  /// track (pid 2), which the export names `thread_label`. obs::Phase is
+  /// the producer. No-op while disabled, so a span that straddles a
+  /// disable is dropped.
+  void record_wall(const char* name, const char* category,
+                   std::chrono::steady_clock::time_point start,
+                   std::chrono::steady_clock::time_point end, TraceArgs args,
+                   std::string_view thread_label) HEMO_EXCLUDES(mutex_);
 
   /// Number of recorded virtual-clock events.
   [[nodiscard]] std::size_t virtual_event_count() const
@@ -148,6 +134,8 @@ class TraceRecorder {
   std::atomic<bool> enabled_{false};  // atomic-ok(relaxed on/off latch)
   mutable Mutex mutex_;  ///< guards the recorded event log
   std::vector<Event> events_ HEMO_GUARDED_BY(mutex_);
+  /// Wall tid -> thread label, for the thread_name metadata.
+  std::map<index_t, std::string> wall_threads_ HEMO_GUARDED_BY(mutex_);
 };
 
 }  // namespace hemo::obs

@@ -2,7 +2,6 @@
 
 #include <algorithm>
 #include <barrier>
-#include <chrono>
 #include <thread>
 #include <utility>
 
@@ -10,19 +9,12 @@
 #include "obs/log.hpp"
 #include "obs/metrics.hpp"
 #include "obs/profile.hpp"
-#include "obs/trace.hpp"
 
 namespace hemo::runtime {
 
 using lbm::kQ;
 
 namespace {
-
-using Clock = std::chrono::steady_clock;
-
-real_t seconds_between(Clock::time_point a, Clock::time_point b) {
-  return std::chrono::duration<real_t>(b - a).count();
-}
 
 /// A distribution array of `rows` rows at rest equilibrium (rho = 1,
 /// u = 0), written in one pass.
@@ -215,9 +207,10 @@ void ParallelSolver::rank_step(std::size_t r, index_t t) {
                                    .timestep = t,
                                    .tile = tile_};
 
-  const auto t0 = Clock::now();
+  // Each phase adds its wall time to this rank's RankTimings; swap is
+  // profiled but charged to no term.
   {
-    const obs::PhaseScope phase("pack");
+    const obs::Phase phase("pack", &timing.pack_s);
     for (const index_t c : out_channels_[r]) {
       Mailbox& box = *mailboxes_[static_cast<std::size_t>(c)];
       harvey::pack_channel(
@@ -226,60 +219,43 @@ void ParallelSolver::rank_step(std::size_t r, index_t t) {
       box.seq.store(t + 1, std::memory_order_release);
     }
   }
-  const auto t1 = Clock::now();
 
   // Interior overlap window: no position before frontier_begin() gathers
   // from a ghost slot, so this compute proceeds while neighbor ranks are
   // still publishing.
   {
-    const obs::PhaseScope phase("interior");
+    const obs::Phase phase("interior", &timing.mem_s);
     bulk_(sweep, 0, view.bulk_count());
     // Streaming stores are weakly ordered: fence them ahead of the
     // barrier that ends the step.
     if (nt_stores_) lbm::simd::store_fence(backend_);
     boundary_(sweep, view.bulk_count(), view.frontier_begin());
   }
-  const auto t2 = Clock::now();
 
-  real_t wait_s = 0.0, unpack_s = 0.0;
   for (const index_t c : in_channels_[r]) {
     Mailbox& box = *mailboxes_[static_cast<std::size_t>(c)];
-    const auto w0 = Clock::now();
     {
-      const obs::PhaseScope phase("await");
+      const obs::Phase phase("await", &timing.wait_s);
       while (box.seq.load(std::memory_order_acquire) < t + 1) {
         std::this_thread::yield();
       }
     }
-    const auto w1 = Clock::now();
-    {
-      const obs::PhaseScope phase("unpack");
-      harvey::unpack_channel(
-          topo_.channels[static_cast<std::size_t>(box.channel)], layout_,
-          box.buffer, rank.f);
-    }
-    const auto w2 = Clock::now();
-    wait_s += seconds_between(w0, w1);
-    unpack_s += seconds_between(w1, w2);
+    const obs::Phase phase("unpack", &timing.unpack_s);
+    harvey::unpack_channel(
+        topo_.channels[static_cast<std::size_t>(box.channel)], layout_,
+        box.buffer, rank.f);
   }
-  const auto t3 = Clock::now();
 
   {
-    const obs::PhaseScope phase("frontier");
+    const obs::Phase phase("frontier", &timing.mem_s);
     boundary_(sweep, view.frontier_begin(), view.num_points());
   }
-  const auto t4 = Clock::now();
 
   {
-    const obs::PhaseScope phase("swap");
+    const obs::Phase phase("swap");
     rank.f.swap(rank.f2);
   }
-
   ++timing.steps;
-  timing.pack_s += seconds_between(t0, t1);
-  timing.mem_s += seconds_between(t1, t2) + seconds_between(t3, t4);
-  timing.wait_s += wait_s;
-  timing.unpack_s += unpack_s;
 }
 
 void ParallelSolver::on_epoch() noexcept {
@@ -346,10 +322,11 @@ void ParallelSolver::run(index_t n) {
   std::barrier<EpochCallback> sync(  // sync-ok(lockstep epoch barrier)
       n_ranks, EpochCallback{this});
 
-  auto trace_span = obs::TraceRecorder::global().wall_span(
-      "parallel_run", "runtime",
-      {{"ranks", obs::trace_num(static_cast<real_t>(n_ranks))},
-       {"steps", obs::trace_num(static_cast<real_t>(n))}});
+  const obs::Phase run_phase("parallel_run", "runtime", [&] {
+    return obs::TraceArgs{
+        {"ranks", obs::trace_num(static_cast<real_t>(n_ranks))},
+        {"steps", obs::trace_num(static_cast<real_t>(n))}};
+  });
 
   const index_t t0 = timestep_;
   std::vector<std::jthread> threads;

@@ -59,7 +59,7 @@ void WorkerPool::worker_loop() {
       task = std::move(queue_.front());
       queue_.pop_front();
     }
-    const obs::PhaseScope phase("attempt");
+    const obs::Phase phase("attempt");
     task();
   }
 }
@@ -211,112 +211,110 @@ CampaignReport CampaignEngine::run(std::vector<CampaignJobSpec> jobs) {
     metrics.add("campaign_jobs_total", 1.0, {{"outcome", "failed"}});
   };
 
-  // Coordinator phases for the sampling profiler: RAII scopes would span
-  // the whole loop body, so the three passes use explicit balanced
-  // push/pop pairs (push_phase returns false while profiling is off).
-  obs::PhaseProfiler& profiler = obs::PhaseProfiler::global();
-
+  // The coordinator's three passes (place, await, settle) are obs::Phase
+  // blocks: profiler frames and, while tracing, wall events.
   while (!pending.empty() || !inflight.empty()) {
     // Placement pass, in job-id order (pending stays id-sorted because
     // records are id-sorted and re-insertions keep the order).
-    const bool in_place = profiler.push_phase("place");
-    std::vector<std::size_t> still_pending;
-    // kWait/kInfeasible decisions of this pass, by request class. The
-    // tracker is written and capacity released only between passes, and
-    // reserve() clears the cache, so a hit is what place() would answer
-    // now: a pass costs a few place() calls per request class, not one per
-    // queued job.
-    std::map<DecisionKey, PlacementDecision> unplaced;
-    for (const std::size_t idx : pending) {
-      JobRecord& rec = records[idx];
-      const CampaignJobSpec& spec = rec.spec;
-      if (spec.deadline_s.value() > 0.0 && clock >= spec.deadline_s) {
-        fail(rec, "deadline passed while queued");
-        continue;
-      }
-      PlacementRequest request;
-      request.spec = &spec;
-      request.remaining_steps = spec.timesteps - rec.steps_done;
-      request.remaining_deadline_s = spec.deadline_s.value() > 0.0
-                                         ? spec.deadline_s - clock
-                                         : units::Seconds{};
-      request.remaining_budget = spec.budget_dollars.value() > 0.0
-                                     ? spec.budget_dollars - rec.dollars
-                                     : units::Dollars{};
-      if (spec.budget_dollars.value() > 0.0 &&
-          request.remaining_budget.value() <= 0.0) {
-        fail(rec, "budget exhausted");
-        continue;
-      }
+    {
+      const obs::Phase place_phase("place");
+      std::vector<std::size_t> still_pending;
+      // kWait/kInfeasible decisions of this pass, by request class. The
+      // tracker is written and capacity released only between passes, and
+      // reserve() clears the cache, so a hit is what place() would answer
+      // now: a pass costs a few place() calls per request class, not one per
+      // queued job.
+      std::map<DecisionKey, PlacementDecision> unplaced;
+      for (const std::size_t idx : pending) {
+        JobRecord& rec = records[idx];
+        const CampaignJobSpec& spec = rec.spec;
+        if (spec.deadline_s.value() > 0.0 && clock >= spec.deadline_s) {
+          fail(rec, "deadline passed while queued");
+          continue;
+        }
+        PlacementRequest request;
+        request.spec = &spec;
+        request.remaining_steps = spec.timesteps - rec.steps_done;
+        request.remaining_deadline_s = spec.deadline_s.value() > 0.0
+                                           ? spec.deadline_s - clock
+                                           : units::Seconds{};
+        request.remaining_budget = spec.budget_dollars.value() > 0.0
+                                       ? spec.budget_dollars - rec.dollars
+                                       : units::Dollars{};
+        if (spec.budget_dollars.value() > 0.0 &&
+            request.remaining_budget.value() <= 0.0) {
+          fail(rec, "budget exhausted");
+          continue;
+        }
 
-      const DecisionKey key = decision_key(request);
-      const auto cached = unplaced.find(key);
-      const PlacementDecision decision = cached != unplaced.end()
-                                             ? cached->second
-                                             : scheduler_->place(request);
-      if (decision.kind != PlacementDecision::Kind::kPlaced) {
-        unplaced.emplace(key, decision);
+        const DecisionKey key = decision_key(request);
+        const auto cached = unplaced.find(key);
+        const PlacementDecision decision = cached != unplaced.end()
+                                               ? cached->second
+                                               : scheduler_->place(request);
+        if (decision.kind != PlacementDecision::Kind::kPlaced) {
+          unplaced.emplace(key, decision);
+        }
+        if (decision.kind == PlacementDecision::Kind::kInfeasible) {
+          fail(rec, decision.reason);
+          continue;
+        }
+        if (decision.kind == PlacementDecision::Kind::kWait) {
+          still_pending.push_back(idx);
+          continue;
+        }
+
+        scheduler_->reserve(decision.placement);
+        unplaced.clear();
+        ++rec.attempts;
+        rec.placements.push_back(decision.placement);
+        rec.state = JobState::kRunning;
+        if (rec.start_s.value() < 0.0) rec.start_s = clock;
+
+        tap(ProtocolEventKind::kPlaced, rec, clock,
+            decision.placement.instance);
+        trace.virtual_span("queued", "sched", spec.id, queued_since[idx],
+                           clock,
+                           {{"attempt", std::to_string(rec.attempts)}});
+        trace.virtual_instant(
+            "placed", "sched", spec.id, clock,
+            {{"instance", decision.placement.instance},
+             {"tasks", std::to_string(decision.placement.n_tasks)},
+             {"spot", decision.placement.spot ? "1" : "0"}});
+        metrics.add("campaign_attempts_total", 1.0,
+                    {{"instance", decision.placement.instance},
+                     {"spot", decision.placement.spot ? "true" : "false"}});
+
+        AttemptContext ctx;
+        ctx.plan = &scheduler_->plan_for(spec.geometry,
+                                         decision.placement.instance,
+                                         decision.placement.n_tasks);
+        ctx.profile = &scheduler_->profile_for(decision.placement.instance);
+        ctx.placement = decision.placement;
+        ctx.guard.predicted_seconds = decision.placement.predicted_seconds;
+        ctx.guard.tolerance = scheduler_->config().guard_tolerance;
+        ctx.guard.price_per_hour = decision.placement.cost_rate_per_hour;
+        ctx.steps = request.remaining_steps;
+        ctx.resolution_factor = spec.resolution_factor;
+        ctx.n_chunks = config_.chunks_per_attempt;
+        ctx.seed = hash_seed(config_.seed,
+                             static_cast<std::uint64_t>(spec.id),
+                             static_cast<std::uint64_t>(rec.attempts));
+        ctx.spot = scheduler_->config().spot;
+        ctx.max_preemptions = config_.max_preemptions;
+        ctx.backoff_base_s = config_.backoff_base_s;
+        ctx.faults = config_.faults;
+
+        InFlight f;
+        f.job = idx;
+        f.placement = decision.placement;
+        f.start_s = clock;
+        f.steps_requested = ctx.steps;
+        f.future = pool.submit([ctx] { return simulate_attempt(ctx); });
+        inflight.push_back(std::move(f));
       }
-      if (decision.kind == PlacementDecision::Kind::kInfeasible) {
-        fail(rec, decision.reason);
-        continue;
-      }
-      if (decision.kind == PlacementDecision::Kind::kWait) {
-        still_pending.push_back(idx);
-        continue;
-      }
-
-      scheduler_->reserve(decision.placement);
-      unplaced.clear();
-      ++rec.attempts;
-      rec.placements.push_back(decision.placement);
-      rec.state = JobState::kRunning;
-      if (rec.start_s.value() < 0.0) rec.start_s = clock;
-
-      tap(ProtocolEventKind::kPlaced, rec, clock,
-          decision.placement.instance);
-      trace.virtual_span("queued", "sched", spec.id, queued_since[idx],
-                         clock,
-                         {{"attempt", std::to_string(rec.attempts)}});
-      trace.virtual_instant(
-          "placed", "sched", spec.id, clock,
-          {{"instance", decision.placement.instance},
-           {"tasks", std::to_string(decision.placement.n_tasks)},
-           {"spot", decision.placement.spot ? "1" : "0"}});
-      metrics.add("campaign_attempts_total", 1.0,
-                  {{"instance", decision.placement.instance},
-                   {"spot", decision.placement.spot ? "true" : "false"}});
-
-      AttemptContext ctx;
-      ctx.plan = &scheduler_->plan_for(spec.geometry,
-                                       decision.placement.instance,
-                                       decision.placement.n_tasks);
-      ctx.profile = &scheduler_->profile_for(decision.placement.instance);
-      ctx.placement = decision.placement;
-      ctx.guard.predicted_seconds = decision.placement.predicted_seconds;
-      ctx.guard.tolerance = scheduler_->config().guard_tolerance;
-      ctx.guard.price_per_hour = decision.placement.cost_rate_per_hour;
-      ctx.steps = request.remaining_steps;
-      ctx.resolution_factor = spec.resolution_factor;
-      ctx.n_chunks = config_.chunks_per_attempt;
-      ctx.seed = hash_seed(config_.seed,
-                           static_cast<std::uint64_t>(spec.id),
-                           static_cast<std::uint64_t>(rec.attempts));
-      ctx.spot = scheduler_->config().spot;
-      ctx.max_preemptions = config_.max_preemptions;
-      ctx.backoff_base_s = config_.backoff_base_s;
-      ctx.faults = config_.faults;
-
-      InFlight f;
-      f.job = idx;
-      f.placement = decision.placement;
-      f.start_s = clock;
-      f.steps_requested = ctx.steps;
-      f.future = pool.submit([ctx] { return simulate_attempt(ctx); });
-      inflight.push_back(std::move(f));
+      pending = std::move(still_pending);
     }
-    pending = std::move(still_pending);
-    if (in_place) profiler.pop_phase();
 
     if (inflight.empty()) {
       // Every pool is free when nothing is in flight, so place() cannot
@@ -329,15 +327,16 @@ CampaignReport CampaignEngine::run(std::vector<CampaignJobSpec> jobs) {
 
     // All in-flight attempts compute concurrently; their virtual finish
     // times are needed to pick the next event, so wait for the stragglers.
-    const bool in_await = profiler.push_phase("await");
-    for (InFlight& f : inflight) {
-      if (!f.ready) {
-        f.result = f.future.get();
-        f.ready = true;
+    {
+      const obs::Phase await_phase("await");
+      for (InFlight& f : inflight) {
+        if (!f.ready) {
+          f.result = f.future.get();
+          f.ready = true;
+        }
       }
     }
-    if (in_await) profiler.pop_phase();
-    const bool in_settle = profiler.push_phase("settle");
+    const obs::Phase settle_phase("settle");
 
     // Next event: earliest virtual finish, ties broken by job id.
     std::size_t best = 0;
@@ -532,7 +531,6 @@ CampaignReport CampaignEngine::run(std::vector<CampaignJobSpec> jobs) {
     } else {
       fail(rec, "attempt made no progress", res.steps_done, res.dollars);
     }
-    if (in_settle) profiler.pop_phase();
   }
 
   return build_report(records, std::move(trajectory), clock);

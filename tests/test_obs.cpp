@@ -10,9 +10,13 @@
 #include <memory>
 #include <string>
 
+#include "geometry/generators.hpp"
+#include "lbm/mesh.hpp"
+#include "lbm/solver.hpp"
 #include "obs/drift.hpp"
 #include "obs/log.hpp"
 #include "obs/metrics.hpp"
+#include "obs/profile.hpp"
 #include "obs/trace.hpp"
 #include "sched/executor.hpp"
 #include "sched/report.hpp"
@@ -150,12 +154,46 @@ TEST(LogLevelTest, ParsesNamesDigitsAndFallsBack) {
   EXPECT_EQ(parse_log_level("verbose", LogLevel::kError), LogLevel::kError);
 }
 
+/// Samples of lbm_step_seconds{phase=`phase`} in the global registry.
+std::uint64_t step_samples(const std::string& phase) {
+  std::uint64_t count = 0;
+  for (const MetricSnapshot& snap : MetricsRegistry::global().snapshot()) {
+    if (snap.name != "lbm_step_seconds") continue;
+    for (const auto& [key, value] : snap.labels) {
+      if (key == "phase" && value == phase) count += snap.histogram.count;
+    }
+  }
+  return count;
+}
+
+TEST_F(MetricsRegistryTest, SolverStepsObservePhaseTimesOnlyWhileEnabled) {
+  const auto geo = geometry::make_cylinder({.radius = 3, .length = 8});
+  const auto mesh = lbm::FluidMesh::build(geo.grid);
+  lbm::SolverParams ab;
+  lbm::SolverParams aa;
+  aa.kernel.propagation = lbm::Propagation::kAA;
+
+  lbm::Solver<double> quiet(mesh, ab, std::span(geo.inlets));
+  quiet.run(2);
+  EXPECT_TRUE(MetricsRegistry::global().snapshot().empty());
+
+  MetricsRegistry::global().enable(true);
+  lbm::Solver<double> ab_solver(mesh, ab, std::span(geo.inlets));
+  ab_solver.run(3);
+  EXPECT_EQ(step_samples("ab_pull"), 3u);
+  lbm::Solver<double> aa_solver(mesh, aa, std::span(geo.inlets));
+  aa_solver.run(4);
+  EXPECT_EQ(step_samples("aa_even"), 2u);
+  EXPECT_EQ(step_samples("aa_odd"), 2u);
+}
+
 TEST_F(TraceRecorderTest, DisabledRecorderIgnoresEvents) {
   TraceRecorder& trace = TraceRecorder::global();
   trace.virtual_span("s", "c", 1, units::Seconds(0.0), units::Seconds(1.0));
   trace.virtual_instant("i", "c", 1, units::Seconds(0.5));
-  { const auto span = trace.wall_span("w", "c"); }
+  { const Phase span("w"); }
   EXPECT_EQ(trace.virtual_event_count(), 0u);
+  EXPECT_EQ(trace.to_chrome_json().find("wall clock"), std::string::npos);
 }
 
 TEST_F(TraceRecorderTest, ChromeJsonHasSpansInstantsAndMetadata) {
@@ -164,7 +202,8 @@ TEST_F(TraceRecorderTest, ChromeJsonHasSpansInstantsAndMetadata) {
   trace.virtual_span("attempt", "sched", 3, units::Seconds(1.0),
                      units::Seconds(2.5), {{"instance", "TRC"}});
   trace.virtual_instant("preemption", "fault", 3, units::Seconds(1.5));
-  { const auto span = trace.wall_span("stream", "microbench"); }
+  set_thread_label("tester");
+  { const Phase span("stream", "microbench", [] { return TraceArgs{}; }); }
 
   const std::string json = trace.to_chrome_json();
   EXPECT_EQ(json.find("{\"traceEvents\":[\n"), 0u);
@@ -180,6 +219,14 @@ TEST_F(TraceRecorderTest, ChromeJsonHasSpansInstantsAndMetadata) {
                 "\"pid\":1,\"tid\":3,\"ts\":1000000.000,"
                 "\"dur\":1500000.000,\"args\":{\"instance\":\"TRC\"}}"),
       std::string::npos);
+  // The wall span sits on its thread's own track, named by its label.
+  EXPECT_NE(json.find("\"name\":\"thread_name\",\"args\":{\"name\":"
+                      "\"tester\"}}"),
+            std::string::npos)
+      << json;
+  EXPECT_NE(json.find("{\"name\":\"stream\",\"cat\":\"microbench\","
+                      "\"ph\":\"X\",\"pid\":2,"),
+            std::string::npos);
   // Instant: phase i with thread scope.
   EXPECT_NE(json.find("{\"name\":\"preemption\",\"cat\":\"fault\","
                       "\"ph\":\"i\",\"pid\":1,\"tid\":3,"

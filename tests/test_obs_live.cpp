@@ -448,7 +448,7 @@ TEST_F(WatchdogTest, CadenceThreadEvaluatesAndStopsPromptly) {
 TEST_F(ProfilerTest, DisabledMarkersAreNoops) {
   PhaseProfiler& profiler = PhaseProfiler::global();
   ASSERT_FALSE(profiler.enabled());
-  { const PhaseScope scope("ignored"); }
+  { const Phase scope("ignored"); }
   EXPECT_EQ(profiler.sample_count(), 0u);
   EXPECT_TRUE(profiler.folded().empty());
 }
@@ -458,11 +458,11 @@ TEST_F(ProfilerTest, SamplesNestedPhasesIntoFoldedStacks) {
   profiler.start(/*hz=*/2000.0);
   set_thread_label("main");
   {
-    const PhaseScope outer("outer");
+    const Phase outer("outer");
     const auto until =
         std::chrono::steady_clock::now() + std::chrono::milliseconds(60);
     while (std::chrono::steady_clock::now() < until) {
-      const PhaseScope inner("inner");
+      const Phase inner("inner");
       (void)inner;
     }
   }
@@ -489,15 +489,41 @@ TEST_F(ProfilerTest, SamplesNestedPhasesIntoFoldedStacks) {
   EXPECT_LE(self_total, sampled_s * 1.1 + 0.01);
 }
 
+/// Opens `levels` nested "deep" phases and spins inside the innermost.
+void nest_deep_phases(int levels) {
+  if (levels == 0) {
+    const auto until =
+        std::chrono::steady_clock::now() + std::chrono::milliseconds(80);
+    while (std::chrono::steady_clock::now() < until) {
+    }
+    return;
+  }
+  const Phase phase("deep");
+  nest_deep_phases(levels - 1);
+}
+
 TEST_F(ProfilerTest, OverflowBeyondMaxDepthIsDropped) {
   PhaseProfiler& profiler = PhaseProfiler::global();
-  profiler.enable(true);
-  int pushed = 0;
-  for (int i = 0; i < PhaseProfiler::kMaxDepth + 4; ++i) {
-    if (profiler.push_phase("deep")) ++pushed;
+  profiler.start(/*hz=*/2000.0);
+  set_thread_label("main");
+  nest_deep_phases(PhaseProfiler::kMaxDepth + 4);
+  // The frames past the cap were never pushed, so unwinding them popped
+  // nothing: a fresh phase lands at depth 1 again.
+  {
+    const Phase after("after");
+    const auto until =
+        std::chrono::steady_clock::now() + std::chrono::milliseconds(80);
+    while (std::chrono::steady_clock::now() < until) {
+    }
   }
-  EXPECT_EQ(pushed, PhaseProfiler::kMaxDepth);
-  for (int i = 0; i < pushed; ++i) profiler.pop_phase();
+  profiler.stop();
+
+  std::string capped = "main";
+  for (int i = 0; i < PhaseProfiler::kMaxDepth; ++i) capped += ";deep";
+  const std::string folded = profiler.folded();
+  EXPECT_NE(folded.find(capped + " "), std::string::npos) << folded;
+  EXPECT_EQ(folded.find(capped + ";deep"), std::string::npos) << folded;
+  EXPECT_NE(folded.find("main;after "), std::string::npos) << folded;
 }
 
 // ---------------------------------------------------------------------------

@@ -2,14 +2,18 @@
 // `ctest -L tsan`): many threads hammering the same histogram series and
 // the same counters must neither race nor lose updates, and flipping the
 // enabled flag mid-storm must stay data-race-free (it is the lock-free
-// fast path every instrumented layer takes).
+// fast path every instrumented layer takes). Concurrent obs::Phase spans
+// must each land on their own thread's wall track.
 #include <gtest/gtest.h>
 
 #include <atomic>
+#include <set>
+#include <string>
 #include <thread>
 #include <vector>
 
 #include "obs/metrics.hpp"
+#include "obs/profile.hpp"
 #include "obs/trace.hpp"
 
 namespace hemo::obs {
@@ -99,30 +103,49 @@ TEST(ObsStress, EnableToggleDuringStormIsRaceFree) {
   }
 }
 
-TEST(ObsStress, ConcurrentWallSpansRecordOnePerThread) {
-  TraceRecorder recorder;
+TEST(ObsStress, ConcurrentWallPhasesRecordOnePerThread) {
+  TraceRecorder& recorder = TraceRecorder::global();
+  recorder.reset();
   recorder.enable(true);
   constexpr int kThreads = 8;
   std::vector<std::thread> threads;
   threads.reserve(kThreads);
   for (int t = 0; t < kThreads; ++t) {
-    threads.emplace_back([&recorder, t] {
-      const auto span = recorder.wall_span(
-          "worker", "stress", {{"thread", std::to_string(t)}});
+    threads.emplace_back([t] {
+      set_thread_label("stress" + std::to_string(t));
+      const Phase span("worker", "stress", [t] {
+        return TraceArgs{{"thread", std::to_string(t)}};
+      });
     });
   }
   for (std::thread& thread : threads) thread.join();
+  recorder.enable(false);
 
-  // All wall spans recorded; none on the virtual track.
+  // All wall spans recorded, each on its own thread's track; none on the
+  // virtual track.
   EXPECT_EQ(recorder.virtual_event_count(), 0u);
   const std::string json = recorder.to_chrome_json();
+  recorder.reset();
+  std::set<std::string> tids;
   std::size_t spans = 0;
-  for (std::size_t pos = json.find("\"name\":\"worker\"");
-       pos != std::string::npos;
-       pos = json.find("\"name\":\"worker\"", pos + 1)) {
+  const std::string worker = "\"name\":\"worker\",\"cat\":\"stress\","
+                             "\"ph\":\"X\",\"pid\":2,\"tid\":";
+  for (std::size_t pos = json.find(worker); pos != std::string::npos;
+       pos = json.find(worker, pos + 1)) {
+    const std::size_t begin = pos + worker.size();
+    tids.insert(json.substr(begin, json.find(',', begin) - begin));
     ++spans;
   }
   EXPECT_EQ(spans, static_cast<std::size_t>(kThreads));
+  EXPECT_EQ(tids.size(), static_cast<std::size_t>(kThreads)) << json;
+  // Every track is named after its thread's label.
+  for (int t = 0; t < kThreads; ++t) {
+    EXPECT_NE(json.find("\"name\":\"thread_name\",\"args\":{\"name\":"
+                        "\"stress" +
+                        std::to_string(t) + "\"}}"),
+              std::string::npos)
+        << t;
+  }
 }
 
 }  // namespace

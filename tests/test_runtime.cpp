@@ -5,6 +5,7 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <chrono>
 #include <cmath>
 #include <tuple>
 
@@ -242,6 +243,29 @@ TEST(ParallelSolver, MomentsAndMassAgreeWithSerialSolver) {
       ASSERT_EQ(ms.uz, mp.uz) << "point " << p;
     }
     EXPECT_NEAR(serial.total_mass(), parallel.total_mass(), 1e-9);
+  }
+}
+
+TEST(ParallelSolver, RankTimingsCountEachStepOnce) {
+  // Each rank's phases charge RankTimings through their accumulators:
+  // every rank counts every step, and the four charged terms — disjoint
+  // phases of one thread — never add up past the run's wall time.
+  const auto geo = geometry::make_cylinder({.radius = 5, .length = 24});
+  const auto mesh = lbm::FluidMesh::build(geo.grid);
+  ParallelSolver parallel(
+      mesh, decomp::make_partition(mesh, 4, decomp::Strategy::kRcb),
+      base_params(), std::span(geo.inlets));
+  constexpr index_t kSteps = 12;
+  const auto start = std::chrono::steady_clock::now();
+  parallel.run(kSteps);
+  const real_t wall_s = std::chrono::duration<real_t>(
+                            std::chrono::steady_clock::now() - start)
+                            .count();
+  ASSERT_EQ(parallel.timings().size(), 4u);
+  for (const RankTimings& t : parallel.timings()) {
+    EXPECT_EQ(t.steps, kSteps);
+    EXPECT_GT(t.mem_s, 0.0);
+    EXPECT_LE(t.pack_s + t.mem_s + t.wait_s + t.unpack_s, wall_s);
   }
 }
 
