@@ -144,27 +144,38 @@ std::vector<TaskBreakdown> VirtualCluster::task_breakdowns(
   return out;
 }
 
+CriticalPath VirtualCluster::critical_path(const WorkloadPlan& plan) const {
+  const auto breakdowns = task_breakdowns(plan);
+  CriticalPath path;
+  for (index_t t = 0; t < plan.n_tasks; ++t) {
+    const units::Seconds total = breakdowns[static_cast<std::size_t>(t)].total();
+    if (total > path.total) {
+      path.total = total;
+      path.task = t;
+      path.breakdown = breakdowns[static_cast<std::size_t>(t)];
+    }
+  }
+  return path;
+}
+
 ExecutionResult VirtualCluster::execute(const WorkloadPlan& plan,
                                         index_t timesteps,
                                         const MeasurementContext& when) const {
+  return execute(critical_path(plan), plan.total_points, timesteps, when);
+}
+
+ExecutionResult VirtualCluster::execute(const CriticalPath& path,
+                                        index_t total_points,
+                                        index_t timesteps,
+                                        const MeasurementContext& when) const {
   HEMO_REQUIRE(timesteps >= 1, "need at least one timestep");
-  const auto breakdowns = task_breakdowns(plan);
-
   ExecutionResult r;
-  units::Seconds worst;
-  for (index_t t = 0; t < plan.n_tasks; ++t) {
-    const units::Seconds total = breakdowns[static_cast<std::size_t>(t)].total();
-    if (total > worst) {
-      worst = total;
-      r.critical_task = t;
-      r.critical = breakdowns[static_cast<std::size_t>(t)];
-    }
-  }
-
+  r.critical_task = path.task;
+  r.critical = path.breakdown;
   const real_t noise = noise_.factor(when.day, when.hour, when.slot);
-  r.step_seconds = worst * noise;
+  r.step_seconds = path.total * noise;
   r.total_seconds = r.step_seconds * static_cast<real_t>(timesteps);
-  r.mflups = units::Mflups(static_cast<real_t>(plan.total_points) *
+  r.mflups = units::Mflups(static_cast<real_t>(total_points) *
                            static_cast<real_t>(timesteps) /
                            (r.total_seconds.value() * 1e6));
   return r;

@@ -94,6 +94,15 @@ struct TaskBreakdown {
   }
 };
 
+/// The noise-free, run-invariant part of executing a plan: its slowest
+/// task and that task's step composition. Depends only on the plan and the
+/// instance profile, so one value serves every run of the plan.
+struct CriticalPath {
+  index_t task = 0;          ///< lowest-index slowest task
+  TaskBreakdown breakdown;   ///< its noise-free composition
+  units::Seconds total;      ///< breakdown.total(): the noise-free step
+};
+
 /// Result of executing a plan.
 struct ExecutionResult {
   units::Seconds step_seconds;   ///< measured (noisy) time per timestep
@@ -109,9 +118,21 @@ class VirtualCluster {
   explicit VirtualCluster(const InstanceProfile& profile);
 
   /// Simulates `timesteps` steps of the plan; `when` keys the noise.
+  /// Equal to execute(critical_path(plan), plan.total_points, ...).
   [[nodiscard]] ExecutionResult execute(const WorkloadPlan& plan,
                                         index_t timesteps,
                                         const MeasurementContext& when) const;
+
+  /// Scales a precomputed critical path by the run-level noise at `when`:
+  /// step = path.total * noise. `total_points` is the plan's fluid point
+  /// count (the MFLUPS numerator).
+  [[nodiscard]] ExecutionResult execute(const CriticalPath& path,
+                                        index_t total_points,
+                                        index_t timesteps,
+                                        const MeasurementContext& when) const;
+
+  /// The plan's slowest task: the first argmax of task_breakdowns' totals.
+  [[nodiscard]] CriticalPath critical_path(const WorkloadPlan& plan) const;
 
   /// Noise-free per-task breakdowns (diagnostics and tests).
   [[nodiscard]] std::vector<TaskBreakdown> task_breakdowns(

@@ -28,7 +28,11 @@ AttemptResult simulate_attempt(const AttemptContext& ctx) {
   HEMO_REQUIRE(ctx.steps >= 1, "attempt needs at least one step");
   HEMO_REQUIRE(ctx.n_chunks >= 1, "attempt needs at least one chunk");
 
+  // The critical task's composition depends only on the plan and the
+  // instance, so it is built once here; each chunk then draws only its
+  // noise.
   const cluster::VirtualCluster vc(*ctx.profile);
+  const cluster::CriticalPath path = vc.critical_path(*ctx.plan);
   Xoshiro256 rng(ctx.seed);
   AttemptResult res;
 
@@ -41,7 +45,8 @@ AttemptResult simulate_attempt(const AttemptContext& ctx) {
     const index_t this_steps = std::min(chunk_steps, ctx.steps - done);
     const cluster::MeasurementContext when{rng.below(7), rng.below(24),
                                            rng.below(1 << 20)};
-    const auto exec = vc.execute(*ctx.plan, this_steps, when);
+    const auto exec =
+        vc.execute(path, ctx.plan->total_points, this_steps, when);
     const units::Seconds chunk_s =
         scaled_step_seconds(exec, ctx.resolution_factor) *
         static_cast<real_t>(this_steps) * ctx.faults.slowdown_factor;

@@ -2,6 +2,10 @@
 // system, interconnect, noise model, and workload execution.
 #include <gtest/gtest.h>
 
+#include <bit>
+#include <cstdint>
+#include <string>
+
 #include "cluster/hardware.hpp"
 #include "cluster/instance.hpp"
 #include "cluster/virtual_cluster.hpp"
@@ -148,6 +152,13 @@ class WorkloadFixture : public ::testing::Test {
                               tasks_per_node, "cyl");
   }
 
+  WorkloadPlan gpu_plan(index_t n_tasks, index_t gpus_per_node) const {
+    const auto part =
+        decomp::make_partition(*mesh_, n_tasks, decomp::Strategy::kRcb);
+    return make_gpu_workload_plan(*mesh_, part, lbm::KernelConfig{},
+                                  gpus_per_node, "cyl-gpu");
+  }
+
   geometry::Geometry geo_{"", geometry::VoxelGrid(1, 1, 1), {}};
   std::unique_ptr<lbm::FluidMesh> mesh_;
 };
@@ -221,6 +232,79 @@ TEST_F(WorkloadFixture, BreakdownsCoverAllTasks) {
     EXPECT_GT(b.mem_s.value(), 0.0);
     EXPECT_GE(b.total().value(), b.mem_s.value());
   }
+}
+
+std::uint64_t bits(real_t x) { return std::bit_cast<std::uint64_t>(x); }
+
+// Bit-for-bit equality of every ExecutionResult field.
+void expect_same_result(const ExecutionResult& a, const ExecutionResult& b) {
+  EXPECT_EQ(bits(a.step_seconds.value()), bits(b.step_seconds.value()));
+  EXPECT_EQ(bits(a.total_seconds.value()), bits(b.total_seconds.value()));
+  EXPECT_EQ(bits(a.mflups.value()), bits(b.mflups.value()));
+  EXPECT_EQ(a.critical_task, b.critical_task);
+  EXPECT_EQ(bits(a.critical.mem_s.value()), bits(b.critical.mem_s.value()));
+  EXPECT_EQ(bits(a.critical.overhead_s.value()),
+            bits(b.critical.overhead_s.value()));
+  EXPECT_EQ(bits(a.critical.intra_s.value()),
+            bits(b.critical.intra_s.value()));
+  EXPECT_EQ(bits(a.critical.inter_s.value()),
+            bits(b.critical.inter_s.value()));
+  EXPECT_EQ(bits(a.critical.xfer_s.value()), bits(b.critical.xfer_s.value()));
+}
+
+// Executing a precomputed critical path is the plan overload, bit for bit,
+// across many noise draws and step counts: CPU plans within one node and
+// across nodes, and a GPU plan on a GPU instance.
+TEST_F(WorkloadFixture, CriticalPathExecutesBitIdenticalToPlan) {
+  const VirtualCluster cpu(instance_by_abbrev("CSP-2"));
+  const VirtualCluster gpu(instance_by_abbrev("CSP-2 GPU"));
+  const struct {
+    const VirtualCluster* vc;
+    WorkloadPlan plan;
+  } cases[] = {{&cpu, plan(4, 36)},
+               {&cpu, plan(36, 36)},
+               {&cpu, plan(144, 36)},
+               {&gpu, gpu_plan(8, 4)}};
+  for (const auto& c : cases) {
+    SCOPED_TRACE(c.plan.label + " x" + std::to_string(c.plan.n_tasks));
+    const CriticalPath path = c.vc->critical_path(c.plan);
+    for (index_t i = 0; i < 60; ++i) {
+      const MeasurementContext when{i % 7, (5 * i) % 24, 7919 * i};
+      const index_t steps = 1 + 37 * i;
+      expect_same_result(
+          c.vc->execute(path, c.plan.total_points, steps, when),
+          c.vc->execute(c.plan, steps, when));
+    }
+  }
+}
+
+// Two tasks with identical work and no messages: the tie goes to the
+// lowest index. Making the second task heavier moves the critical task.
+TEST(CriticalPath, TiesGoToLowestIndex) {
+  WorkloadPlan p;
+  p.n_tasks = 2;
+  p.tasks_per_node = 2;
+  p.n_nodes = 1;
+  p.total_points = 200;
+  p.task_bytes = {units::Bytes(1e6), units::Bytes(1e6)};
+  p.task_points = {100, 100};
+  p.task_node = {0, 0};
+  p.traits = lbm::kernel_traits(p.kernel);
+
+  const VirtualCluster vc(instance_by_abbrev("CSP-2"));
+  const auto breakdowns = vc.task_breakdowns(p);
+  ASSERT_EQ(bits(breakdowns[0].total().value()),
+            bits(breakdowns[1].total().value()));
+  const CriticalPath tie = vc.critical_path(p);
+  EXPECT_EQ(tie.task, 0);
+  EXPECT_EQ(bits(tie.total.value()), bits(breakdowns[0].total().value()));
+  EXPECT_EQ(vc.execute(p, 10, {}).critical_task, 0);
+
+  p.task_bytes[1] = units::Bytes(2e6);
+  const CriticalPath heavier = vc.critical_path(p);
+  EXPECT_EQ(heavier.task, 1);
+  EXPECT_EQ(bits(heavier.total.value()),
+            bits(vc.task_breakdowns(p)[1].total().value()));
 }
 
 }  // namespace

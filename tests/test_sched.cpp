@@ -5,13 +5,17 @@
 // count).
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <cstdint>
 #include <memory>
+#include <string>
 
 #include "obs/metrics.hpp"
 #include "sched/executor.hpp"
 #include "sched/guard.hpp"
 #include "sched/report.hpp"
 #include "sched/scheduler.hpp"
+#include "util/rng.hpp"
 
 namespace hemo::sched {
 namespace {
@@ -203,6 +207,60 @@ TEST(SchedGuard, ResolutionScalingPreservesNoiseAndBaseCase) {
   const units::Seconds scaled = scaled_step_seconds(result, 8.0);
   EXPECT_GT(scaled.value(), 4.0 * result.step_seconds.value());
   EXPECT_LT(scaled.value(), 8.0 * result.step_seconds.value() + 1e-12);
+}
+
+// On the on-demand, fault-free path an attempt is the per-chunk sum of
+// rescaled plan executions, bit for bit: a reference loop that executes the
+// whole plan every chunk, drawing the measurement contexts from the same
+// stream in the same order, reaches the same totals.
+TEST(SchedGuard, AttemptMatchesPerChunkPlanExecution) {
+  auto scheduler = make_scheduler(small_config());
+  const auto& plan = scheduler->plan_for("cylinder", "CSP-1", 16);
+  const auto& profile = scheduler->profile_for("CSP-1");
+  const cluster::VirtualCluster vc(profile);
+
+  for (const index_t n_chunks : {1, 7, 2000}) {
+    for (const real_t factor : {1.0, 8.0}) {
+      SCOPED_TRACE("chunks " + std::to_string(n_chunks) + " resolution " +
+                   std::to_string(factor));
+      AttemptContext ctx;
+      ctx.plan = &plan;
+      ctx.profile = &profile;
+      ctx.placement.instance = "CSP-1";
+      ctx.placement.cost_rate_per_hour = units::DollarsPerHour(7.25);
+      ctx.guard.predicted_seconds = units::Seconds(1e12);
+      ctx.steps = 10007;
+      ctx.resolution_factor = factor;
+      ctx.n_chunks = n_chunks;
+      ctx.seed = 0x5eed + static_cast<std::uint64_t>(n_chunks);
+      const AttemptResult got = simulate_attempt(ctx);
+
+      Xoshiro256 rng(ctx.seed);
+      const index_t chunk_steps = (ctx.steps + n_chunks - 1) / n_chunks;
+      units::Seconds compute;
+      index_t done = 0;
+      while (done < ctx.steps) {
+        const index_t steps = std::min(chunk_steps, ctx.steps - done);
+        const cluster::MeasurementContext when{rng.below(7), rng.below(24),
+                                               rng.below(1 << 20)};
+        compute += scaled_step_seconds(vc.execute(plan, steps, when), factor) *
+                   static_cast<real_t>(steps);
+        done += steps;
+      }
+      const real_t points = static_cast<real_t>(plan.total_points) * factor;
+      const units::Mflups mflups(points * static_cast<real_t>(done) /
+                                 (compute.value() * 1e6));
+
+      EXPECT_FALSE(got.overrun_aborted);
+      EXPECT_EQ(got.steps_done, done);
+      EXPECT_EQ(got.sim_seconds.value(), compute.value());
+      EXPECT_EQ(got.compute_seconds.value(), compute.value());
+      EXPECT_EQ(got.dollars.value(),
+                (units::to_hours(compute) * ctx.placement.cost_rate_per_hour)
+                    .value());
+      EXPECT_EQ(got.measured_mflups.value(), mflups.value());
+    }
+  }
 }
 
 // Acceptance (c): two runs of a 20-job concurrent campaign with the same
