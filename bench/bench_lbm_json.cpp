@@ -89,7 +89,7 @@ std::vector<lbm::Backend> parse_backend_list(const std::string& csv) {
   while (std::getline(ss, item, ',')) {
     const auto parsed = lbm::simd::parse_backend(item);
     HEMO_REQUIRE(parsed.has_value() && *parsed != lbm::Backend::kAuto,
-                 "--backends takes scalar|avx2|avx512|neon");
+                 "--backends takes scalar|avx2|avx512");
     out.push_back(*parsed);
   }
   HEMO_REQUIRE(!out.empty(), "empty backend list");

@@ -28,7 +28,6 @@ std::string to_string(Backend b) {
     case Backend::kScalar: return "scalar";
     case Backend::kAVX2: return "avx2";
     case Backend::kAVX512: return "avx512";
-    case Backend::kNEON: return "neon";
   }
   return "scalar";
 }

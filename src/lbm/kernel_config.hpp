@@ -25,7 +25,10 @@ enum class Propagation {
   kAA,  ///< one array: direction-swapped writes, even/odd step pair
 };
 
-/// Inner-loop code generation of the kernel.
+/// Inner-loop code generation of the paper's kernels. A model-only axis:
+/// kernel_traits() (lbm/access_counts.hpp) reads it for the per-point loop
+/// overhead behind the Fig. 4/8 taxonomy that the virtual cluster and the
+/// proxy app time; the real Solver runs one code for both values.
 enum class Unroll {
   kNo,   ///< runtime loop over the 19 directions
   kYes,  ///< fully unrolled at compile time
@@ -52,14 +55,13 @@ enum class Backend {
   kScalar,  ///< portable autovectorized tile (always compiled)
   kAVX2,    ///< 256-bit x86 vectors, masked tails
   kAVX512,  ///< 512-bit x86 vectors, native masked tails
-  kNEON,    ///< 128-bit AArch64 vectors
 };
 
 /// Full kernel configuration.
 struct KernelConfig {
   Layout layout = Layout::kAoS;
   Propagation propagation = Propagation::kAB;
-  Unroll unroll = Unroll::kYes;
+  Unroll unroll = Unroll::kYes;  ///< model-only (see Unroll)
   Precision precision = Precision::kDouble;
   /// Both paths produce bit-identical distribution state (asserted by
   /// tests/test_kernel_paths.cpp); kSegmented is the production default,

@@ -16,7 +16,7 @@ namespace {
 
 /// Widest-first order in which kAuto considers backends.
 constexpr Backend kPreferenceOrder[] = {Backend::kAVX512, Backend::kAVX2,
-                                        Backend::kNEON, Backend::kScalar};
+                                        Backend::kScalar};
 
 [[nodiscard]] bool compiled(Backend b) {
   switch (b) {
@@ -30,12 +30,6 @@ constexpr Backend kPreferenceOrder[] = {Backend::kAVX512, Backend::kAVX2,
 #endif
     case Backend::kAVX512:
 #ifdef HEMO_SIMD_HAVE_AVX512
-      return true;
-#else
-      return false;
-#endif
-    case Backend::kNEON:
-#ifdef HEMO_SIMD_HAVE_NEON
       return true;
 #else
       return false;
@@ -76,12 +70,6 @@ bool cpu_supports(Backend b) {
 #else
       return false;
 #endif
-    case Backend::kNEON:
-#if defined(__aarch64__) && defined(__ARM_NEON)
-      return true;
-#else
-      return false;
-#endif
     case Backend::kAuto:
       return false;
   }
@@ -102,7 +90,6 @@ std::optional<Backend> parse_backend(std::string_view name) {
   if (n == "scalar") return Backend::kScalar;
   if (n == "avx2") return Backend::kAVX2;
   if (n == "avx512") return Backend::kAVX512;
-  if (n == "neon") return Backend::kNEON;
   return std::nullopt;
 }
 
@@ -112,7 +99,7 @@ Backend resolve_backend(Backend requested) {
     if (const char* env = std::getenv("HEMO_SIMD")) {
       const auto parsed = parse_backend(env);
       HEMO_REQUIRE(parsed.has_value(),
-                   "HEMO_SIMD must be auto|scalar|avx2|avx512|neon");
+                   "HEMO_SIMD must be auto|scalar|avx2|avx512");
       want = *parsed;
     }
   }
@@ -142,10 +129,6 @@ TileFn<float> tile_kernel<float>(Backend b, bool with_les, bool nt_stores) {
     case Backend::kAVX512:
       return detail::avx512_tile_f32(with_les, nt_stores);
 #endif
-#ifdef HEMO_SIMD_HAVE_NEON
-    case Backend::kNEON:
-      return detail::neon_tile_f32(with_les, nt_stores);
-#endif
     default:
       return nullptr;
   }
@@ -164,10 +147,6 @@ TileFn<double> tile_kernel<double>(Backend b, bool with_les,
 #ifdef HEMO_SIMD_HAVE_AVX512
     case Backend::kAVX512:
       return detail::avx512_tile_f64(with_les, nt_stores);
-#endif
-#ifdef HEMO_SIMD_HAVE_NEON
-    case Backend::kNEON:
-      return detail::neon_tile_f64(with_les, nt_stores);
 #endif
     default:
       return nullptr;
@@ -189,8 +168,6 @@ void store_fence(Backend b) noexcept {
 index_t lanes(Backend b, index_t bytes) noexcept {
   const index_t width = [&]() -> index_t {
     switch (b) {
-      case Backend::kNEON:
-        return 16;
       case Backend::kAVX2:
         return 32;
       case Backend::kAVX512:

@@ -12,7 +12,7 @@
 //    with AVX-512 kernels still runs (on the widest supported backend) on
 //    a host without them;
 //  * resolution — resolve_backend() turns a KernelConfig request into the
-//    backend Solver<T>::bind_kernels() actually binds: an explicit request
+//    backend lbm::bind_sweep() actually binds: an explicit request
 //    must be compiled in and CPU-supported (hard error otherwise, never a
 //    silent fallback), kAuto honours the HEMO_SIMD environment variable
 //    and otherwise picks the widest detected backend.
@@ -49,14 +49,14 @@ using TileFn = void (*)(const T* const* src, T* const* dst, index_t w,
 /// Backend::kScalar.
 [[nodiscard]] std::vector<Backend> compiled_backends();
 
-/// True when the running CPU can execute backend `b` (CPUID on x86;
-/// compile-time fact on AArch64). kScalar is always supported.
+/// True when the running CPU can execute backend `b` (CPUID on x86).
+/// kScalar is always supported.
 [[nodiscard]] bool cpu_supports(Backend b);
 
 /// Compiled-in backends the running CPU supports, widest first.
 [[nodiscard]] std::vector<Backend> detected_backends();
 
-/// Parses a backend name ("auto", "scalar", "avx2", "avx512", "neon",
+/// Parses a backend name ("auto", "scalar", "avx2", "avx512",
 /// case-insensitive); nullopt for anything else.
 [[nodiscard]] std::optional<Backend> parse_backend(std::string_view name);
 

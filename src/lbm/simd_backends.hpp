@@ -24,9 +24,4 @@ TileFn<float> avx512_tile_f32(bool with_les, bool nt_stores);
 TileFn<double> avx512_tile_f64(bool with_les, bool nt_stores);
 #endif
 
-#ifdef HEMO_SIMD_HAVE_NEON
-TileFn<float> neon_tile_f32(bool with_les, bool nt_stores);
-TileFn<double> neon_tile_f64(bool with_les, bool nt_stores);
-#endif
-
 }  // namespace hemo::lbm::simd::detail

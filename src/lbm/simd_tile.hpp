@@ -2,7 +2,7 @@
 //
 // One templated kernel (tile_run) implements the segmented SoA bulk update
 // over any vector trait class V; each backend translation unit
-// (simd_scalar.cpp, simd_avx2.cpp, simd_avx512.cpp, simd_neon.cpp)
+// (simd_scalar.cpp, simd_avx2.cpp, simd_avx512.cpp)
 // instantiates it with its own traits under the ISA flags that TU is
 // compiled with. The trait operations map 1:1 onto single
 // IEEE-754 vector instructions, and the kernel performs, lane by lane,
@@ -15,9 +15,9 @@
 // bit-identical state for every point.
 //
 // Tail policy: the last (w mod kLanes) points of a span are processed as
-// one partial group via load_n/store_n — masked loads/stores where the
-// ISA has them (AVX2, AVX-512), a zero-padded register image otherwise.
-// Inactive lanes compute on zeros (a benign 1/0 = inf that is never
+// one partial group via load_n/store_n — masked loads/stores (AVX2,
+// AVX-512; the scalar trait is one lane wide). Inactive lanes compute on
+// zeros (a benign 1/0 = inf that is never
 // stored) and are never read from or written to memory, so there is no
 // out-of-bounds access for ASan to object to and no numeric leakage
 // between spans.
@@ -33,7 +33,6 @@
 #include <array>
 #include <cmath>
 #include <cstdint>
-#include <cstring>
 
 #include "lbm/kernel_config.hpp"
 #include "lbm/lattice.hpp"
@@ -41,9 +40,6 @@
 
 #if defined(__AVX2__) || defined(__AVX512F__)
 #include <immintrin.h>
-#endif
-#if defined(__aarch64__) && defined(__ARM_NEON)
-#include <arm_neon.h>
 #endif
 
 namespace hemo::lbm::simd {
@@ -224,67 +220,6 @@ struct Avx512VecD {
 };
 
 #endif  // __AVX512F__
-
-#if defined(__aarch64__) && defined(__ARM_NEON)
-
-/// 128-bit AArch64 float vectors (no masked memory ops or streaming
-/// stores; partial groups go through a zero-padded stack image).
-struct NeonVecF {
-  using value_type = float;
-  using reg = float32x4_t;
-  static constexpr index_t kLanes = 4;
-  static reg load(const float* p) noexcept { return vld1q_f32(p); }
-  static reg load_n(const float* p, index_t n) noexcept {
-    float tmp[4] = {0.0F, 0.0F, 0.0F, 0.0F};
-    std::memcpy(tmp, p, static_cast<std::size_t>(n) * sizeof(float));
-    return vld1q_f32(tmp);
-  }
-  static void store(float* p, reg v) noexcept { vst1q_f32(p, v); }
-  static void store_n(float* p, reg v, index_t n) noexcept {
-    float tmp[4];
-    vst1q_f32(tmp, v);
-    std::memcpy(p, tmp, static_cast<std::size_t>(n) * sizeof(float));
-  }
-  static void stream(float* p, reg v) noexcept { vst1q_f32(p, v); }
-  static bool aligned(const float*) noexcept { return false; }
-  static reg set1(float v) noexcept { return vdupq_n_f32(v); }
-  static reg zero() noexcept { return vdupq_n_f32(0.0F); }
-  static reg add(reg a, reg b) noexcept { return vaddq_f32(a, b); }
-  static reg sub(reg a, reg b) noexcept { return vsubq_f32(a, b); }
-  static reg mul(reg a, reg b) noexcept { return vmulq_f32(a, b); }
-  static reg div(reg a, reg b) noexcept { return vdivq_f32(a, b); }
-  static reg sqrt(reg a) noexcept { return vsqrtq_f32(a); }
-};
-
-/// 128-bit AArch64 double vectors.
-struct NeonVecD {
-  using value_type = double;
-  using reg = float64x2_t;
-  static constexpr index_t kLanes = 2;
-  static reg load(const double* p) noexcept { return vld1q_f64(p); }
-  static reg load_n(const double* p, index_t n) noexcept {
-    double tmp[2] = {0.0, 0.0};
-    std::memcpy(tmp, p, static_cast<std::size_t>(n) * sizeof(double));
-    return vld1q_f64(tmp);
-  }
-  static void store(double* p, reg v) noexcept { vst1q_f64(p, v); }
-  static void store_n(double* p, reg v, index_t n) noexcept {
-    double tmp[2];
-    vst1q_f64(tmp, v);
-    std::memcpy(p, tmp, static_cast<std::size_t>(n) * sizeof(double));
-  }
-  static void stream(double* p, reg v) noexcept { vst1q_f64(p, v); }
-  static bool aligned(const double*) noexcept { return false; }
-  static reg set1(double v) noexcept { return vdupq_n_f64(v); }
-  static reg zero() noexcept { return vdupq_n_f64(0.0); }
-  static reg add(reg a, reg b) noexcept { return vaddq_f64(a, b); }
-  static reg sub(reg a, reg b) noexcept { return vsubq_f64(a, b); }
-  static reg mul(reg a, reg b) noexcept { return vmulq_f64(a, b); }
-  static reg div(reg a, reg b) noexcept { return vdivq_f64(a, b); }
-  static reg sqrt(reg a) noexcept { return vsqrtq_f64(a); }
-};
-
-#endif  // __aarch64__ && __ARM_NEON
 
 /// One group of `active` (<= V::kLanes) consecutive points at offset i of
 /// the 19 per-direction streams: the vectorized update_interior_values.

@@ -45,13 +45,51 @@ template <typename T>
 Solver<T>::Solver(const FluidMesh& mesh, const SolverParams& params,
                   std::span<const geometry::InletSpec> inlets)
     : mesh_(&mesh), params_(params), n_(mesh.num_points()) {
-  HEMO_REQUIRE(params.tau > 0.5, "tau must exceed 0.5 for stability");
+  binding_ = bind_sweep<T>(params_, n_);
+  params_.kernel.precision =
+      sizeof(T) == sizeof(float) ? Precision::kSingle : Precision::kDouble;
   HEMO_REQUIRE(n_ > 0, "empty mesh");
-  omega_ = static_cast<T>(1.0 / params.tau);
-  cs2_ = static_cast<T>(params_.smagorinsky_cs * params_.smagorinsky_cs);
+  HEMO_REQUIRE(params_.num_threads >= 0, "negative num_threads");
+#ifdef _OPENMP
+  threads_ = params_.num_threads > 0
+                 ? params_.num_threads
+                 : static_cast<index_t>(omp_get_max_threads());
+#else
+  threads_ = 1;
+#endif
 
   if (params_.kernel.path == KernelPath::kSegmented) {
     seg_ = std::make_unique<SegmentedMesh>(SegmentedMesh::build(mesh));
+    // Span-aligned bulk blocks: cut only at RLE span ends so the tile
+    // kernels always see whole spans (no masked tails at partition
+    // seams), sized so a thread's per-block working set stays
+    // cache-resident while still yielding several blocks per thread for
+    // an even static split.
+    const index_t bulk = seg_->bulk_count();
+    const index_t target = std::clamp(bulk / (threads_ * 8), index_t{512},
+                                      index_t{4096});
+    block_bounds_.push_back(0);
+    index_t in_block = 0;
+    for (const auto& span : seg_->spans()) {
+      in_block += span.length;
+      if (in_block >= target) {
+        block_bounds_.push_back(span.begin + span.length);
+        in_block = 0;
+      }
+    }
+    if (block_bounds_.back() != bulk) block_bounds_.push_back(bulk);
+  } else {
+    const bool aos = params_.kernel.layout == Layout::kAoS;
+    if (params_.kernel.propagation == Propagation::kAB) {
+      step_even_fn_ = aos ? &Solver::step_ab<Layout::kAoS>
+                          : &Solver::step_ab<Layout::kSoA>;
+      step_odd_fn_ = step_even_fn_;
+    } else {
+      step_even_fn_ = aos ? &Solver::step_aa_even<Layout::kAoS>
+                          : &Solver::step_aa_even<Layout::kSoA>;
+      step_odd_fn_ = aos ? &Solver::step_aa_odd<Layout::kAoS>
+                         : &Solver::step_aa_odd<Layout::kSoA>;
+    }
   }
 
   f_.resize(static_cast<std::size_t>(n_ * kQ));
@@ -76,18 +114,6 @@ Solver<T>::Solver(const FluidMesh& mesh, const SolverParams& params,
     bc_velocity_ = std::move(bc_velocity);
     bc_pulse_ = std::move(bc_pulse);
   }
-  for (std::size_t d = 0; d < 3; ++d) {
-    force_shift_[d] = static_cast<T>(params.tau * params.body_force[d]);
-  }
-  HEMO_REQUIRE(params_.num_threads >= 0, "negative num_threads");
-#ifdef _OPENMP
-  threads_ = params_.num_threads > 0
-                 ? params_.num_threads
-                 : static_cast<index_t>(omp_get_max_threads());
-#else
-  threads_ = 1;
-#endif
-  bind_kernels();
   initialize();
 }
 
@@ -136,18 +162,10 @@ void Solver<T>::initialize() {
 
 template <typename T>
 void Solver<T>::update_point(index_t p, const T* g, T* out) const {
-  update_boundary_values<T>(mesh_->type(p), g, out, omega_,
+  update_boundary_values<T>(mesh_->type(p), g, out, binding_.omega,
                             bc_velocity_[static_cast<std::size_t>(p)],
                             bc_pulse_[static_cast<std::size_t>(p)],
-                            timestep_, force_shift_, cs2_);
-}
-
-template <typename T>
-void Solver<T>::update_boundary_point(index_t i, const T* g, T* out) const {
-  update_boundary_values<T>(seg_->type(i), g, out, omega_,
-                            bc_velocity_[static_cast<std::size_t>(i)],
-                            bc_pulse_[static_cast<std::size_t>(i)],
-                            timestep_, force_shift_, cs2_);
+                            timestep_, binding_.force_shift, binding_.cs2);
 }
 
 // Parallelization notes: in the AB pull kernel every point writes only its
@@ -231,25 +249,36 @@ void Solver<T>::step_aa_odd() {
 
 // ---- Segmented path ------------------------------------------------------
 //
+// The range kernels are free functions over a Sweep, so the serial
+// solver and runtime::ParallelSolver's ranks run the same definitions.
 // Bulk loops iterate RLE spans: every neighbor is position + constant
 // offset, so the inner loop is a direct-indexed stream with no neighbor
 // table, no solid-link test, no boundary-type switch, and (via the WithLes
 // template parameter) no LES branch. Boundary loops run the general
-// gather over the internal-space neighbor table.
+// gather over the view's neighbor table. The AA kernels update the one
+// array in place through sweep.f2 (== sweep.f).
 
-template <typename T, Layout L, bool WithLes>
-void seg_bulk_ab(const AbSweep<T>& sweep, index_t lo, index_t hi) {
-  const auto& spans = sweep.view->spans();
-  auto it = std::upper_bound(
+namespace {
+
+/// First span of `spans` that ends after position lo.
+[[nodiscard]] std::vector<SegmentSpan>::const_iterator first_span(
+    const std::vector<SegmentSpan>& spans, index_t lo) {
+  return std::upper_bound(
       spans.begin(), spans.end(), lo,
       [](index_t v, const SegmentSpan& s) { return v < s.begin + s.length; });
+}
+
+template <typename T, Layout L, bool WithLes>
+void seg_bulk_ab(const Sweep<T>& sweep, index_t lo, index_t hi) {
+  const auto& spans = sweep.view->spans();
   const index_t rows = sweep.view->num_slots();
   const T* const f = sweep.f;
   T* const f2 = sweep.f2;
   const T omega = sweep.omega;
   const T cs2 = sweep.cs2;
   const std::array<T, 3> force_shift = sweep.force_shift;
-  for (; it != spans.end() && it->begin < hi; ++it) {
+  for (auto it = first_span(spans, lo); it != spans.end() && it->begin < hi;
+       ++it) {
     const index_t s0 = std::max(lo, it->begin);
     const index_t s1 = std::min(hi, it->begin + it->length);
     const auto& off = it->offsets;
@@ -288,12 +317,15 @@ void seg_bulk_ab(const AbSweep<T>& sweep, index_t lo, index_t hi) {
   }
 }
 
-template <typename T>
-template <Layout L, bool WithLes>
-void Solver<T>::seg_bulk_aa_even(index_t lo, index_t hi) {
+template <typename T, Layout L, bool WithLes>
+void seg_bulk_aa_even(const Sweep<T>& sweep, index_t lo, index_t hi) {
   // The even AA step touches only the point's own row — no neighbor
   // indexing at all, so spans are irrelevant here.
-  T* const f = f_.data();
+  const index_t rows = sweep.view->num_slots();
+  T* const f = sweep.f2;
+  const T omega = sweep.omega;
+  const T cs2 = sweep.cs2;
+  const std::array<T, 3> force_shift = sweep.force_shift;
   if constexpr (L == Layout::kSoA) {
     // In-place safe: each vector group loads all 19 directions before it
     // stores any, and the even step's reader of every location is its
@@ -301,10 +333,11 @@ void Solver<T>::seg_bulk_aa_even(index_t lo, index_t hi) {
     const T* src[kQ];
     T* dst[kQ];
     for (index_t q = 0; q < kQ; ++q) {
-      src[q] = f + static_cast<std::size_t>(idx<L>(lo, q));
-      dst[q] = f + static_cast<std::size_t>(idx<L>(lo, opposite(q)));
+      src[q] = f + static_cast<std::size_t>(dist_offset(L, rows, lo, q));
+      dst[q] = f + static_cast<std::size_t>(
+                       dist_offset(L, rows, lo, opposite(q)));
     }
-    tile_fn_(src, dst, hi - lo, omega_, force_shift_, cs2_);
+    sweep.tile(src, dst, hi - lo, omega, force_shift, cs2);
     return;
   }
 #ifdef _OPENMP
@@ -313,24 +346,26 @@ void Solver<T>::seg_bulk_aa_even(index_t lo, index_t hi) {
   for (index_t i = lo; i < hi; ++i) {
     T g[kQ], out[kQ];
     for (index_t q = 0; q < kQ; ++q) {
-      g[q] = f[static_cast<std::size_t>(idx<L>(i, q))];
+      g[q] = f[static_cast<std::size_t>(dist_offset(L, rows, i, q))];
     }
-    update_interior_values<T, WithLes>(g, out, omega_, force_shift_, cs2_);
+    update_interior_values<T, WithLes>(g, out, omega, force_shift, cs2);
     for (index_t q = 0; q < kQ; ++q) {
-      f[static_cast<std::size_t>(idx<L>(i, opposite(q)))] = out[q];
+      f[static_cast<std::size_t>(dist_offset(L, rows, i, opposite(q)))] =
+          out[q];
     }
   }
 }
 
-template <typename T>
-template <Layout L, bool WithLes>
-void Solver<T>::seg_bulk_aa_odd(index_t lo, index_t hi) {
-  const auto& spans = seg_->spans();
-  auto it = std::upper_bound(
-      spans.begin(), spans.end(), lo,
-      [](index_t v, const SegmentSpan& s) { return v < s.begin + s.length; });
-  T* const f = f_.data();
-  for (; it != spans.end() && it->begin < hi; ++it) {
+template <typename T, Layout L, bool WithLes>
+void seg_bulk_aa_odd(const Sweep<T>& sweep, index_t lo, index_t hi) {
+  const auto& spans = sweep.view->spans();
+  const index_t rows = sweep.view->num_slots();
+  T* const f = sweep.f2;
+  const T omega = sweep.omega;
+  const T cs2 = sweep.cs2;
+  const std::array<T, 3> force_shift = sweep.force_shift;
+  for (auto it = first_span(spans, lo); it != spans.end() && it->begin < hi;
+       ++it) {
     const index_t s0 = std::max(lo, it->begin);
     const index_t s1 = std::min(hi, it->begin + it->length);
     const auto& off = it->offsets;
@@ -346,10 +381,10 @@ void Solver<T>::seg_bulk_aa_odd(index_t lo, index_t hi) {
             s0 + static_cast<index_t>(off[static_cast<std::size_t>(opp)]);
         const index_t to =
             s0 + static_cast<index_t>(off[static_cast<std::size_t>(q)]);
-        src[q] = f + static_cast<std::size_t>(idx<L>(from, opp));
-        dst[q] = f + static_cast<std::size_t>(idx<L>(to, q));
+        src[q] = f + static_cast<std::size_t>(dist_offset(L, rows, from, opp));
+        dst[q] = f + static_cast<std::size_t>(dist_offset(L, rows, to, q));
       }
-      tile_fn_(src, dst, s1 - s0, omega_, force_shift_, cs2_);
+      sweep.tile(src, dst, s1 - s0, omega, force_shift, cs2);
       continue;
     }
 #ifdef _OPENMP
@@ -361,20 +396,20 @@ void Solver<T>::seg_bulk_aa_odd(index_t lo, index_t hi) {
         const index_t opp = opposite(q);
         const index_t m =
             i + static_cast<index_t>(off[static_cast<std::size_t>(opp)]);
-        g[q] = f[static_cast<std::size_t>(idx<L>(m, opp))];
+        g[q] = f[static_cast<std::size_t>(dist_offset(L, rows, m, opp))];
       }
-      update_interior_values<T, WithLes>(g, out, omega_, force_shift_, cs2_);
+      update_interior_values<T, WithLes>(g, out, omega, force_shift, cs2);
       for (index_t q = 0; q < kQ; ++q) {
         const index_t nb =
             i + static_cast<index_t>(off[static_cast<std::size_t>(q)]);
-        f[static_cast<std::size_t>(idx<L>(nb, q))] = out[q];
+        f[static_cast<std::size_t>(dist_offset(L, rows, nb, q))] = out[q];
       }
     }
   }
 }
 
 template <typename T, Layout L>
-void seg_boundary_ab(const AbSweep<T>& sweep, index_t lo, index_t hi) {
+void seg_boundary_ab(const Sweep<T>& sweep, index_t lo, index_t hi) {
   const SegmentedMesh& view = *sweep.view;
   const index_t rows = view.num_slots();
   for (index_t i = lo; i < hi; ++i) {
@@ -395,65 +430,113 @@ void seg_boundary_ab(const AbSweep<T>& sweep, index_t lo, index_t hi) {
   }
 }
 
-template <typename T>
-template <Layout L>
-void Solver<T>::seg_boundary_aa_even(index_t lo, index_t hi) {
+template <typename T, Layout L>
+void seg_boundary_aa_even(const Sweep<T>& sweep, index_t lo, index_t hi) {
+  const SegmentedMesh& view = *sweep.view;
+  const index_t rows = view.num_slots();
+  T* const f = sweep.f2;
   for (index_t i = lo; i < hi; ++i) {
     T g[kQ], out[kQ];
     for (index_t q = 0; q < kQ; ++q) {
-      g[q] = f_[static_cast<std::size_t>(idx<L>(i, q))];
+      g[q] = f[static_cast<std::size_t>(dist_offset(L, rows, i, q))];
     }
-    update_boundary_point(i, g, out);
+    update_boundary_values<T>(view.type(i), g, out, sweep.omega,
+                              sweep.bc_velocity[i], sweep.bc_pulse[i],
+                              sweep.timestep, sweep.force_shift, sweep.cs2);
     for (index_t q = 0; q < kQ; ++q) {
-      f_[static_cast<std::size_t>(idx<L>(i, opposite(q)))] = out[q];
+      f[static_cast<std::size_t>(dist_offset(L, rows, i, opposite(q)))] =
+          out[q];
     }
   }
 }
 
-template <typename T>
-template <Layout L>
-void Solver<T>::seg_boundary_aa_odd(index_t lo, index_t hi) {
+template <typename T, Layout L>
+void seg_boundary_aa_odd(const Sweep<T>& sweep, index_t lo, index_t hi) {
+  const SegmentedMesh& view = *sweep.view;
+  const index_t rows = view.num_slots();
+  T* const f = sweep.f2;
   for (index_t i = lo; i < hi; ++i) {
     T g[kQ], out[kQ];
     for (index_t q = 0; q < kQ; ++q) {
-      const std::int32_t m = seg_->neighbor(i, opposite(q));
-      g[q] = m != kSolidLink
-                 ? f_[static_cast<std::size_t>(idx<L>(m, opposite(q)))]
-                 : f_[static_cast<std::size_t>(idx<L>(i, q))];
+      const std::int32_t m = view.neighbor(i, opposite(q));
+      g[q] = f[static_cast<std::size_t>(
+          m != kSolidLink ? dist_offset(L, rows, m, opposite(q))
+                          : dist_offset(L, rows, i, q))];
     }
-    update_boundary_point(i, g, out);
+    update_boundary_values<T>(view.type(i), g, out, sweep.omega,
+                              sweep.bc_velocity[i], sweep.bc_pulse[i],
+                              sweep.timestep, sweep.force_shift, sweep.cs2);
     for (index_t q = 0; q < kQ; ++q) {
-      const std::int32_t nb = seg_->neighbor(i, q);
-      if (nb != kSolidLink) {
-        f_[static_cast<std::size_t>(idx<L>(nb, q))] = out[q];
-      } else {
-        f_[static_cast<std::size_t>(idx<L>(i, opposite(q)))] = out[q];
-      }
+      const std::int32_t nb = view.neighbor(i, q);
+      f[static_cast<std::size_t>(
+          nb != kSolidLink ? dist_offset(L, rows, nb, q)
+                           : dist_offset(L, rows, i, opposite(q)))] = out[q];
     }
   }
 }
 
-// Step drivers: the bulk segment is walked block-by-block (span-aligned
+}  // namespace
+
+template <typename T>
+SweepBinding<T> bind_sweep(const SolverParams& params, index_t num_points) {
+  HEMO_REQUIRE(params.tau > 0.5, "tau must exceed 0.5 for stability");
+  SweepBinding<T> b;
+  b.omega = static_cast<T>(1.0 / params.tau);
+  b.cs2 = static_cast<T>(params.smagorinsky_cs * params.smagorinsky_cs);
+  for (std::size_t d = 0; d < 3; ++d) {
+    b.force_shift[d] = static_cast<T>(params.tau * params.body_force[d]);
+  }
+  const KernelConfig& kernel = params.kernel;
+  if (kernel.path == KernelPath::kReference) return b;
+
+  const bool ab = kernel.propagation == Propagation::kAB;
+  const bool les = b.cs2 > T{0};
+  const auto bind = [&]<Layout L, bool WithLes>() {
+    if (ab) {
+      b.bulk = {&seg_bulk_ab<T, L, WithLes>, &seg_bulk_ab<T, L, WithLes>};
+      b.boundary = {&seg_boundary_ab<T, L>, &seg_boundary_ab<T, L>};
+    } else {
+      b.bulk = {&seg_bulk_aa_even<T, L, WithLes>,
+                &seg_bulk_aa_odd<T, L, WithLes>};
+      b.boundary = {&seg_boundary_aa_even<T, L>, &seg_boundary_aa_odd<T, L>};
+    }
+  };
+  if (kernel.layout == Layout::kAoS) {
+    // AoS interleaves the 19 directions per point, so there are no
+    // unit-stride streams for a vector tile: the backend stays kScalar.
+    if (les) bind.template operator()<Layout::kAoS, true>();
+    else bind.template operator()<Layout::kAoS, false>();
+    return b;
+  }
+  if (les) bind.template operator()<Layout::kSoA, true>();
+  else bind.template operator()<Layout::kSoA, false>();
+
+  b.backend = simd::resolve_backend(kernel.backend);
+  // Streaming stores suit only AB's write-only back array: the AA sweeps
+  // re-read in place what they write.
+  const auto ab_bytes =
+      static_cast<std::size_t>(num_points) * kQ * sizeof(T) * 2;
+  b.nt_stores = ab && b.backend != Backend::kScalar &&
+                ab_bytes > (std::size_t{64} << 20);
+  b.tile = simd::tile_kernel<T>(b.backend, les, b.nt_stores);
+  return b;
+}
+
+// One segmented step: the bulk segment is walked block-by-block (span-aligned
 // block_bounds_, contiguous block ranges per thread — the exact partition
 // initialize() first-touched), the boundary segment by a static chunk. No
 // barrier between the two passes: within a step no point's gather reads a
 // location another point writes (see the parallelization notes above).
-
 template <typename T>
-template <Layout L, bool WithLes>
-void Solver<T>::seg_step_ab() {
+void Solver<T>::seg_step(std::size_t parity) {
   const index_t bulk = seg_->bulk_count();
   const auto n_blocks = static_cast<index_t>(block_bounds_.size()) - 1;
-  const AbSweep<T> sweep{.view = seg_.get(),
-                         .f = f_.data(),
-                         .f2 = f2_.data(),
-                         .bc_velocity = bc_velocity_.data(),
-                         .bc_pulse = bc_pulse_.data(),
-                         .omega = omega_,
-                         .cs2 = cs2_,
-                         .force_shift = force_shift_,
-                         .timestep = timestep_,
-                         .tile = nt_stores_ ? tile_fn_nt_ : tile_fn_};
+  const bool ab = !f2_.empty();
+  const Sweep<T> sweep =
+      binding_.sweep(*seg_, f_.data(), ab ? f2_.data() : f_.data(),
+                     bc_velocity_.data(), bc_pulse_.data(), timestep_);
+  const SweepFn<T> bulk_fn = binding_.bulk[parity];
+  const SweepFn<T> boundary_fn = binding_.boundary[parity];
 #ifdef _OPENMP
 #pragma omp parallel num_threads(static_cast<int>(threads_))
 #endif
@@ -461,140 +544,22 @@ void Solver<T>::seg_step_ab() {
     const auto [tid, nt] = omp_ids();
     const auto [b0, b1] = static_chunk(n_blocks, tid, nt);
     for (index_t b = b0; b < b1; ++b) {
-      seg_bulk_ab<T, L, WithLes>(
-          sweep, block_bounds_[static_cast<std::size_t>(b)],
-          block_bounds_[static_cast<std::size_t>(b + 1)]);
+      bulk_fn(sweep, block_bounds_[static_cast<std::size_t>(b)],
+              block_bounds_[static_cast<std::size_t>(b + 1)]);
     }
     // Streaming stores are weakly ordered: fence them (per thread) ahead
     // of the implicit barrier that publishes this step's back array.
-    if (nt_stores_) simd::store_fence(backend_);
+    if (binding_.nt_stores) simd::store_fence(binding_.backend);
     const auto [blo, bhi] = static_chunk(n_ - bulk, tid, nt);
-    seg_boundary_ab<T, L>(sweep, bulk + blo, bulk + bhi);
+    boundary_fn(sweep, bulk + blo, bulk + bhi);
   }
-  f_.swap(f2_);
-}
-
-template <typename T>
-template <Layout L, bool WithLes>
-void Solver<T>::seg_step_aa_even() {
-  const index_t bulk = seg_->bulk_count();
-  const auto n_blocks = static_cast<index_t>(block_bounds_.size()) - 1;
-#ifdef _OPENMP
-#pragma omp parallel num_threads(static_cast<int>(threads_))
-#endif
-  {
-    const auto [tid, nt] = omp_ids();
-    const auto [b0, b1] = static_chunk(n_blocks, tid, nt);
-    for (index_t b = b0; b < b1; ++b) {
-      seg_bulk_aa_even<L, WithLes>(
-          block_bounds_[static_cast<std::size_t>(b)],
-          block_bounds_[static_cast<std::size_t>(b + 1)]);
-    }
-    const auto [blo, bhi] = static_chunk(n_ - bulk, tid, nt);
-    seg_boundary_aa_even<L>(bulk + blo, bulk + bhi);
-  }
-}
-
-template <typename T>
-template <Layout L, bool WithLes>
-void Solver<T>::seg_step_aa_odd() {
-  const index_t bulk = seg_->bulk_count();
-  const auto n_blocks = static_cast<index_t>(block_bounds_.size()) - 1;
-#ifdef _OPENMP
-#pragma omp parallel num_threads(static_cast<int>(threads_))
-#endif
-  {
-    const auto [tid, nt] = omp_ids();
-    const auto [b0, b1] = static_chunk(n_blocks, tid, nt);
-    for (index_t b = b0; b < b1; ++b) {
-      seg_bulk_aa_odd<L, WithLes>(
-          block_bounds_[static_cast<std::size_t>(b)],
-          block_bounds_[static_cast<std::size_t>(b + 1)]);
-    }
-    const auto [blo, bhi] = static_chunk(n_ - bulk, tid, nt);
-    seg_boundary_aa_odd<L>(bulk + blo, bulk + bhi);
-  }
-}
-
-bool streaming_stores_pay(Backend backend, std::size_t ab_bytes) {
-  if (backend == Backend::kScalar) return false;
-  return ab_bytes > (std::size_t{64} << 20);
-}
-
-template <typename T>
-void Solver<T>::bind_kernels() {
-  const bool aos = params_.kernel.layout == Layout::kAoS;
-  const bool ab = params_.kernel.propagation == Propagation::kAB;
-  if (params_.kernel.path == KernelPath::kReference) {
-    if (ab) {
-      step_even_fn_ = aos ? &Solver::step_ab<Layout::kAoS>
-                          : &Solver::step_ab<Layout::kSoA>;
-      step_odd_fn_ = step_even_fn_;
-    } else {
-      step_even_fn_ = aos ? &Solver::step_aa_even<Layout::kAoS>
-                          : &Solver::step_aa_even<Layout::kSoA>;
-      step_odd_fn_ = aos ? &Solver::step_aa_odd<Layout::kAoS>
-                         : &Solver::step_aa_odd<Layout::kSoA>;
-    }
-    return;
-  }
-  const bool les = cs2_ > T{0};
-  const auto bind = [&]<Layout L, bool WithLes>() {
-    if (ab) {
-      step_even_fn_ = &Solver::seg_step_ab<L, WithLes>;
-      step_odd_fn_ = step_even_fn_;
-    } else {
-      step_even_fn_ = &Solver::seg_step_aa_even<L, WithLes>;
-      step_odd_fn_ = &Solver::seg_step_aa_odd<L, WithLes>;
-    }
-  };
-  if (aos) {
-    if (les) bind.template operator()<Layout::kAoS, true>();
-    else bind.template operator()<Layout::kAoS, false>();
-  } else {
-    if (les) bind.template operator()<Layout::kSoA, true>();
-    else bind.template operator()<Layout::kSoA, false>();
-  }
-
-  // SIMD backend axis — segmented SoA only: AoS interleaves the 19
-  // directions per point, so there are no unit-stride streams for a
-  // vector kernel to consume (its effective backend stays kScalar, and
-  // that is what backend() reports — benchmarks record what ran).
-  if (!aos) {
-    backend_ = simd::resolve_backend(params_.kernel.backend);
-    tile_fn_ = simd::tile_kernel<T>(backend_, les, false);
-    tile_fn_nt_ = simd::tile_kernel<T>(backend_, les, true);
-    // AB only — the AA sweeps re-read what they write in place.
-    nt_stores_ =
-        ab && tile_fn_nt_ != nullptr &&
-        streaming_stores_pay(backend_,
-                             static_cast<std::size_t>(n_) * kQ * sizeof(T) * 2);
-  }
-
-  // Span-aligned bulk blocks: cut only at RLE span ends so the tile
-  // kernels always see whole spans (no masked tails at partition seams),
-  // sized so a thread's per-block working set stays cache-resident while
-  // still yielding several blocks per thread for an even static split.
-  const index_t bulk = seg_->bulk_count();
-  const index_t target = std::clamp(bulk / (threads_ * 8), index_t{512},
-                                    index_t{4096});
-  block_bounds_.clear();
-  block_bounds_.push_back(0);
-  index_t in_block = 0;
-  for (const auto& s : seg_->spans()) {
-    in_block += s.length;
-    if (in_block >= target) {
-      block_bounds_.push_back(s.begin + s.length);
-      in_block = 0;
-    }
-  }
-  if (block_bounds_.back() != bulk) block_bounds_.push_back(bulk);
+  if (ab) f_.swap(f2_);
 }
 
 template <typename T>
 void Solver<T>::step() {
   // The layout/propagation/path dispatch is bound once at construction;
-  // a step is one indirect call through the parity-selected kernel.
+  // a step runs the parity-selected kernels.
   const bool ab = params_.kernel.propagation == Propagation::kAB;
   const bool even = ab || timestep_ % 2 == 0;
   const char* phase = ab ? "ab_pull" : (even ? "aa_even" : "aa_odd");
@@ -603,7 +568,11 @@ void Solver<T>::step() {
   real_t seconds = 0.0;
   {
     const obs::Phase scope(phase, timed ? &seconds : nullptr);
-    (this->*(even ? step_even_fn_ : step_odd_fn_))();
+    if (seg_) {
+      seg_step(even ? 0 : 1);
+    } else {
+      (this->*(even ? step_even_fn_ : step_odd_fn_))();
+    }
   }
   if (timed) {
     metrics.observe(
@@ -749,18 +718,9 @@ real_t Solver<T>::f_value(index_t p, index_t q) const {
 template class Solver<float>;
 template class Solver<double>;
 
-// The runtime ranks' instantiations (AB + double, either layout).
-template void seg_bulk_ab<double, Layout::kAoS, false>(const AbSweep<double>&,
-                                                       index_t, index_t);
-template void seg_bulk_ab<double, Layout::kAoS, true>(const AbSweep<double>&,
-                                                      index_t, index_t);
-template void seg_bulk_ab<double, Layout::kSoA, false>(const AbSweep<double>&,
-                                                       index_t, index_t);
-template void seg_bulk_ab<double, Layout::kSoA, true>(const AbSweep<double>&,
-                                                      index_t, index_t);
-template void seg_boundary_ab<double, Layout::kAoS>(const AbSweep<double>&,
-                                                    index_t, index_t);
-template void seg_boundary_ab<double, Layout::kSoA>(const AbSweep<double>&,
-                                                    index_t, index_t);
+template SweepBinding<float> bind_sweep<float>(const SolverParams&,
+                                               index_t);
+template SweepBinding<double> bind_sweep<double>(const SolverParams&,
+                                                 index_t);
 
 }  // namespace hemo::lbm

@@ -21,11 +21,14 @@
 //    small boundary segment runs the general gather + type-switch path.
 //    Public point indices remain the original mesh order — moments_at,
 //    f_value, IO, observables, and the decomposition layer see no
-//    difference. The AB range kernels (seg_bulk_ab / seg_boundary_ab) are
-//    free functions over an AbSweep: runtime::ParallelSolver's ranks
+//    difference. Every segmented range kernel (AB, AA even, AA odd; bulk
+//    and boundary) is a free function over a Sweep, chosen once by
+//    bind_sweep() together with the SIMD tile, backend and streaming-store
+//    setting: runtime::ParallelSolver's ranks call the same binder and
 //    sweep their own slot spaces through the very same definitions.
-// The layout/propagation/path dispatch is hoisted out of step() into
-// kernel function pointers bound at construction.
+// The layout/propagation/path dispatch is hoisted out of step(): the
+// segmented path runs one step function (seg_step) over the bound
+// kernels, the reference path one member function pointer per parity.
 //
 // Boundary conditions follow HARVEY's setup in the paper: a Poiseuille
 // velocity profile imposed at inlets (wet-node equilibrium with the locally
@@ -73,11 +76,13 @@ struct SolverParams {
   return layout == Layout::kAoS ? p * kQ + q : q * rows + p;
 }
 
-/// One AB step over a segmented slot space: reads `f`, writes `f2`, both
-/// view->num_slots() rows in the kernel's layout. Only owned positions
-/// [0, view->num_points()) are ever swept; the ghost tail is read-only.
+/// One segmented sweep over a slot space: reads `f`, writes `f2`, both
+/// view->num_slots() rows in the kernel's layout. AB points them at its two
+/// arrays; AA points both at its one array, which it updates in place.
+/// Only owned positions [0, view->num_points()) are ever swept; the ghost
+/// tail is read-only.
 template <typename T>
-struct AbSweep {
+struct Sweep {
   const SegmentedMesh* view = nullptr;
   const T* f = nullptr;
   T* f2 = nullptr;
@@ -93,27 +98,61 @@ struct AbSweep {
   simd::TileFn<T> tile = nullptr;
 };
 
-/// Bulk-interior positions [lo, hi) of [0, bulk_count()), span by span.
-template <typename T, Layout L, bool WithLes>
-void seg_bulk_ab(const AbSweep<T>& sweep, index_t lo, index_t hi);
+/// A range kernel: sweeps positions [lo, hi) of one segment of sweep.view.
+template <typename T>
+using SweepFn = void (*)(const Sweep<T>&, index_t lo, index_t hi);
 
-/// Boundary-path positions [lo, hi) of [bulk_count(), num_points()):
-/// neighbor-table gather with bounce-back, then the type dispatch.
-template <typename T, Layout L>
-void seg_boundary_ab(const AbSweep<T>& sweep, index_t lo, index_t hi);
+/// The segmented kernels and sweep constants of one SolverParams, chosen
+/// once by bind_sweep() for the serial solver and the threaded ranks alike.
+template <typename T>
+struct SweepBinding {
+  /// Range kernels per parity: [0] runs the AB step or the AA even step,
+  /// [1] the AA odd step (AB: the same kernels as [0]). `bulk` sweeps
+  /// positions of [0, bulk_count()) span by span; `boundary` sweeps
+  /// positions of [bulk_count(), num_points()) through the neighbor-table
+  /// gather with bounce-back and the point-type dispatch. Null on the
+  /// reference path.
+  std::array<SweepFn<T>, 2> bulk{};
+  std::array<SweepFn<T>, 2> boundary{};
+  /// SoA bulk tile; null on the AoS and reference paths.
+  simd::TileFn<T> tile = nullptr;
+  /// The backend `tile` runs; kScalar off the segmented SoA path.
+  Backend backend = Backend::kScalar;
+  /// `tile` uses streaming stores: fence them with
+  /// simd::store_fence(backend) before publishing a step's f2.
+  bool nt_stores = false;
+  T omega = T{0};
+  T cs2 = T{0};
+  std::array<T, 3> force_shift = {T{0}, T{0}, T{0}};
 
-/// Whether an AB sweep should bind the streaming-store tile variant: a
-/// vector backend and two arrays of `ab_bytes` in total that dwarf the
-/// cache (otherwise the stores evict lines the next step would hit).
-[[nodiscard]] bool streaming_stores_pay(Backend backend,
-                                        std::size_t ab_bytes);
+  /// A sweep of `view` under this binding's constants and tile.
+  [[nodiscard]] Sweep<T> sweep(const SegmentedMesh& view, const T* f, T* f2,
+                               const std::array<T, 3>* bc_velocity,
+                               const std::array<T, 2>* bc_pulse,
+                               index_t timestep) const {
+    return {&view, f, f2, bc_velocity, bc_pulse, omega, cs2, force_shift,
+            timestep, tile};
+  }
+};
+
+/// Chooses the kernels of `params.kernel` for storage type T (the
+/// precision is T's; kernel.precision is not read). `num_points` is the
+/// whole mesh's point count: streaming stores are bound only for an AB
+/// SoA sweep on a vector backend whose two arrays of that many points
+/// exceed 64 MiB, where they dwarf the cache (below that the stores evict
+/// lines the next step would hit). Nothing is allocated. Requires
+/// tau > 0.5.
+template <typename T>
+[[nodiscard]] SweepBinding<T> bind_sweep(const SolverParams& params,
+                                         index_t num_points);
 
 /// The solver. T is the distribution storage type (float or double).
 template <typename T>
 class Solver {
  public:
   /// Builds the solver; `inlets` provide the Poiseuille profiles for
-  /// kInlet points. The mesh must outlive the solver.
+  /// kInlet points. The mesh must outlive the solver. params().kernel
+  /// reports T's precision whatever `params.kernel.precision` says.
   Solver(const FluidMesh& mesh, const SolverParams& params,
          std::span<const geometry::InletSpec> inlets);
 
@@ -142,7 +181,7 @@ class Solver {
   /// segmented SoA path runs intrinsic kernels; the reference and AoS
   /// paths always report kScalar (benchmark honesty: what is recorded is
   /// what ran, not what was requested).
-  [[nodiscard]] Backend backend() const noexcept { return backend_; }
+  [[nodiscard]] Backend backend() const noexcept { return binding_.backend; }
 
   /// The OpenMP team size the kernels run with (resolved from
   /// SolverParams::num_threads at construction; 1 in builds without
@@ -192,10 +231,6 @@ class Solver {
     return seg_ ? seg_->position_of(p) : p;
   }
 
-  /// Selects the kernel function pointers for the configured
-  /// path/layout/propagation (and, on the segmented path, LES mode).
-  void bind_kernels();
-
   // Reference kernels: one fused loop over all points.
   template <Layout L>
   void step_ab();
@@ -204,55 +239,30 @@ class Solver {
   template <Layout L>
   void step_aa_odd();
 
-  // Segmented kernels: branch-free RLE bulk segment + general boundary
-  // segment, both statically partitioned across threads.
-  template <Layout L, bool WithLes>
-  void seg_step_ab();
-  template <Layout L, bool WithLes>
-  void seg_step_aa_even();
-  template <Layout L, bool WithLes>
-  void seg_step_aa_odd();
-
-  template <Layout L, bool WithLes>
-  void seg_bulk_aa_even(index_t lo, index_t hi);
-  template <Layout L, bool WithLes>
-  void seg_bulk_aa_odd(index_t lo, index_t hi);
-  template <Layout L>
-  void seg_boundary_aa_even(index_t lo, index_t hi);
-  template <Layout L>
-  void seg_boundary_aa_odd(index_t lo, index_t hi);
+  /// One segmented step through binding_'s kernels of `parity` (0: AB or
+  /// AA even, 1: AA odd): span-aligned bulk blocks per thread, then a
+  /// static chunk of the boundary segment; AB then swaps its arrays.
+  void seg_step(std::size_t parity);
 
   /// Computes the post-collision (or boundary) values for point p given its
   /// gathered arrivals g; writes them to out[0..18]. Reference path:
   /// p is an original mesh index.
   void update_point(index_t p, const T* g, T* out) const;
 
-  /// Segmented-path boundary update: i is an internal position in
-  /// [bulk_count, n).
-  void update_boundary_point(index_t i, const T* g, T* out) const;
-
   const FluidMesh* mesh_;
   SolverParams params_;
   index_t n_ = 0;
-  T omega_ = T{0};
-  T cs2_ = T{0};  ///< smagorinsky_cs^2 in storage precision
   index_t timestep_ = 0;
 
   /// Segment-reordered view (segmented path only).
   std::unique_ptr<SegmentedMesh> seg_;
 
-  using StepFn = void (Solver::*)();
-  StepFn step_even_fn_ = nullptr;  ///< AB kernel, or AA even-parity kernel
-  StepFn step_odd_fn_ = nullptr;   ///< AA odd-parity kernel (AB: == even)
+  /// Sweep constants, plus the segmented kernels (segmented path only).
+  SweepBinding<T> binding_;
 
-  /// Effective SIMD backend of the bulk tile kernels (kScalar off the
-  /// segmented SoA path) and the bound tile functions: the normal-store
-  /// variant and, when profitable, the streaming-store variant for the AB
-  /// back array.
-  Backend backend_ = Backend::kScalar;
-  simd::TileFn<T> tile_fn_ = nullptr;
-  simd::TileFn<T> tile_fn_nt_ = nullptr;
-  bool nt_stores_ = false;
+  using StepFn = void (Solver::*)();
+  StepFn step_even_fn_ = nullptr;  ///< reference AB or AA even-parity kernel
+  StepFn step_odd_fn_ = nullptr;   ///< reference AA odd-parity kernel
 
   /// Resolved OpenMP team size (>= 1).
   index_t threads_ = 1;
@@ -275,8 +285,6 @@ class Solver {
   std::vector<std::array<T, 3>> bc_velocity_;
   // Per-point pulsatile {amplitude, period}; zero for steady inlets.
   std::vector<std::array<T, 2>> bc_pulse_;
-  // tau * body_force, the equilibrium velocity shift of the forcing term.
-  std::array<T, 3> force_shift_ = {T{0}, T{0}, T{0}};
 };
 
 /// Convenience: MFLUPS from points, steps, and elapsed seconds (Eq. 7).

@@ -56,11 +56,6 @@ ParallelSolver::ParallelSolver(const lbm::FluidMesh& mesh,
       inlets_(inlets.begin(), inlets.end()),
       partition_(partition),
       layout_(params.kernel.layout),
-      omega_(1.0 / params.tau),
-      cs2_(params.smagorinsky_cs * params.smagorinsky_cs),
-      force_shift_{params.tau * params.body_force[0],
-                   params.tau * params.body_force[1],
-                   params.tau * params.body_force[2]},
       options_(std::move(options)),
       controller_(options_.rebalance) {
   HEMO_REQUIRE(params.kernel.propagation == lbm::Propagation::kAB &&
@@ -68,30 +63,9 @@ ParallelSolver::ParallelSolver(const lbm::FluidMesh& mesh,
                    params.kernel.path == lbm::KernelPath::kSegmented,
                "ParallelSolver supports AB + double on the segmented "
                "kernel path");
-  HEMO_REQUIRE(params.tau > 0.5, "tau must exceed 0.5");
-
-  // The serial solver's range kernels, bound once: each rank step is a
-  // few indirect calls over position ranges of its view.
-  const bool les = cs2_ > 0.0;
-  if (layout_ == lbm::Layout::kAoS) {
-    bulk_ = les ? &lbm::seg_bulk_ab<double, lbm::Layout::kAoS, true>
-                : &lbm::seg_bulk_ab<double, lbm::Layout::kAoS, false>;
-    boundary_ = &lbm::seg_boundary_ab<double, lbm::Layout::kAoS>;
-  } else {
-    bulk_ = les ? &lbm::seg_bulk_ab<double, lbm::Layout::kSoA, true>
-                : &lbm::seg_bulk_ab<double, lbm::Layout::kSoA, false>;
-    boundary_ = &lbm::seg_boundary_ab<double, lbm::Layout::kSoA>;
-    backend_ = lbm::simd::resolve_backend(params.kernel.backend);
-    // The ranks share the cache, so the streaming-store test sizes the
-    // whole mesh's two arrays, as the serial solver does.
-    const auto nt = lbm::simd::tile_kernel<double>(backend_, les, true);
-    nt_stores_ = nt != nullptr &&
-                 lbm::streaming_stores_pay(
-                     backend_, static_cast<std::size_t>(mesh.num_points()) *
-                                   kQ * sizeof(double) * 2);
-    tile_ = nt_stores_ ? nt : lbm::simd::tile_kernel<double>(backend_, les,
-                                                             false);
-  }
+  // The serial solver's binding: the ranks share the cache, so the
+  // streaming-store test sizes the whole mesh, as the serial solver does.
+  binding_ = lbm::bind_sweep<double>(params, mesh.num_points());
 
   build_runtime_structures();
   timings_.assign(states_.size(), RankTimings{});
@@ -196,16 +170,9 @@ void ParallelSolver::rank_step(std::size_t r, index_t t) {
   RankState& rank = states_[r];
   const lbm::SegmentedMesh& view = topo_.ranks[r];
   RankTimings& timing = timings_[r];
-  const lbm::AbSweep<double> sweep{.view = &view,
-                                   .f = rank.f.data(),
-                                   .f2 = rank.f2.data(),
-                                   .bc_velocity = rank.bc_velocity.data(),
-                                   .bc_pulse = rank.bc_pulse.data(),
-                                   .omega = omega_,
-                                   .cs2 = cs2_,
-                                   .force_shift = force_shift_,
-                                   .timestep = t,
-                                   .tile = tile_};
+  const lbm::Sweep<double> sweep =
+      binding_.sweep(view, rank.f.data(), rank.f2.data(),
+                     rank.bc_velocity.data(), rank.bc_pulse.data(), t);
 
   // Each phase adds its wall time to this rank's RankTimings; swap is
   // profiled but charged to no term.
@@ -225,11 +192,11 @@ void ParallelSolver::rank_step(std::size_t r, index_t t) {
   // still publishing.
   {
     const obs::Phase phase("interior", &timing.mem_s);
-    bulk_(sweep, 0, view.bulk_count());
+    binding_.bulk[0](sweep, 0, view.bulk_count());
     // Streaming stores are weakly ordered: fence them ahead of the
     // barrier that ends the step.
-    if (nt_stores_) lbm::simd::store_fence(backend_);
-    boundary_(sweep, view.bulk_count(), view.frontier_begin());
+    if (binding_.nt_stores) lbm::simd::store_fence(binding_.backend);
+    binding_.boundary[0](sweep, view.bulk_count(), view.frontier_begin());
   }
 
   for (const index_t c : in_channels_[r]) {
@@ -248,7 +215,7 @@ void ParallelSolver::rank_step(std::size_t r, index_t t) {
 
   {
     const obs::Phase phase("frontier", &timing.mem_s);
-    boundary_(sweep, view.frontier_begin(), view.num_points());
+    binding_.boundary[0](sweep, view.frontier_begin(), view.num_points());
   }
 
   {

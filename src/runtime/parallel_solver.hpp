@@ -12,8 +12,8 @@
 //
 // A step overlaps bulk-interior compute with boundary communication
 // (HARVEY's overlap scheme, Sec. II of the paper). Each update is a call
-// of the serial solver's own range kernels (lbm::seg_bulk_ab /
-// lbm::seg_boundary_ab) over a position range of the rank's view:
+// of a range kernel that lbm::bind_sweep chose, the serial solver's own
+// binder, over a position range of the rank's view:
 //   1. pack + publish all outgoing channels        (t_comm: pack)
 //   2. interior [0, frontier_begin): bulk spans,
 //      then boundary points — no ghosts read       (t_mem)
@@ -49,9 +49,9 @@
 // Supported configuration: AB x {AoS, SoA} x double on the segmented
 // kernel path (SoA ranks run the SIMD tile kernels of the configured
 // backend). AA, float and KernelPath::kReference are rejected. Because a
-// rank runs the serial solver's kernels on the same per-point arithmetic,
-// export_state() is bit-identical to the serial lbm::Solver<double> for
-// every rank count.
+// rank runs the kernels, tile and streaming-store choice the serial
+// solver binds, export_state() is bit-identical to the serial
+// lbm::Solver<double> for every rank count.
 #pragma once
 
 #include <array>
@@ -211,22 +211,14 @@ class ParallelSolver {
     return static_cast<std::size_t>(lbm::dist_offset(layout_, rows, s, q));
   }
 
-  using RangeFn = void (*)(const lbm::AbSweep<double>&, index_t, index_t);
-
   const lbm::FluidMesh* mesh_;
   std::vector<geometry::InletSpec> inlets_;
   decomp::Partition partition_;
   index_t timestep_ = 0;
 
   lbm::Layout layout_;
-  double omega_;
-  double cs2_;
-  std::array<double, 3> force_shift_;
-  RangeFn bulk_ = nullptr;      ///< lbm::seg_bulk_ab for layout and LES
-  RangeFn boundary_ = nullptr;  ///< lbm::seg_boundary_ab for layout
-  lbm::Backend backend_ = lbm::Backend::kScalar;  ///< SoA tile backend
-  lbm::simd::TileFn<double> tile_ = nullptr;
-  bool nt_stores_ = false;
+  /// The serial solver's AB kernels and sweep constants (lbm::bind_sweep).
+  lbm::SweepBinding<double> binding_;
 
   harvey::HaloExchange topo_;
   std::vector<RankState> states_;

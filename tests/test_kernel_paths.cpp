@@ -16,12 +16,14 @@
 #include <cstdint>
 #include <cstring>
 #include <sstream>
+#include <utility>
 #include <vector>
 
 #include "geometry/generators.hpp"
 #include "lbm/io.hpp"
 #include "lbm/mesh.hpp"
 #include "lbm/mesh_segments.hpp"
+#include "lbm/simd.hpp"
 #include "lbm/solver.hpp"
 
 namespace hemo::lbm {
@@ -311,6 +313,106 @@ TEST(SolverReductions, MassAndSpeedMatchSerialAccumulation) {
   const real_t speed = solver.mean_speed();
   EXPECT_EQ(speed, solver.mean_speed());
   EXPECT_GT(speed, 0.0);
+}
+
+// ---- The kernel binder's choice table ---------------------------------
+
+SolverParams binding_params(Layout layout, Propagation prop,
+                            Backend backend) {
+  SolverParams params;
+  params.kernel.layout = layout;
+  params.kernel.propagation = prop;
+  params.kernel.backend = backend;
+  return params;
+}
+
+/// The widest backend this host compiled and detects.
+Backend widest_backend() { return simd::detected_backends().front(); }
+
+/// Point counts just at and just past the streaming-store threshold: two
+/// arrays of kQ values of T exceeding 64 MiB.
+template <typename T>
+std::pair<index_t, index_t> nt_threshold_points() {
+  constexpr std::size_t kLimit = std::size_t{64} << 20;
+  const auto at = static_cast<index_t>(kLimit / (kQ * sizeof(T) * 2));
+  return {at, at + 1};
+}
+
+TEST(SweepBinding, AaNeverBindsStreamingStores) {
+  const auto [below, above] = nt_threshold_points<double>();
+  for (const Layout layout : {Layout::kAoS, Layout::kSoA}) {
+    for (const index_t n : {below, above, above * 4}) {
+      const auto b = bind_sweep<double>(
+          binding_params(layout, Propagation::kAA, widest_backend()), n);
+      EXPECT_FALSE(b.nt_stores) << to_string(layout) << " n=" << n;
+    }
+  }
+  const auto f = bind_sweep<float>(
+      binding_params(Layout::kSoA, Propagation::kAA, widest_backend()),
+      nt_threshold_points<float>().second);
+  EXPECT_FALSE(f.nt_stores);
+}
+
+TEST(SweepBinding, AosAndReferenceReportScalar) {
+  const auto big = nt_threshold_points<double>().second;
+  for (const Propagation prop : {Propagation::kAB, Propagation::kAA}) {
+    const auto aos = bind_sweep<double>(
+        binding_params(Layout::kAoS, prop, widest_backend()), big);
+    EXPECT_EQ(aos.backend, Backend::kScalar);
+    EXPECT_EQ(aos.tile, nullptr);
+    EXPECT_FALSE(aos.nt_stores);
+    EXPECT_NE(aos.bulk[0], nullptr);
+    EXPECT_NE(aos.boundary[1], nullptr);
+
+    for (const Layout layout : {Layout::kAoS, Layout::kSoA}) {
+      auto params = binding_params(layout, prop, widest_backend());
+      params.kernel.path = KernelPath::kReference;
+      const auto ref = bind_sweep<double>(params, big);
+      EXPECT_EQ(ref.backend, Backend::kScalar);
+      EXPECT_EQ(ref.tile, nullptr);
+      EXPECT_FALSE(ref.nt_stores);
+      EXPECT_EQ(ref.bulk[0], nullptr);
+    }
+  }
+}
+
+template <typename T>
+void expect_ab_soa_streams_past_threshold() {
+  const Backend widest = widest_backend();
+  const auto params = binding_params(Layout::kSoA, Propagation::kAB, widest);
+  const auto [below, above] = nt_threshold_points<T>();
+  const auto small = bind_sweep<T>(params, below);
+  const auto large = bind_sweep<T>(params, above);
+  EXPECT_EQ(small.backend, widest);
+  EXPECT_FALSE(small.nt_stores);
+  EXPECT_EQ(small.tile, simd::tile_kernel<T>(widest, false, false));
+  // A vector backend streams past the threshold; scalar never does.
+  const bool vector = widest != Backend::kScalar;
+  EXPECT_EQ(large.nt_stores, vector) << to_string(widest);
+  EXPECT_EQ(large.tile, simd::tile_kernel<T>(widest, false, vector));
+  // AB runs one kernel pair for both parities.
+  EXPECT_EQ(large.bulk[0], large.bulk[1]);
+  EXPECT_EQ(large.boundary[0], large.boundary[1]);
+}
+
+TEST(SweepBinding, AbSoaStreamsExactlyPastSixtyFourMiB) {
+  expect_ab_soa_streams_past_threshold<double>();
+  expect_ab_soa_streams_past_threshold<float>();
+}
+
+TEST(SweepBinding, SmagorinskyBindsTheLesTile) {
+  const Backend widest = widest_backend();
+  for (const Propagation prop : {Propagation::kAB, Propagation::kAA}) {
+    auto params = binding_params(Layout::kSoA, prop, widest);
+    const auto plain = bind_sweep<double>(params, 1000);
+    params.smagorinsky_cs = 0.14;
+    const auto les = bind_sweep<double>(params, 1000);
+    EXPECT_EQ(plain.tile, simd::tile_kernel<double>(widest, false, false));
+    EXPECT_EQ(les.tile, simd::tile_kernel<double>(widest, true, false));
+    EXPECT_NE(les.bulk[0], plain.bulk[0]);
+    EXPECT_EQ(les.boundary[0], plain.boundary[0]);
+    EXPECT_EQ(les.cs2, 0.14 * 0.14);
+  }
 }
 
 }  // namespace

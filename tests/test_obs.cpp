@@ -8,9 +8,11 @@
 
 #include <algorithm>
 #include <memory>
+#include <sstream>
 #include <string>
 
 #include "geometry/generators.hpp"
+#include "lbm/io.hpp"
 #include "lbm/mesh.hpp"
 #include "lbm/solver.hpp"
 #include "obs/drift.hpp"
@@ -185,6 +187,44 @@ TEST_F(MetricsRegistryTest, SolverStepsObservePhaseTimesOnlyWhileEnabled) {
   aa_solver.run(4);
   EXPECT_EQ(step_samples("aa_even"), 2u);
   EXPECT_EQ(step_samples("aa_odd"), 2u);
+}
+
+/// Samples of lbm_step_seconds{precision=`precision`} in the global
+/// registry.
+std::uint64_t precision_samples(const std::string& precision) {
+  std::uint64_t count = 0;
+  for (const MetricSnapshot& snap : MetricsRegistry::global().snapshot()) {
+    if (snap.name != "lbm_step_seconds") continue;
+    for (const auto& [key, value] : snap.labels) {
+      if (key == "precision" && value == precision) {
+        count += snap.histogram.count;
+      }
+    }
+  }
+  return count;
+}
+
+TEST_F(MetricsRegistryTest, FloatSolverTakesItsPrecisionFromT) {
+  // Default SolverParams ask for double; a Solver<float> still stores,
+  // labels and checkpoints single precision.
+  const auto geo = geometry::make_cylinder({.radius = 3, .length = 8});
+  const auto mesh = lbm::FluidMesh::build(geo.grid);
+  const lbm::SolverParams params;
+  ASSERT_EQ(params.kernel.precision, lbm::Precision::kDouble);
+
+  MetricsRegistry::global().enable(true);
+  lbm::Solver<float> solver(mesh, params, std::span(geo.inlets));
+  EXPECT_EQ(solver.params().kernel.precision, lbm::Precision::kSingle);
+  solver.run(3);
+  EXPECT_EQ(precision_samples("f32"), 3u);
+  EXPECT_EQ(precision_samples("f64"), 0u);
+
+  std::stringstream buffer;
+  lbm::save_checkpoint(solver, buffer);
+  lbm::Solver<float> restored(mesh, params, std::span(geo.inlets));
+  lbm::load_checkpoint(restored, buffer);
+  EXPECT_EQ(restored.timestep(), solver.timestep());
+  EXPECT_EQ(restored.export_state(), solver.export_state());
 }
 
 TEST_F(TraceRecorderTest, DisabledRecorderIgnoresEvents) {

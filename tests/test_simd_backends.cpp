@@ -52,15 +52,15 @@ TEST(SimdDispatch, DetectedIsSubsetOfCompiledAndCpuSupported) {
 
 TEST(SimdDispatch, ParseRoundTripsEveryName) {
   for (const Backend b :
-       {Backend::kAuto, Backend::kScalar, Backend::kAVX2, Backend::kAVX512,
-        Backend::kNEON}) {
+       {Backend::kAuto, Backend::kScalar, Backend::kAVX2, Backend::kAVX512}) {
     const auto parsed = simd::parse_backend(to_string(b));
     ASSERT_TRUE(parsed.has_value()) << to_string(b);
     EXPECT_EQ(*parsed, b);
   }
   EXPECT_EQ(simd::parse_backend("AVX2"), Backend::kAVX2);  // case-blind
   EXPECT_FALSE(simd::parse_backend("avx9000").has_value());
-  EXPECT_FALSE(simd::parse_backend("sse2").has_value());  // deleted backend
+  EXPECT_FALSE(simd::parse_backend("sse2").has_value());  // deleted backends
+  EXPECT_FALSE(simd::parse_backend("neon").has_value());
   EXPECT_FALSE(simd::parse_backend("").has_value());
 }
 
@@ -97,7 +97,6 @@ TEST(SimdDispatch, LanesMatchVectorWidths) {
   EXPECT_EQ(simd::lanes(Backend::kScalar, 8), 1);
   EXPECT_EQ(simd::lanes(Backend::kAVX2, 8), 4);
   EXPECT_EQ(simd::lanes(Backend::kAVX512, 4), 16);
-  EXPECT_EQ(simd::lanes(Backend::kNEON, 8), 2);
 }
 
 // ---- Solver-level bit identity ------------------------------------------
@@ -305,8 +304,7 @@ TEST_P(SimdBackendBitIdentity, MatchesScalarSingleThreadEverywhere) {
 
 INSTANTIATE_TEST_SUITE_P(
     AllBackends, SimdBackendBitIdentity,
-    ::testing::Combine(::testing::Values(Backend::kAVX2, Backend::kAVX512,
-                                         Backend::kNEON),
+    ::testing::Combine(::testing::Values(Backend::kAVX2, Backend::kAVX512),
                        ::testing::Values(index_t{1}, index_t{2}, index_t{8})),
     [](const auto& info) {
       return to_string(std::get<0>(info.param)) + "_t" +
