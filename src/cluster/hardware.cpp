@@ -100,7 +100,7 @@ units::Microseconds GpuSystem::measured_transfer(units::Bytes bytes,
 }
 
 real_t NoiseModel::factor(index_t day, index_t hour, index_t slot) const {
-  Xoshiro256 rng(hash_seed(instance_hash(*profile_), 0x33d1u,
+  Xoshiro256 rng(hash_seed(instance_hash_, 0x33d1u,
                            static_cast<std::uint64_t>(day),
                            static_cast<std::uint64_t>(hour),
                            static_cast<std::uint64_t>(slot)));

@@ -103,14 +103,16 @@ class GpuSystem {
 /// (instance, day, hour, slot).
 class NoiseModel {
  public:
+  /// Hashes the instance once: factor() runs once per attempt chunk.
   explicit NoiseModel(const InstanceProfile& profile)
-      : profile_(&profile) {}
+      : profile_(&profile), instance_hash_(instance_hash(profile)) {}
 
   /// Noise factor (≈ 1.0) for a measurement at the given wall-clock slot.
   [[nodiscard]] real_t factor(index_t day, index_t hour, index_t slot) const;
 
  private:
   const InstanceProfile* profile_;
+  std::uint64_t instance_hash_;
 };
 
 }  // namespace hemo::cluster

@@ -17,32 +17,55 @@ Dashboard::Dashboard(std::vector<const cluster::InstanceProfile*> profiles) {
 std::vector<DashboardRow> Dashboard::evaluate(
     const WorkloadCalibration& workload, const JobSpec& job,
     std::span<const index_t> core_counts, real_t correction) const {
+  return price(predict(workload, core_counts), job, correction);
+}
+
+std::vector<OptionPrediction> Dashboard::predict(
+    const WorkloadCalibration& workload,
+    std::span<const index_t> core_counts) const {
+  std::vector<OptionPrediction> candidates;
+  candidates.reserve(options_.size() * core_counts.size());
+  for (const InstanceOption& opt : options_) {
+    const index_t tasks_per_node = opt.profile->cores_per_node;
+    for (index_t cores : core_counts) {
+      OptionPrediction c;
+      c.profile = opt.profile;
+      c.n_tasks = cores;
+      c.n_nodes = (cores + tasks_per_node - 1) / tasks_per_node;
+      c.prediction = predict_general(workload, opt.calibration, cores,
+                                     std::min(cores, tasks_per_node));
+      candidates.push_back(c);
+    }
+  }
+  return candidates;
+}
+
+std::vector<DashboardRow> Dashboard::price(
+    std::span<const OptionPrediction> candidates, const JobSpec& job,
+    real_t correction) {
   HEMO_REQUIRE(job.timesteps >= 1, "job needs at least one timestep");
   HEMO_REQUIRE(correction > 0.0, "correction factor must be positive");
 
   std::vector<DashboardRow> rows;
-  for (const InstanceOption& opt : options_) {
-    const index_t tasks_per_node = opt.profile->cores_per_node;
-    for (index_t cores : core_counts) {
-      DashboardRow row;
-      row.instance = opt.profile->abbrev;
-      row.n_tasks = cores;
-      row.n_nodes = (cores + tasks_per_node - 1) / tasks_per_node;
-      row.prediction = predict_general(workload, opt.calibration, cores,
-                                       std::min(cores, tasks_per_node));
-      row.prediction.mflups *= correction;
-      row.prediction.step_seconds /= correction;
+  rows.reserve(candidates.size());
+  for (const OptionPrediction& c : candidates) {
+    DashboardRow row;
+    row.instance = c.profile->abbrev;
+    row.n_tasks = c.n_tasks;
+    row.n_nodes = c.n_nodes;
+    row.prediction = c.prediction;
+    row.prediction.mflups *= correction;
+    row.prediction.step_seconds /= correction;
 
-      row.time_to_solution_s =
-          time_to_solution(row.prediction.step_seconds, job.timesteps);
-      row.cost_rate_per_hour = static_cast<real_t>(row.n_nodes) *
-                               opt.profile->price_per_node_hour;
-      row.total_dollars =
-          total_cost(row.cost_rate_per_hour, row.time_to_solution_s);
-      row.mflups_per_dollar_hour =
-          row.prediction.mflups / row.cost_rate_per_hour;
-      rows.push_back(std::move(row));
-    }
+    row.time_to_solution_s =
+        time_to_solution(row.prediction.step_seconds, job.timesteps);
+    row.cost_rate_per_hour =
+        static_cast<real_t>(row.n_nodes) * c.profile->price_per_node_hour;
+    row.total_dollars =
+        total_cost(row.cost_rate_per_hour, row.time_to_solution_s);
+    row.mflups_per_dollar_hour =
+        row.prediction.mflups / row.cost_rate_per_hour;
+    rows.push_back(std::move(row));
   }
   return rows;
 }

@@ -37,6 +37,15 @@ struct DashboardRow {
   units::MflupsPerDollarHour mflups_per_dollar_hour;
 };
 
+/// Raw model evaluation of one (instance, core count) option: everything
+/// in a DashboardRow that does not depend on the job or the correction.
+struct OptionPrediction {
+  const cluster::InstanceProfile* profile = nullptr;
+  index_t n_tasks = 0;
+  index_t n_nodes = 0;
+  ModelPrediction prediction;  ///< raw model, no correction applied
+};
+
 /// Preemptible (spot) capacity pricing. Spot instances trade a discount
 /// against interruptions; with checkpoint/restart (lbm/io.hpp) each
 /// preemption costs the work since the last checkpoint plus a restart.
@@ -80,13 +89,28 @@ class Dashboard {
     return options_;
   }
 
-  /// Evaluates the workload at each instance and core count. `correction`
+  /// Evaluates the workload at each instance and core count:
+  /// price(predict(workload, core_counts), job, correction). `correction`
   /// is the learned campaign correction factor (CampaignTracker::
   /// correction_factor and friends) that refines the raw model predictions
   /// (phase 2 feedback loop); 1.0 evaluates the raw model.
   [[nodiscard]] std::vector<DashboardRow> evaluate(
       const WorkloadCalibration& workload, const JobSpec& job,
       std::span<const index_t> core_counts, real_t correction = 1.0) const;
+
+  /// Raw model predictions of the workload at each instance (in options()
+  /// order) and core count. They depend on neither the job nor the
+  /// correction, so a caller that evaluates one workload many times
+  /// predicts once and prices per job.
+  [[nodiscard]] std::vector<OptionPrediction> predict(
+      const WorkloadCalibration& workload,
+      std::span<const index_t> core_counts) const;
+
+  /// One row per prediction: applies `correction` to the raw prediction,
+  /// then derives time-to-solution and the cost metrics for `job`.
+  [[nodiscard]] static std::vector<DashboardRow> price(
+      std::span<const OptionPrediction> candidates, const JobSpec& job,
+      real_t correction = 1.0);
 
   /// Eq. 17 matrix over rows (r[b][a] = MFLUPS_b / MFLUPS_a).
   [[nodiscard]] static std::vector<std::vector<real_t>> relative_value_matrix(

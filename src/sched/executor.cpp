@@ -87,8 +87,8 @@ struct InFlight {
 };
 
 /// Exactly the request fields CampaignScheduler::place() reads (its purity
-/// contract, scheduler.hpp). While the pools and the tracker are unchanged,
-/// requests with equal keys get equal decisions.
+/// contract, scheduler.hpp). Requests with equal keys get equal decisions
+/// while CampaignScheduler::still_holds() accepts the stored one.
 using DecisionKey =
     std::tuple<std::string_view, real_t, bool, index_t, real_t, real_t>;
 
@@ -211,20 +211,26 @@ CampaignReport CampaignEngine::run(std::vector<CampaignJobSpec> jobs) {
     metrics.add("campaign_jobs_total", 1.0, {{"outcome", "failed"}});
   };
 
+  // kWait/kInfeasible decisions by request class, kept across passes, each
+  // with the last pass that looked it up. A waiting job is then evaluated
+  // again only once an input of its decision changed: a pass costs a few
+  // place() calls per changed request class, not one per queued job.
+  struct Memo {
+    PlacementDecision decision;
+    index_t pass = 0;
+  };
+  std::map<DecisionKey, Memo> unplaced;
+  index_t pass = 0;
+
   // The coordinator's three passes (place, await, settle) are obs::Phase
   // blocks: profiler frames and, while tracing, wall events.
   while (!pending.empty() || !inflight.empty()) {
+    ++pass;
     // Placement pass, in job-id order (pending stays id-sorted because
     // records are id-sorted and re-insertions keep the order).
     {
       const obs::Phase place_phase("place");
       std::vector<std::size_t> still_pending;
-      // kWait/kInfeasible decisions of this pass, by request class. The
-      // tracker is written and capacity released only between passes, and
-      // reserve() clears the cache, so a hit is what place() would answer
-      // now: a pass costs a few place() calls per request class, not one per
-      // queued job.
-      std::map<DecisionKey, PlacementDecision> unplaced;
       for (const std::size_t idx : pending) {
         JobRecord& rec = records[idx];
         const CampaignJobSpec& spec = rec.spec;
@@ -247,14 +253,33 @@ CampaignReport CampaignEngine::run(std::vector<CampaignJobSpec> jobs) {
           continue;
         }
 
+        // A stored answer is checked at its first lookup of a pass: the
+        // settlement before the pass may have released capacity or moved
+        // the key's correction. Later lookups in the same pass reuse it
+        // unchecked: the tracker is not written within a pass and pools
+        // change only through reserve(), which only lowers free capacity,
+        // so it cannot turn a kWait or kInfeasible answer into kPlaced.
         const DecisionKey key = decision_key(request);
-        const auto cached = unplaced.find(key);
-        const PlacementDecision decision = cached != unplaced.end()
-                                               ? cached->second
-                                               : scheduler_->place(request);
-        if (decision.kind != PlacementDecision::Kind::kPlaced) {
-          unplaced.emplace(key, decision);
+        auto memo = unplaced.find(key);
+        if (memo != unplaced.end() && memo->second.pass != pass) {
+          if (scheduler_->still_holds(memo->second.decision)) {
+            memo->second.pass = pass;
+          } else {
+            unplaced.erase(memo);
+            memo = unplaced.end();
+          }
         }
+        PlacementDecision placed;
+        if (memo == unplaced.end()) {
+          PlacementDecision fresh = scheduler_->place(request);
+          if (fresh.kind == PlacementDecision::Kind::kPlaced) {
+            placed = std::move(fresh);
+          } else {
+            memo = unplaced.emplace(key, Memo{std::move(fresh), pass}).first;
+          }
+        }
+        const PlacementDecision& decision =
+            memo != unplaced.end() ? memo->second.decision : placed;
         if (decision.kind == PlacementDecision::Kind::kInfeasible) {
           fail(rec, decision.reason);
           continue;
@@ -265,7 +290,6 @@ CampaignReport CampaignEngine::run(std::vector<CampaignJobSpec> jobs) {
         }
 
         scheduler_->reserve(decision.placement);
-        unplaced.clear();
         ++rec.attempts;
         rec.placements.push_back(decision.placement);
         rec.state = JobState::kRunning;
@@ -314,11 +338,17 @@ CampaignReport CampaignEngine::run(std::vector<CampaignJobSpec> jobs) {
         inflight.push_back(std::move(f));
       }
       pending = std::move(still_pending);
+      // Answers no job asked for this pass are dropped, so the memo holds
+      // at most one pass's request classes.
+      std::erase_if(unplaced, [pass](const auto& entry) {
+        return entry.second.pass != pass;
+      });
     }
 
     if (inflight.empty()) {
-      // Every pool is free when nothing is in flight, so place() cannot
-      // have answered kWait; anything still pending is a logic error.
+      // Every pool is free when nothing is in flight, so neither place()
+      // nor still_holds() can have answered kWait; anything still pending
+      // is a logic error.
       for (const std::size_t idx : pending) {
         fail(records[idx], "unplaceable with all pools idle");
       }

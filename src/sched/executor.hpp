@@ -93,8 +93,9 @@ struct EngineConfig {
   index_t n_workers = 4;
   std::uint64_t seed = 42;
   /// Checkpoint / progress-report granularity of each attempt. An attempt
-  /// composes its plan's critical path once, so each extra chunk costs only
-  /// a noise draw and the chunk's fault/guard checks.
+  /// composes its plan's critical path and its resolution scale once, so
+  /// each extra chunk costs only a noise draw (the instance is hashed once
+  /// per attempt, not per draw) and the chunk's fault/guard checks.
   index_t chunks_per_attempt = 10;
   /// Placement attempts per job (first run + overrun/preemption requeues).
   index_t max_attempts = 4;

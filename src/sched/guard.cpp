@@ -7,18 +7,21 @@
 
 namespace hemo::sched {
 
-units::Seconds scaled_step_seconds(const cluster::ExecutionResult& result,
-                                   real_t factor) {
+ResolutionScale::ResolutionScale(real_t factor) : factor_(factor) {
   HEMO_REQUIRE(factor > 0.0, "resolution factor must be positive");
-  if (factor == 1.0) return result.step_seconds;
+  surface_ = std::cbrt(factor) * std::cbrt(factor);
+}
+
+units::Seconds ResolutionScale::step_seconds(
+    const cluster::ExecutionResult& result) const {
+  if (factor_ == 1.0) return result.step_seconds;
   const units::Seconds noise_free = result.critical.total();
   if (noise_free.value() <= 0.0) return result.step_seconds;
   const real_t noise = result.step_seconds / noise_free;
-  const real_t surface = std::cbrt(factor) * std::cbrt(factor);
   const units::Seconds scaled =
       (result.critical.mem_s + result.critical.overhead_s +
-       result.critical.xfer_s) * factor +
-      (result.critical.intra_s + result.critical.inter_s) * surface;
+       result.critical.xfer_s) * factor_ +
+      (result.critical.intra_s + result.critical.inter_s) * surface_;
   return scaled * noise;
 }
 
@@ -29,10 +32,11 @@ AttemptResult simulate_attempt(const AttemptContext& ctx) {
   HEMO_REQUIRE(ctx.n_chunks >= 1, "attempt needs at least one chunk");
 
   // The critical task's composition depends only on the plan and the
-  // instance, so it is built once here; each chunk then draws only its
-  // noise.
+  // instance, and the resolution scale only on the job, so both are built
+  // once here; each chunk then draws only its noise.
   const cluster::VirtualCluster vc(*ctx.profile);
   const cluster::CriticalPath path = vc.critical_path(*ctx.plan);
+  const ResolutionScale scale(ctx.resolution_factor);
   Xoshiro256 rng(ctx.seed);
   AttemptResult res;
 
@@ -48,7 +52,7 @@ AttemptResult simulate_attempt(const AttemptContext& ctx) {
     const auto exec =
         vc.execute(path, ctx.plan->total_points, this_steps, when);
     const units::Seconds chunk_s =
-        scaled_step_seconds(exec, ctx.resolution_factor) *
+        scale.step_seconds(exec) *
         static_cast<real_t>(this_steps) * ctx.faults.slowdown_factor;
 
     // Injected worker crash: the process dies partway through the chunk

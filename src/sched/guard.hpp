@@ -92,13 +92,24 @@ struct AttemptContext {
   FaultInjection faults;       ///< all-off by default
 };
 
-/// Step time of `result` rescaled to `factor` times the plan's fluid
-/// points: memory/overhead/transfer terms grow linearly with the point
-/// count while halo communication grows with the cut surface (factor^2/3),
-/// matching core::scale_resolution's rationale on the prediction side. The
-/// run-level noise of the measurement is preserved.
-[[nodiscard]] units::Seconds scaled_step_seconds(
-    const cluster::ExecutionResult& result, real_t factor);
+/// Rescales step times to `factor` times the plan's fluid points:
+/// memory/overhead/transfer terms grow linearly with the point count while
+/// halo communication grows with the cut surface (factor^2/3), matching
+/// core::scale_resolution's rationale on the prediction side. The run-level
+/// noise of the measurement is preserved. The surface term is computed once
+/// here, not once per attempt chunk.
+class ResolutionScale {
+ public:
+  explicit ResolutionScale(real_t factor);
+
+  /// Step time of `result` at the scaled resolution.
+  [[nodiscard]] units::Seconds step_seconds(
+      const cluster::ExecutionResult& result) const;
+
+ private:
+  real_t factor_;
+  real_t surface_;  ///< factor^(2/3) as cbrt(factor)^2
+};
 
 /// Runs one attempt to completion, guard stop, or retry exhaustion.
 [[nodiscard]] AttemptResult simulate_attempt(const AttemptContext& ctx);

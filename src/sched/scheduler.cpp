@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <limits>
+#include <optional>
 
 #include "cluster/virtual_cluster.hpp"
 #include "core/models.hpp"
@@ -41,10 +42,15 @@ CampaignScheduler::CampaignScheduler(
   HEMO_REQUIRE(config_.guard_tolerance >= 0.0,
                "guard tolerance must be non-negative");
   for (const core::InstanceOption& opt : dashboard_.options()) {
+    if (std::any_of(pools_.begin(), pools_.end(), [&](const Pool& pool) {
+          return pool.profile->abbrev == opt.profile->abbrev;
+        })) {
+      continue;
+    }
     Pool pool;
     pool.profile = opt.profile;
     pool.total_nodes = opt.profile->nodes();
-    pools_.emplace(opt.profile->abbrev, pool);
+    pools_.push_back(pool);
   }
 }
 
@@ -59,7 +65,7 @@ void CampaignScheduler::register_workload(const std::string& name,
   w.sim = std::make_unique<harvey::Simulation>(std::move(geometry), options);
 
   index_t max_cpn = 1;
-  for (const auto& [abbrev, pool] : pools_) {
+  for (const Pool& pool : pools_) {
     max_cpn = std::max(max_cpn, pool.profile->cores_per_node);
   }
   w.calibration = core::calibrate_workload(*w.sim, cal_counts, max_cpn);
@@ -67,12 +73,12 @@ void CampaignScheduler::register_workload(const std::string& name,
 
   // Prebuild every candidate plan now, single-threaded, so the concurrent
   // executor only reads (Simulation's plan cache is not thread-safe).
-  for (const auto& [abbrev, pool] : pools_) {
+  for (const Pool& pool : pools_) {
     for (index_t cores : config_.core_counts) {
       const index_t cpn = std::min(cores, pool.profile->cores_per_node);
       const index_t nodes = (cores + cpn - 1) / cpn;
       if (nodes > pool.total_nodes) continue;  // never placeable here
-      w.plans[{abbrev, cores}] = &w.sim->plan(cores, cpn);
+      w.plans[{pool.profile->abbrev, cores}] = &w.sim->plan(cores, cpn);
     }
   }
 
@@ -122,38 +128,56 @@ const CampaignScheduler::Workload& CampaignScheduler::workload_for(
   return it->second;
 }
 
+const CampaignScheduler::Resolution& CampaignScheduler::resolution_for(
+    const Workload& workload, const CampaignJobSpec& spec) const {
+  Resolutions& cache = *workload.resolutions;
+  const MutexLock lock(cache.mutex);
+  std::unique_ptr<const Resolution>& entry =
+      cache.by_factor[spec.resolution_factor];
+  if (entry == nullptr) {
+    std::optional<core::WorkloadCalibration> scaled;
+    if (spec.resolution_factor != 1.0) {
+      scaled = core::scale_resolution(workload.calibration,
+                                      spec.resolution_factor);
+    }
+    auto r = std::make_unique<Resolution>();
+    r->key = workload_key(spec);
+    r->candidates = dashboard_.predict(scaled ? *scaled : workload.calibration,
+                                       config_.core_counts);
+    for (const core::OptionPrediction& c : r->candidates) {
+      r->pool_of.push_back(pool_index(c.profile->abbrev));
+    }
+    entry = std::move(r);
+  }
+  return *entry;
+}
+
 PlacementDecision CampaignScheduler::place(
     const PlacementRequest& request) const {
   HEMO_REQUIRE(request.spec != nullptr, "placement request without a spec");
   HEMO_REQUIRE(request.remaining_steps >= 1,
                "placement request with no remaining work");
   const CampaignJobSpec& spec = *request.spec;
-  const Workload& workload = workload_for(spec.geometry);
-
-  std::optional<core::WorkloadCalibration> scaled;
-  if (spec.resolution_factor != 1.0) {
-    scaled = core::scale_resolution(workload.calibration,
-                                    spec.resolution_factor);
-  }
-  const core::WorkloadCalibration& cal =
-      scaled ? *scaled : workload.calibration;
+  const Resolution& resolution =
+      resolution_for(workload_for(spec.geometry), spec);
   // Phase-2 refinement, keyed per (geometry, resolution): the model's error
   // mix shifts with the memory/halo balance, so a resolution-scaled job is
   // corrected from observations at its own key once any exist. Before the
   // first measurement at a key the campaign-wide pool is the best guess —
   // an overrun requeue then self-heals, because the killed attempt records
   // the keyed observation the retry is placed with.
-  const std::string key = workload_key(spec);
-  const real_t correction = tracker_.correction_factor_for(key);
+  const real_t correction = tracker_.correction_factor_for(resolution.key);
   // Telemetry labels are heap strings: build them only for a live registry.
   obs::MetricsRegistry& metrics = obs::MetricsRegistry::global();
   const bool telemetry = metrics.enabled();
   if (telemetry) {
-    metrics.set("sched_correction_factor", correction, {{"workload", key}});
+    metrics.set("sched_correction_factor", correction,
+                {{"workload", resolution.key}});
   }
   const auto rows =
-      dashboard_.evaluate(cal, core::JobSpec{request.remaining_steps},
-                          config_.core_counts, correction);
+      core::Dashboard::price(resolution.candidates,
+                             core::JobSpec{request.remaining_steps},
+                             correction);
 
   const auto reject = [&metrics, telemetry](const char* reason) {
     if (!telemetry) return;
@@ -164,14 +188,16 @@ PlacementDecision CampaignScheduler::place(
     if (!telemetry) return;
     metrics.add("sched_place_total", 1.0, {{"outcome", outcome}});
   };
+  PlacementDecision d;
+  d.workload_key = &resolution.key;
+  d.correction = correction;
+  d.wait_thresholds.assign(pools_.size(),
+                           std::numeric_limits<index_t>::max());
   std::vector<Candidate> feasible;
-  for (const core::DashboardRow& raw : rows) {
-    const auto pit = pools_.find(raw.instance);
-    if (pit == pools_.end()) {
-      reject("no_pool");
-      continue;
-    }
-    const Pool& pool = pit->second;
+  for (std::size_t i = 0; i < rows.size(); ++i) {
+    const core::DashboardRow& raw = rows[i];
+    const std::size_t pool_index = resolution.pool_of[i];
+    const Pool& pool = pools_[pool_index];
     if (raw.n_nodes > pool.total_nodes) {  // allocation too large
       reject("too_large");
       continue;
@@ -196,12 +222,13 @@ PlacementDecision CampaignScheduler::place(
       }
     }
     c.fits_now = raw.n_nodes <= pool.total_nodes - pool.in_use;
+    index_t& threshold = d.wait_thresholds[pool_index];
+    threshold = std::min(threshold, raw.n_nodes);
     feasible.push_back(std::move(c));
   }
 
   if (feasible.empty()) {
     count_outcome("infeasible");
-    PlacementDecision d;
     d.kind = PlacementDecision::Kind::kInfeasible;
     d.reason = "no (instance, core count) option satisfies the job's "
                "deadline/budget constraints";
@@ -214,7 +241,6 @@ PlacementDecision CampaignScheduler::place(
   }
   if (open.empty()) {
     count_outcome("wait");
-    PlacementDecision d;
     d.kind = PlacementDecision::Kind::kWait;
     return d;
   }
@@ -269,7 +295,6 @@ PlacementDecision CampaignScheduler::place(
                 {{"instance", chosen->row.instance},
                  {"spot", chosen->spot ? "true" : "false"}});
   }
-  PlacementDecision d;
   d.kind = PlacementDecision::Kind::kPlaced;
   d.placement.instance = chosen->row.instance;
   d.placement.n_tasks = chosen->row.n_tasks;
@@ -283,26 +308,52 @@ PlacementDecision CampaignScheduler::place(
   return d;
 }
 
+bool CampaignScheduler::still_holds(const PlacementDecision& decision) const {
+  HEMO_REQUIRE(decision.kind != PlacementDecision::Kind::kPlaced &&
+                   decision.workload_key != nullptr &&
+                   decision.wait_thresholds.size() == pools_.size(),
+               "still_holds needs a kWait or kInfeasible decision");
+  // A failed deadline/budget filter depends on the request and the
+  // correction alone; a feasible candidate that does not fit starts to fit
+  // only once its pool frees at least its nodes.
+  if (tracker_.correction_factor_for(*decision.workload_key) !=
+      decision.correction) {
+    return false;
+  }
+  for (std::size_t i = 0; i < pools_.size(); ++i) {
+    if (pools_[i].total_nodes - pools_[i].in_use >=
+        decision.wait_thresholds[i]) {
+      return false;
+    }
+  }
+  return true;
+}
+
+std::size_t CampaignScheduler::pool_index(const std::string& instance) const {
+  const auto it = std::find_if(
+      pools_.begin(), pools_.end(),
+      [&](const Pool& pool) { return pool.profile->abbrev == instance; });
+  HEMO_REQUIRE(it != pools_.end(), "unknown instance: " + instance);
+  return static_cast<std::size_t>(it - pools_.begin());
+}
+
 void CampaignScheduler::reserve(const Placement& placement) {
-  const auto it = pools_.find(placement.instance);
-  HEMO_REQUIRE(it != pools_.end(), "unknown instance: " + placement.instance);
-  HEMO_REQUIRE(it->second.in_use + placement.n_nodes <= it->second.total_nodes,
+  Pool& pool = pools_[pool_index(placement.instance)];
+  HEMO_REQUIRE(pool.in_use + placement.n_nodes <= pool.total_nodes,
                "reservation exceeds pool capacity");
-  it->second.in_use += placement.n_nodes;
+  pool.in_use += placement.n_nodes;
 }
 
 void CampaignScheduler::release(const Placement& placement) {
-  const auto it = pools_.find(placement.instance);
-  HEMO_REQUIRE(it != pools_.end(), "unknown instance: " + placement.instance);
-  HEMO_REQUIRE(it->second.in_use >= placement.n_nodes,
+  Pool& pool = pools_[pool_index(placement.instance)];
+  HEMO_REQUIRE(pool.in_use >= placement.n_nodes,
                "releasing more nodes than reserved");
-  it->second.in_use -= placement.n_nodes;
+  pool.in_use -= placement.n_nodes;
 }
 
 index_t CampaignScheduler::free_nodes(const std::string& instance) const {
-  const auto it = pools_.find(instance);
-  HEMO_REQUIRE(it != pools_.end(), "unknown instance: " + instance);
-  return it->second.total_nodes - it->second.in_use;
+  const Pool& pool = pools_[pool_index(instance)];
+  return pool.total_nodes - pool.in_use;
 }
 
 const cluster::WorkloadPlan& CampaignScheduler::plan_for(
@@ -317,9 +368,7 @@ const cluster::WorkloadPlan& CampaignScheduler::plan_for(
 
 const cluster::InstanceProfile& CampaignScheduler::profile_for(
     const std::string& instance) const {
-  const auto it = pools_.find(instance);
-  HEMO_REQUIRE(it != pools_.end(), "unknown instance: " + instance);
-  return *it->second.profile;
+  return *pools_[pool_index(instance)].profile;
 }
 
 index_t CampaignScheduler::points_of(const std::string& geometry) const {

@@ -28,6 +28,7 @@
 #include "harvey/simulation.hpp"
 #include "sched/job.hpp"
 #include "util/common.hpp"
+#include "util/sync.hpp"
 
 namespace hemo::sched {
 
@@ -66,6 +67,16 @@ struct PlacementDecision {
   Kind kind = Kind::kInfeasible;
   Placement placement;  ///< valid when kind == kPlaced
   std::string reason;   ///< set when kind == kInfeasible
+
+  // What the decision was made under (CampaignScheduler::still_holds):
+  /// Scheduler-owned refinement key of the request (workload_key).
+  const std::string* workload_key = nullptr;
+  /// The key's tracker correction factor the options were priced with.
+  real_t correction = 0.0;
+  /// Per pool, in the scheduler's pool order: the fewest nodes among the
+  /// pool's feasible candidates; index_t max when it has none (always so
+  /// for kInfeasible).
+  std::vector<index_t> wait_thresholds;
 };
 
 /// Remaining work/constraints of the job being placed (differs from the
@@ -97,14 +108,23 @@ class CampaignScheduler {
   /// Purity contract: apart from telemetry, the decision is a function of
   ///   * the request fields spec->geometry, spec->resolution_factor,
   ///     spec->allow_spot, remaining_steps, remaining_deadline_s and
-  ///     remaining_budget,
-  ///   * the pools' in_use counts (changed only by reserve()/release()),
-  ///   * the tracker contents (changed only by tracker().record()),
-  /// and of nothing else. CampaignEngine::run caches kWait/kInfeasible
-  /// decisions within a placement pass keyed on exactly those request
-  /// fields, so a change that makes place() read anything more must extend
-  /// that cache key (executor.cpp, DecisionKey).
+  ///     remaining_budget (CampaignEngine::run keys its decision memo on
+  ///     exactly these, executor.cpp DecisionKey),
+  ///   * tracker().correction_factor_for(workload key of the request),
+  ///   * the pools' free nodes (changed only by reserve()/release()),
+  /// and of nothing else. Because the last two are recorded in a kWait or
+  /// kInfeasible decision, still_holds() can tell without re-evaluating
+  /// whether place() would answer the same for the same request now. A
+  /// change that makes place() read anything more must extend the memo key
+  /// or the recorded inputs and still_holds().
   [[nodiscard]] PlacementDecision place(const PlacementRequest& request) const;
+
+  /// True exactly when place() would return `decision` (a kWait or
+  /// kInfeasible answer, same reason and thresholds) for the request it
+  /// answered: the key's correction factor equals the recorded one and
+  /// every pool has fewer free nodes than its recorded threshold, so no
+  /// feasible candidate fits yet.
+  [[nodiscard]] bool still_holds(const PlacementDecision& decision) const;
 
   /// Capacity accounting (the engine calls these around each attempt).
   void reserve(const Placement& placement);
@@ -142,6 +162,23 @@ class CampaignScheduler {
     index_t in_use = 0;
   };
 
+  /// A workload's model predictions at one resolution factor: evaluated
+  /// once, priced by every place() call at that factor.
+  struct Resolution {
+    std::string key;  ///< workload_key of the jobs at this factor
+    std::vector<core::OptionPrediction> candidates;
+    std::vector<std::size_t> pool_of;  ///< pools_ index per candidate
+  };
+
+  /// Resolution entries, built lazily by place() (which is const and may
+  /// be called from several threads) and never erased, so an entry's
+  /// address is stable.
+  struct Resolutions {
+    Mutex mutex;
+    std::map<real_t, std::unique_ptr<const Resolution>> by_factor
+        HEMO_GUARDED_BY(mutex);
+  };
+
   struct Workload {
     std::unique_ptr<harvey::Simulation> sim;
     core::WorkloadCalibration calibration;
@@ -149,14 +186,21 @@ class CampaignScheduler {
     /// tasks-per-node.
     std::map<std::pair<std::string, index_t>, const cluster::WorkloadPlan*>
         plans;
+    std::unique_ptr<Resolutions> resolutions =
+        std::make_unique<Resolutions>();
   };
 
   [[nodiscard]] const Workload& workload_for(const std::string& name) const;
+  [[nodiscard]] const Resolution& resolution_for(
+      const Workload& workload, const CampaignJobSpec& spec) const;
+  /// Index into pools_ of the pool for `instance` (throws if unknown).
+  [[nodiscard]] std::size_t pool_index(const std::string& instance) const;
   void run_pilots(const std::string& name, const Workload& workload);
 
   SchedulerConfig config_;
   core::Dashboard dashboard_;
-  std::map<std::string, Pool> pools_;
+  /// One pool per distinct instance, in dashboard option order.
+  std::vector<Pool> pools_;
   std::map<std::string, Workload> workloads_;
   core::CampaignTracker tracker_;
 };

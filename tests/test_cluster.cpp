@@ -4,6 +4,7 @@
 
 #include <bit>
 #include <cstdint>
+#include <iterator>
 #include <string>
 
 #include "cluster/hardware.hpp"
@@ -136,6 +137,44 @@ TEST(NoiseModel, DeterministicAndCentered) {
     }
   }
   EXPECT_NEAR(sum / static_cast<real_t>(n), 1.0, 0.02);
+}
+
+// NoiseModel hashes the instance once, at construction; every draw must
+// keep the bits it had when factor() hashed the instance per call.
+TEST(NoiseModel, FactorBitsPinned) {
+  struct Pinned {
+    const char* abbrev;
+    std::uint64_t bits[4];
+  };
+  constexpr index_t kWhen[4][3] = {
+      {0, 0, 0}, {1, 6, 42}, {3, 13, 777}, {6, 23, 1048575}};
+  constexpr Pinned kPinned[] = {
+      {"TRC", {0x3ff04290b7772c91ULL, 0x3feff8daed140631ULL,
+               0x3ff00974b2d7d656ULL, 0x3fefa66fb9bf3e11ULL}},
+      {"CSP-1", {0x3ff002f8a8229b62ULL, 0x3feff71d37daf8b9ULL,
+                 0x3feff0f36390f1c8ULL, 0x3fef3620d387b9fbULL}},
+      {"CSP-2 Small", {0x3ff02437af715766ULL, 0x3ff00427a42195e7ULL,
+                       0x3ff03ee1e62f70f5ULL, 0x3fefa1e2ffbc3693ULL}},
+      {"CSP-2", {0x3ff04992599d50eaULL, 0x3ff031482965bf73ULL,
+                 0x3fefb46aa9a61657ULL, 0x3ff00299542d2e8cULL}},
+      {"CSP-2 EC", {0x3ff0148fac41aa46ULL, 0x3ff028caeb22c518ULL,
+                    0x3feff2c25543f20aULL, 0x3fefe87ff79596daULL}},
+      {"CSP-2 GPU", {0x3ff0538d4efe85bcULL, 0x3ff037b53fe125f8ULL,
+                     0x3fefed8d2282714bULL, 0x3fefdcfdb9c37472ULL}},
+      {"CSP-2 Hyp.", {0x3feee4168a9cbac3ULL, 0x3ff0151c48c067a2ULL,
+                      0x3fefed0bfe41c14fULL, 0x3fefe90202f69544ULL}},
+  };
+  ASSERT_EQ(default_catalog().size(), std::size(kPinned));
+  for (const Pinned& pinned : kPinned) {
+    const NoiseModel noise(instance_by_abbrev(pinned.abbrev));
+    for (std::size_t i = 0; i < 4; ++i) {
+      const auto& [day, hour, slot] = kWhen[i];
+      EXPECT_EQ(std::bit_cast<std::uint64_t>(noise.factor(day, hour, slot)),
+                pinned.bits[i])
+          << pinned.abbrev << " at (" << day << ", " << hour << ", " << slot
+          << ")";
+    }
+  }
 }
 
 class WorkloadFixture : public ::testing::Test {

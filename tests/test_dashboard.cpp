@@ -2,7 +2,11 @@
 // recommendations under each objective, and guard construction.
 #include <gtest/gtest.h>
 
+#include <bit>
+#include <cstdint>
+
 #include "core/dashboard.hpp"
+#include "geometry/generators.hpp"
 #include "harvey/simulation.hpp"
 
 namespace hemo::core {
@@ -160,6 +164,83 @@ TEST_F(DashboardTest, GuardDerivesFromRow) {
   EXPECT_GT(guard.max_dollars().value(), 0.0);
   EXPECT_NEAR(guard.max_seconds().value(),
               rows.front().time_to_solution_s.value() * 1.1, 1e-9);
+}
+
+/// FNV-1a over the bits of every field of `rows`, in order.
+std::uint64_t rows_digest(const std::vector<DashboardRow>& rows) {
+  std::uint64_t h = 0xcbf29ce484222325ULL;
+  const auto byte = [&h](unsigned char c) {
+    h ^= c;
+    h *= 0x100000001b3ULL;
+  };
+  const auto word = [&byte](std::uint64_t w) {
+    for (int i = 0; i < 8; ++i) byte(static_cast<unsigned char>(w >> (8 * i)));
+  };
+  const auto real = [&word](real_t v) {
+    word(std::bit_cast<std::uint64_t>(v));
+  };
+  for (const DashboardRow& r : rows) {
+    for (const char c : r.instance) byte(static_cast<unsigned char>(c));
+    word(r.instance.size());
+    word(static_cast<std::uint64_t>(r.n_tasks));
+    word(static_cast<std::uint64_t>(r.n_nodes));
+    const ModelPrediction& p = r.prediction;
+    for (const units::Seconds s : {p.t_mem, p.t_comm, p.t_intra, p.t_inter,
+                                   p.t_comm_bw, p.t_comm_lat, p.t_xfer,
+                                   p.step_seconds}) {
+      real(s.value());
+    }
+    real(p.mflups.value());
+    real(r.time_to_solution_s.value());
+    real(r.cost_rate_per_hour.value());
+    real(r.total_dollars.value());
+    real(r.mflups_per_dollar_hour.value());
+  }
+  return h;
+}
+
+// evaluate() is price(predict()): every row field keeps the bits the
+// single-pass evaluation produced (digests pinned from it) at base and
+// refined resolution, raw and corrected.
+TEST(Dashboard, EvaluateIsPriceOfPredict) {
+  std::vector<const cluster::InstanceProfile*> profiles;
+  for (const auto& p : cluster::default_catalog()) {
+    if (!p.gpu && p.abbrev != "CSP-2 Hyp.") profiles.push_back(&p);
+  }
+  const Dashboard dashboard(std::move(profiles));
+  harvey::SimulationOptions opts;
+  opts.solver.tau = 0.8;
+  harvey::Simulation sim(geometry::make_cylinder({.radius = 10, .length = 80}),
+                         opts);
+  const std::vector<index_t> counts = {2, 4, 8, 16, 32};
+  const WorkloadCalibration base = calibrate_workload(sim, counts, 40);
+  const std::vector<index_t> cores = {16, 36, 72, 144};
+  const JobSpec job{20000};
+
+  struct Pinned {
+    real_t resolution;
+    real_t correction;
+    std::uint64_t digest;
+  };
+  constexpr Pinned kPinned[] = {
+      {1.0, 1.0, 0x63695bca64c79157ULL},
+      {1.0, 0.73, 0xbde657d3394cab82ULL},
+      {8.0, 1.0, 0x4dce7071fd09e3bcULL},
+      {8.0, 0.73, 0x4f5c03c891b24b4fULL},
+  };
+  for (const Pinned& pinned : kPinned) {
+    const WorkloadCalibration cal =
+        pinned.resolution == 1.0 ? base
+                                 : scale_resolution(base, pinned.resolution);
+    const auto rows = dashboard.evaluate(cal, job, cores, pinned.correction);
+    ASSERT_EQ(rows.size(), 20u);
+    EXPECT_EQ(rows_digest(rows), pinned.digest)
+        << "resolution " << pinned.resolution << ", correction "
+        << pinned.correction;
+    const auto priced =
+        Dashboard::price(dashboard.predict(cal, cores), job, pinned.correction);
+    EXPECT_EQ(rows_digest(priced), pinned.digest);
+  }
 }
 
 }  // namespace

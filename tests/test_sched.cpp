@@ -6,10 +6,16 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <cmath>
 #include <cstdint>
+#include <map>
 #include <memory>
+#include <optional>
 #include <string>
+#include <vector>
 
+#include "check/generators.hpp"
+#include "check/property.hpp"
 #include "obs/metrics.hpp"
 #include "sched/executor.hpp"
 #include "sched/guard.hpp"
@@ -200,11 +206,11 @@ TEST(SchedGuard, ResolutionScalingPreservesNoiseAndBaseCase) {
   const auto& plan = scheduler->plan_for("cylinder", "CSP-1", 16);
   const cluster::VirtualCluster vc(scheduler->profile_for("CSP-1"));
   const auto result = vc.execute(plan, 100, {1, 12, 3});
-  EXPECT_DOUBLE_EQ(scaled_step_seconds(result, 1.0).value(),
+  EXPECT_DOUBLE_EQ(ResolutionScale(1.0).step_seconds(result).value(),
                    result.step_seconds.value());
   // 8x the points: memory term x8, halo surface x4 — the scaled step lies
   // strictly between those bounds.
-  const units::Seconds scaled = scaled_step_seconds(result, 8.0);
+  const units::Seconds scaled = ResolutionScale(8.0).step_seconds(result);
   EXPECT_GT(scaled.value(), 4.0 * result.step_seconds.value());
   EXPECT_LT(scaled.value(), 8.0 * result.step_seconds.value() + 1e-12);
 }
@@ -243,7 +249,8 @@ TEST(SchedGuard, AttemptMatchesPerChunkPlanExecution) {
         const index_t steps = std::min(chunk_steps, ctx.steps - done);
         const cluster::MeasurementContext when{rng.below(7), rng.below(24),
                                                rng.below(1 << 20)};
-        compute += scaled_step_seconds(vc.execute(plan, steps, when), factor) *
+        compute += ResolutionScale(factor).step_seconds(
+                       vc.execute(plan, steps, when)) *
                    static_cast<real_t>(steps);
         done += steps;
       }
@@ -358,6 +365,270 @@ TEST(SchedEngine, PlacementPassStaysLinearInQueuedJobs) {
   EXPECT_EQ(report.n_jobs, kJobs);
   EXPECT_EQ(placed, static_cast<real_t>(attempts));
   EXPECT_LE(evaluations, 4.0 * kJobs);
+}
+
+/// sched_place_total over all outcomes and for "placed" alone.
+struct PlaceTotals {
+  real_t evaluations = 0.0;
+  real_t placed = 0.0;
+};
+
+PlaceTotals place_totals(const obs::MetricsRegistry& metrics) {
+  PlaceTotals totals;
+  for (const obs::MetricSnapshot& snap : metrics.snapshot()) {
+    if (snap.name != "sched_place_total") continue;
+    totals.evaluations += snap.value;
+    for (const auto& [key, value] : snap.labels) {
+      if (key == "outcome" && value == "placed") totals.placed += snap.value;
+    }
+  }
+  return totals;
+}
+
+// A waiting job's kWait answer is kept across placement passes until the
+// key's correction moves or a pool frees enough nodes, so a pass only
+// re-evaluates the request classes whose inputs changed. The job shape is
+// the 120-job mixed-fault golden's (three geometries, 8x resolutions,
+// deadlines, budgets, spot, faults, three workers). Evaluating every
+// request class anew each pass costs 14.58 place() evaluations per job
+// here; the cross-pass memo needs 7.57.
+TEST(SchedEngine, MixedPlacementReusesDecisionsAcrossPasses) {
+  std::vector<const cluster::InstanceProfile*> profiles;
+  for (const auto& p : cluster::default_catalog()) {
+    if (!p.gpu && p.abbrev != "CSP-2 Hyp.") profiles.push_back(&p);
+  }
+  SchedulerConfig config;
+  config.objective = core::Objective::kMinCost;
+  config.core_counts = {16, 36, 72, 144};
+  CampaignScheduler scheduler(std::move(profiles), config);
+  const std::vector<index_t> cal_counts = {2, 4, 8, 16, 32};
+  scheduler.register_workload(
+      "cylinder", geometry::make_cylinder({.radius = 10, .length = 80}),
+      cal_counts);
+  scheduler.register_workload("aorta", geometry::make_aorta({}), cal_counts);
+  scheduler.register_workload(
+      "cerebral", geometry::make_cerebral({.depth = 5}), cal_counts);
+  const std::vector<std::string> geometries = {"cylinder", "aorta",
+                                               "cerebral"};
+  constexpr index_t kJobs = 120;
+  std::vector<CampaignJobSpec> jobs;
+  for (index_t i = 0; i < kJobs; ++i) {
+    CampaignJobSpec spec;
+    spec.id = i + 1;
+    spec.geometry = geometries[static_cast<std::size_t>(i % 3)];
+    spec.resolution_factor = i % 4 == 3 ? 8.0 : 1.0;
+    spec.timesteps = 20000 + 5000 * (i % 5);
+    spec.allow_spot = i % 2 == 1;
+    if (i % 5 == 0) spec.deadline_s = units::Seconds{600.0};
+    if (i % 7 == 0) spec.budget_dollars = units::Dollars{0.01};
+    jobs.push_back(spec);
+  }
+  EngineConfig engine_config;
+  engine_config.n_workers = 3;
+  engine_config.seed = 4;
+  engine_config.chunks_per_attempt = 2000;
+  engine_config.max_preemptions = 0;
+  engine_config.faults.extra_preemption_probability = 1e-4;
+  engine_config.faults.checkpoint_corruption_rate = 0.2;
+  engine_config.faults.worker_crash_probability = 5e-5;
+
+  obs::MetricsRegistry& metrics = obs::MetricsRegistry::global();
+  metrics.reset();
+  metrics.enable(true);
+  CampaignEngine engine(scheduler, engine_config);
+  const CampaignReport report = engine.run(jobs);
+  const PlaceTotals totals = place_totals(metrics);
+  metrics.enable(false);
+  metrics.reset();
+
+  index_t attempts = 0;
+  for (const JobReportRow& row : report.jobs) attempts += row.attempts;
+  EXPECT_EQ(totals.placed, static_cast<real_t>(attempts));
+  // At most 0.6x the 14.58 evaluations per job of per-pass evaluation.
+  EXPECT_LE(totals.evaluations / static_cast<real_t>(kJobs), 8.75);
+}
+
+// ---- The placement memo's check (CampaignScheduler::still_holds) ----
+
+/// One placement request of a memo case: a job shape plus what remains.
+struct MemoRequest {
+  CampaignJobSpec spec;
+  index_t remaining_steps = 0;
+  real_t deadline_s = 0.0;  ///< 0 = none
+  real_t budget = 0.0;      ///< 0 = none
+};
+
+/// One step of a memo case.
+struct MemoOp {
+  enum class Kind { kAsk, kReserve, kRelease, kRecord };
+  Kind kind = Kind::kAsk;
+  std::size_t request = 0;  ///< kAsk, kRecord: which request (its key)
+  std::size_t pool = 0;     ///< kReserve, kRecord: which instance
+  index_t amount = 0;       ///< kReserve: nodes; kRelease: which hold
+  real_t ratio = 1.0;       ///< kRecord: measured / predicted
+};
+
+struct MemoCase {
+  std::vector<MemoRequest> requests;
+  std::vector<MemoOp> ops;
+};
+
+/// The contended CPU pools (3, 16, 4 and 4 nodes): every CPU instance of
+/// the check catalog but TRC, whose 50 nodes rarely fill.
+std::vector<const cluster::InstanceProfile*> memo_profiles() {
+  std::vector<const cluster::InstanceProfile*> profiles;
+  for (const cluster::InstanceProfile* p : check::cpu_catalog()) {
+    if (p->abbrev != "TRC") profiles.push_back(p);
+  }
+  return profiles;
+}
+
+MemoCase gen_memo_case(Xoshiro256& rng) {
+  const std::vector<std::string> geometries = {"cylinder", "aorta",
+                                               "cerebral"};
+  MemoCase c;
+  const index_t n_requests = 3 + rng.below(4);
+  for (index_t i = 0; i < n_requests; ++i) {
+    MemoRequest r;
+    r.spec.id = i + 1;
+    r.spec.geometry = check::pick(rng, geometries);
+    r.spec.resolution_factor = rng.below(2) == 0 ? 1.0 : 8.0;
+    r.spec.allow_spot = rng.below(2) == 0;
+    r.remaining_steps = 2000 + rng.below(38000);
+    // Log-uniform deadlines and budgets across the spread of the options'
+    // predictions, so a request keeps all, some or none of them.
+    if (rng.below(2) == 0) {
+      r.deadline_s = std::pow(10.0, rng.uniform(-0.5, 2.0));
+    }
+    if (rng.below(3) == 0) r.budget = std::pow(10.0, rng.uniform(-3.7, -1.3));
+    c.requests.push_back(r);
+  }
+  const index_t n_pools = static_cast<index_t>(memo_profiles().size());
+  const index_t n_ops = 30 + rng.below(40);
+  for (index_t i = 0; i < n_ops; ++i) {
+    MemoOp op;
+    // Asks and reserves 3/10 each, releases and records 2/10 each.
+    const index_t kind = rng.below(10);
+    op.kind = kind < 3   ? MemoOp::Kind::kAsk
+              : kind < 6 ? MemoOp::Kind::kReserve
+              : kind < 8 ? MemoOp::Kind::kRelease
+                         : MemoOp::Kind::kRecord;
+    op.request = static_cast<std::size_t>(rng.below(n_requests));
+    op.pool = static_cast<std::size_t>(rng.below(n_pools));
+    op.amount = 1 + rng.below(6);
+    op.ratio = rng.uniform(0.3, 1.5);
+    c.ops.push_back(op);
+  }
+  return c;
+}
+
+PlacementRequest to_request(const MemoRequest& r) {
+  PlacementRequest request;
+  request.spec = &r.spec;
+  request.remaining_steps = r.remaining_steps;
+  request.remaining_deadline_s = units::Seconds{r.deadline_s};
+  request.remaining_budget = units::Dollars{r.budget};
+  return request;
+}
+
+/// Applies the case's ask/reserve/release/record steps to a fresh scheduler
+/// and, after each, compares every stored kWait/kInfeasible answer with a
+/// fresh place(): still_holds() must accept it exactly when place() gives
+/// the same answer (kind, reason, correction and wait thresholds).
+std::optional<std::string> memo_mismatch(const MemoCase& c) {
+  SchedulerConfig config;
+  config.core_counts = {16, 36, 72, 144};
+  config.pilot_steps = 0;
+  CampaignScheduler scheduler(memo_profiles(), config);
+  const std::vector<index_t> cal_counts = {2, 4, 8};
+  scheduler.register_workload(
+      "cylinder", geometry::make_cylinder({.radius = 10, .length = 80}),
+      cal_counts);
+  scheduler.register_workload("aorta", geometry::make_aorta({}), cal_counts);
+  scheduler.register_workload(
+      "cerebral", geometry::make_cerebral({.depth = 4}), cal_counts);
+  const auto profiles = memo_profiles();
+
+  // The latest kWait/kInfeasible answer per request.
+  std::map<std::size_t, PlacementDecision> stored;
+  std::vector<Placement> held;
+  for (std::size_t step = 0; step < c.ops.size(); ++step) {
+    const MemoOp& op = c.ops[step];
+    const std::string& instance = profiles[op.pool]->abbrev;
+    switch (op.kind) {
+      case MemoOp::Kind::kAsk: {
+        PlacementDecision d =
+            scheduler.place(to_request(c.requests[op.request]));
+        if (d.kind == PlacementDecision::Kind::kPlaced) {
+          scheduler.reserve(d.placement);
+          held.push_back(d.placement);
+        } else {
+          stored.insert_or_assign(op.request, std::move(d));
+        }
+        break;
+      }
+      case MemoOp::Kind::kReserve: {
+        const index_t free = scheduler.free_nodes(instance);
+        if (free == 0) break;
+        Placement p;
+        p.instance = instance;
+        p.n_nodes = std::min(op.amount, free);
+        scheduler.reserve(p);
+        held.push_back(p);
+        break;
+      }
+      case MemoOp::Kind::kRelease: {
+        if (held.empty()) break;
+        const auto it =
+            held.begin() + op.amount % static_cast<index_t>(held.size());
+        scheduler.release(*it);
+        held.erase(it);
+        break;
+      }
+      case MemoOp::Kind::kRecord:
+        scheduler.tracker().record(core::Observation{
+            workload_key(c.requests[op.request].spec), instance, 16,
+            units::Mflups(100.0), units::Mflups(100.0 * op.ratio)});
+        break;
+    }
+
+    const bool idle = held.empty();
+    for (const auto& [index, d] : stored) {
+      const bool holds = scheduler.still_holds(d);
+      const PlacementDecision fresh =
+          scheduler.place(to_request(c.requests[index]));
+      const bool same = fresh.kind == d.kind && fresh.reason == d.reason &&
+                        fresh.correction == d.correction &&
+                        fresh.wait_thresholds == d.wait_thresholds;
+      const std::string where = "after step " + std::to_string(step) +
+                                ", request " + std::to_string(index) + ": ";
+      if (holds && !same) {
+        return where + "still_holds accepted an answer place() no longer gives";
+      }
+      if (!holds && same) {
+        return where + "still_holds rejected an answer place() still gives";
+      }
+      if (idle && holds && d.kind == PlacementDecision::Kind::kWait) {
+        return where + "a kWait held with every pool idle";
+      }
+    }
+  }
+  return std::nullopt;
+}
+
+TEST(PlacementMemo, StoredAnswerHoldsExactlyWhilePlaceAgrees) {
+  check::Property<MemoCase> p;
+  p.name = "placement memo check";
+  p.generate = gen_memo_case;
+  p.check = memo_mismatch;
+  p.describe = [](const MemoCase& c) {
+    return std::to_string(c.requests.size()) + " requests, " +
+           std::to_string(c.ops.size()) + " steps";
+  };
+  check::PropertyConfig config;
+  config.cases = 20;
+  const check::PropertyResult r = check::run_property(p, config);
+  EXPECT_TRUE(r.passed) << r.summary();
 }
 
 }  // namespace
