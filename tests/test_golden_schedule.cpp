@@ -3,7 +3,8 @@
 // The 6-job test replicates `hemocloud_cli schedule cylinder 6 20000 42
 // --csv` natively and compares the report byte-for-byte against the
 // checked-in golden file. The two contended campaigns compare both the CSV
-// report and the canonical ProtocolHistory: a 300-job cylinder burst that
+// report and the canonical ProtocolHistory (the mixed one also its virtual
+// trace): a 300-job cylinder burst that
 // waits for pool capacity on nearly every placement pass, and a 120-job
 // three-geometry campaign with refined resolutions, deadlines, budgets,
 // spot tenancy and injected faults (infeasible jobs, requeues, spot ->
@@ -25,6 +26,7 @@
 #include <string>
 
 #include "geometry/generators.hpp"
+#include "obs/trace.hpp"
 #include "sched/executor.hpp"
 #include "sched/report.hpp"
 #include "sched/scheduler.hpp"
@@ -187,7 +189,13 @@ TEST(GoldenSchedule, MixedFaultCampaignMatchesGoldenFiles) {
   config.faults.extra_preemption_probability = 1e-4;
   config.faults.checkpoint_corruption_rate = 0.2;
   config.faults.worker_crash_probability = 5e-5;
+  obs::TraceRecorder& recorder = obs::TraceRecorder::global();
+  recorder.reset();
+  recorder.enable(true);
   const GoldenRun run = run_campaign(scheduler, std::move(jobs), config);
+  recorder.enable(false);
+  const std::string trace = recorder.to_chrome_json(/*include_wall=*/false);
+  recorder.reset();
 
   // The golden must cover the paths it exists to pin.
   const auto has = [&run](ProtocolEventKind kind, const std::string& detail) {
@@ -221,7 +229,8 @@ TEST(GoldenSchedule, MixedFaultCampaignMatchesGoldenFiles) {
   const bool csv = check_golden("mixed_faults_120_seed4.csv", run.csv);
   const bool history =
       check_golden("mixed_faults_120_seed4.history", run.history);
-  if (csv || history) GTEST_SKIP() << "golden files regenerated";
+  const bool traced = check_golden("mixed_faults_120_seed4.trace.json", trace);
+  if (csv || history || traced) GTEST_SKIP() << "golden files regenerated";
 }
 
 }  // namespace
