@@ -104,10 +104,7 @@ CheckResult check_history(const sched::ProtocolHistory& history,
 
     // T1: per-job times never run backwards; queue/settlement events
     // follow the coordinator clock, which is globally monotone.
-    const bool mid = e.kind == ProtocolEventKind::kPreemption ||
-                     e.kind == ProtocolEventKind::kCorruptRestore ||
-                     e.kind == ProtocolEventKind::kGuardStop ||
-                     e.kind == ProtocolEventKind::kWorkerCrash;
+    const bool mid = sched::is_mid_attempt(e.kind);
     if (track.submitted && t < track.last_t) {
       flag("T1", e.job, e.seq,
            "job time ran backwards: " + num(t) + " < " + num(track.last_t));

@@ -1,21 +1,15 @@
 #include "obs/export.hpp"
 
 #include <algorithm>
-#include <cstdio>
 #include <cstdlib>
 #include <map>
 #include <utility>
 
+#include "obs/format.hpp"
+
 namespace hemo::obs {
 
 namespace {
-
-/// Stable numeric rendering shared with the JSONL/canonical formats.
-std::string num(real_t value) {
-  char buffer[40];
-  std::snprintf(buffer, sizeof(buffer), "%.9g", value);
-  return buffer;
-}
 
 std::string num_u64(std::uint64_t value) { return std::to_string(value); }
 
@@ -38,22 +32,6 @@ void append_prom_help_escaped(std::string& out, std::string_view text) {
       case '\\': out += "\\\\"; break;
       case '\n': out += "\\n"; break;
       default: out += c;
-    }
-  }
-}
-
-void append_json_escaped(std::string& out, std::string_view text) {
-  for (const char c : text) {
-    if (c == '"' || c == '\\') {
-      out += '\\';
-      out += c;
-    } else if (static_cast<unsigned char>(c) < 0x20) {
-      char buffer[8];
-      std::snprintf(buffer, sizeof(buffer), "\\u%04x",
-                    static_cast<unsigned>(static_cast<unsigned char>(c)));
-      out += buffer;
-    } else {
-      out += c;
     }
   }
 }

@@ -1,18 +1,13 @@
 #include "obs/recorder.hpp"
 
 #include <chrono>
-#include <cstdio>
 #include <fstream>
+
+#include "obs/format.hpp"
 
 namespace hemo::obs {
 
 namespace {
-
-std::string num(real_t value) {
-  char buffer[40];
-  std::snprintf(buffer, sizeof(buffer), "%.9g", value);
-  return buffer;
-}
 
 /// One entry per line in the dump: fold embedded newlines.
 void append_line_escaped(std::string& out, std::string_view text) {

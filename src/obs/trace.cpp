@@ -3,25 +3,11 @@
 #include <cstdio>
 #include <fstream>
 
+#include "obs/format.hpp"
+
 namespace hemo::obs {
 
 namespace {
-
-void append_json_escaped(std::string& out, const std::string& text) {
-  for (const char c : text) {
-    if (c == '"' || c == '\\') {
-      out += '\\';
-      out += c;
-    } else if (static_cast<unsigned char>(c) < 0x20) {
-      char buffer[8];
-      std::snprintf(buffer, sizeof(buffer), "\\u%04x",
-                    static_cast<unsigned>(static_cast<unsigned char>(c)));
-      out += buffer;
-    } else {
-      out += c;
-    }
-  }
-}
 
 std::string format_us(real_t us) {
   char buffer[40];
@@ -30,12 +16,6 @@ std::string format_us(real_t us) {
 }
 
 }  // namespace
-
-std::string trace_num(real_t value) {
-  char buffer[40];
-  std::snprintf(buffer, sizeof(buffer), "%.9g", value);
-  return buffer;
-}
 
 TraceRecorder& TraceRecorder::global() {
   static TraceRecorder recorder;

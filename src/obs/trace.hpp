@@ -37,11 +37,9 @@
 namespace hemo::obs {
 
 /// Ordered key/value annotations of one event. Values are rendered as JSON
-/// strings; use trace_num() to format numbers deterministically.
+/// strings; use obs::num() (obs/format.hpp) to format numbers
+/// deterministically.
 using TraceArgs = std::vector<std::pair<std::string, std::string>>;
-
-/// Deterministic numeric formatting for TraceArgs values.
-[[nodiscard]] std::string trace_num(real_t value);
 
 class TraceRecorder {
  public:

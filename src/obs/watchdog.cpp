@@ -1,22 +1,16 @@
 #include "obs/watchdog.hpp"
 
 #include <algorithm>
-#include <cstdio>
 #include <cstdlib>
 #include <utility>
 
 #include "obs/export.hpp"
+#include "obs/format.hpp"
 #include "obs/log.hpp"
 
 namespace hemo::obs {
 
 namespace {
-
-std::string num(real_t value) {
-  char buffer[40];
-  std::snprintf(buffer, sizeof(buffer), "%.9g", value);
-  return buffer;
-}
 
 std::string_view trim(std::string_view text) {
   while (!text.empty() && (text.front() == ' ' || text.front() == '\t')) {

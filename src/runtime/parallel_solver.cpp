@@ -6,6 +6,7 @@
 #include <utility>
 
 #include "lbm/point_update.hpp"
+#include "obs/format.hpp"
 #include "obs/log.hpp"
 #include "obs/metrics.hpp"
 #include "obs/profile.hpp"
@@ -291,8 +292,8 @@ void ParallelSolver::run(index_t n) {
 
   const obs::Phase run_phase("parallel_run", "runtime", [&] {
     return obs::TraceArgs{
-        {"ranks", obs::trace_num(static_cast<real_t>(n_ranks))},
-        {"steps", obs::trace_num(static_cast<real_t>(n))}};
+        {"ranks", obs::num(static_cast<real_t>(n_ranks))},
+        {"steps", obs::num(static_cast<real_t>(n))}};
   });
 
   const index_t t0 = timestep_;

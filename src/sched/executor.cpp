@@ -8,6 +8,7 @@
 #include <tuple>
 
 #include "obs/drift.hpp"
+#include "obs/format.hpp"
 #include "obs/metrics.hpp"
 #include "obs/profile.hpp"
 #include "obs/recorder.hpp"
@@ -102,30 +103,6 @@ DecisionKey decision_key(const PlacementRequest& request) {
           request.remaining_budget.value()};
 }
 
-const char* attempt_event_name(AttemptEvent::Kind kind) {
-  switch (kind) {
-    case AttemptEvent::Kind::kPreemption: return "preemption";
-    case AttemptEvent::Kind::kCorruptRestore: return "corrupt_restore";
-    case AttemptEvent::Kind::kGuardStop: return "guard_stop";
-    case AttemptEvent::Kind::kWorkerCrash: return "worker_crash";
-  }
-  return "attempt_event";
-}
-
-ProtocolEventKind protocol_kind_of(AttemptEvent::Kind kind) {
-  switch (kind) {
-    case AttemptEvent::Kind::kPreemption:
-      return ProtocolEventKind::kPreemption;
-    case AttemptEvent::Kind::kCorruptRestore:
-      return ProtocolEventKind::kCorruptRestore;
-    case AttemptEvent::Kind::kGuardStop:
-      return ProtocolEventKind::kGuardStop;
-    case AttemptEvent::Kind::kWorkerCrash:
-      return ProtocolEventKind::kWorkerCrash;
-  }
-  return ProtocolEventKind::kPreemption;
-}
-
 }  // namespace
 
 CampaignReport CampaignEngine::run(std::vector<CampaignJobSpec> jobs) {
@@ -165,38 +142,101 @@ CampaignReport CampaignEngine::run(std::vector<CampaignJobSpec> jobs) {
   obs::set_thread_label("coordinator");
   std::vector<units::Seconds> queued_since(records.size());
 
-  // Protocol history tap (specs/executor_protocol.md): recorded only here,
-  // on the coordinator thread, at deterministic virtual-time points — the
-  // history is a pure function of the seeded inputs, like the report. The
-  // flight recorder mirrors the same canonical line into its ring (with
-  // the seq the history will assign), so a crash dump diffs against a
-  // recorded history one-to-one.
-  const auto tap = [&](ProtocolEventKind kind, const JobRecord& rec,
-                       units::Seconds at, std::string detail = {},
-                       index_t delta_steps = 0,
-                       units::Dollars delta_usd = units::Dollars{}) {
+  // Every protocol event (specs/executor_protocol.md) goes through emit,
+  // only here, on the coordinator thread, at deterministic virtual-time
+  // points: history, flight recorder, virtual trace and counters are all
+  // pure functions of the seeded inputs, like the report. One call numbers
+  // the event, appends it to the history, mirrors its canonical line into
+  // the recorder (so a crash dump diffs against a history one-to-one),
+  // records the virtual instant of the same name and bumps the matching
+  // counter; each sink's strings are built only while it is live.
+  // `attempt_steps`/`attempt_usd` are the attempt's own progress and spend:
+  // a mid-attempt event adds its steps to the job's settled ones (cost is
+  // charged at settlement, so the job's dollars move only on the closing
+  // event), a settlement event carries both as deltas. `placement` is the
+  // attempt's, for kPlaced and the mid-attempt kinds.
+  index_t next_seq = 0;
+  const auto emit = [&](ProtocolEventKind kind, const JobRecord& rec,
+                        units::Seconds at, const Placement* placement,
+                        std::string_view detail = {}, index_t attempt_steps = 0,
+                        units::Dollars attempt_usd = units::Dollars{}) {
+    const bool mid_attempt = is_mid_attempt(kind);
+    const index_t seq = next_seq++;
+    if (trace.enabled() && kind != ProtocolEventKind::kSubmitted) {
+      obs::TraceArgs args;
+      if (mid_attempt) {
+        args = {{"steps_done", std::to_string(attempt_steps)}};
+      } else if (kind == ProtocolEventKind::kPlaced) {
+        args = {{"instance", placement->instance},
+                {"tasks", std::to_string(placement->n_tasks)},
+                {"spot", placement->spot ? "1" : "0"}};
+      } else if (kind == ProtocolEventKind::kCompleted) {
+        args = {{"attempts", std::to_string(rec.attempts)}};
+      } else {
+        args = {{"reason", std::string(detail)}};
+      }
+      trace.virtual_instant(protocol_event_name(kind),
+                            mid_attempt ? "fault" : "sched", rec.spec.id, at,
+                            std::move(args));
+    }
+    if (metrics.enabled()) {
+      switch (kind) {
+        case ProtocolEventKind::kSubmitted: break;
+        case ProtocolEventKind::kPlaced:
+          metrics.add("campaign_attempts_total", 1.0,
+                      {{"instance", placement->instance},
+                       {"spot", placement->spot ? "true" : "false"}});
+          break;
+        case ProtocolEventKind::kPreemption:
+          metrics.add("campaign_preemptions_total", 1.0,
+                      {{"instance", placement->instance}});
+          break;
+        case ProtocolEventKind::kCorruptRestore:
+          metrics.add("campaign_corrupt_restores_total", 1.0,
+                      {{"instance", placement->instance}});
+          break;
+        case ProtocolEventKind::kGuardStop:
+          metrics.add("campaign_guard_stops_total", 1.0,
+                      {{"instance", placement->instance}});
+          break;
+        case ProtocolEventKind::kWorkerCrash:
+          metrics.add("campaign_worker_crashes_total", 1.0,
+                      {{"instance", placement->instance}});
+          break;
+        case ProtocolEventKind::kRequeued:
+          metrics.add("campaign_requeues_total", 1.0,
+                      {{"reason", std::string(detail)}});
+          break;
+        case ProtocolEventKind::kCompleted:
+          metrics.add("campaign_jobs_total", 1.0, {{"outcome", "completed"}});
+          break;
+        case ProtocolEventKind::kFailed:
+          metrics.add("campaign_jobs_total", 1.0, {{"outcome", "failed"}});
+          break;
+      }
+    }
     if (config_.history == nullptr && !recorder.enabled()) return;
     ProtocolEvent ev;
+    ev.seq = seq;
     ev.kind = kind;
     ev.job = rec.spec.id;
     ev.attempt = rec.attempts;
     ev.at_s = at;
-    ev.steps = rec.steps_done;
+    ev.steps = rec.steps_done + (mid_attempt ? attempt_steps : 0);
     ev.usd = rec.dollars;
-    ev.delta_steps = delta_steps;
-    ev.delta_usd = delta_usd;
-    ev.detail = std::move(detail);
-    if (config_.history != nullptr) {
-      ev.seq = static_cast<index_t>(config_.history->events.size());
+    if (!mid_attempt) {
+      ev.delta_steps = attempt_steps;
+      ev.delta_usd = attempt_usd;
     }
+    ev.detail = detail;
     if (recorder.enabled()) {
       recorder.note("protocol", protocol_event_line(ev));
     }
     if (config_.history != nullptr) config_.history->record(std::move(ev));
   };
   for (const JobRecord& rec : records) {
-    tap(ProtocolEventKind::kSubmitted, rec, units::Seconds{},
-        rec.spec.geometry);
+    emit(ProtocolEventKind::kSubmitted, rec, units::Seconds{}, nullptr,
+         rec.spec.geometry);
   }
 
   const auto fail = [&](JobRecord& rec, const std::string& why,
@@ -205,10 +245,8 @@ CampaignReport CampaignEngine::run(std::vector<CampaignJobSpec> jobs) {
     rec.state = JobState::kFailed;
     rec.failure = why;
     rec.finish_s = clock;
-    tap(ProtocolEventKind::kFailed, rec, clock, why, delta_steps, delta_usd);
-    trace.virtual_instant("failed", "sched", rec.spec.id, clock,
-                          {{"reason", why}});
-    metrics.add("campaign_jobs_total", 1.0, {{"outcome", "failed"}});
+    emit(ProtocolEventKind::kFailed, rec, clock, nullptr, why, delta_steps,
+         delta_usd);
   };
 
   // kWait/kInfeasible decisions by request class, kept across passes, each
@@ -295,19 +333,13 @@ CampaignReport CampaignEngine::run(std::vector<CampaignJobSpec> jobs) {
         rec.state = JobState::kRunning;
         if (rec.start_s.value() < 0.0) rec.start_s = clock;
 
-        tap(ProtocolEventKind::kPlaced, rec, clock,
-            decision.placement.instance);
-        trace.virtual_span("queued", "sched", spec.id, queued_since[idx],
-                           clock,
-                           {{"attempt", std::to_string(rec.attempts)}});
-        trace.virtual_instant(
-            "placed", "sched", spec.id, clock,
-            {{"instance", decision.placement.instance},
-             {"tasks", std::to_string(decision.placement.n_tasks)},
-             {"spot", decision.placement.spot ? "1" : "0"}});
-        metrics.add("campaign_attempts_total", 1.0,
-                    {{"instance", decision.placement.instance},
-                     {"spot", decision.placement.spot ? "true" : "false"}});
+        if (trace.enabled()) {
+          trace.virtual_span("queued", "sched", spec.id, queued_since[idx],
+                             clock,
+                             {{"attempt", std::to_string(rec.attempts)}});
+        }
+        emit(ProtocolEventKind::kPlaced, rec, clock, &decision.placement,
+             decision.placement.instance);
 
         AttemptContext ctx;
         ctx.plan = &scheduler_->plan_for(spec.geometry,
@@ -388,56 +420,17 @@ CampaignReport CampaignEngine::run(std::vector<CampaignJobSpec> jobs) {
     JobRecord& rec = records[event.job];
     const AttemptResult& res = event.result;
 
-    trace.virtual_span(
-        "attempt", "sched", rec.spec.id, event.start_s, clock,
-        {{"instance", event.placement.instance},
-         {"steps_done", std::to_string(res.steps_done)},
-         {"preemptions", std::to_string(res.preemptions)},
-         {"mflups", obs::trace_num(res.measured_mflups.value())}});
+    if (trace.enabled()) {
+      trace.virtual_span(
+          "attempt", "sched", rec.spec.id, event.start_s, clock,
+          {{"instance", event.placement.instance},
+           {"steps_done", std::to_string(res.steps_done)},
+           {"preemptions", std::to_string(res.preemptions)},
+           {"mflups", obs::num(res.measured_mflups.value())}});
+    }
     for (const AttemptEvent& ev : res.events) {
-      if (config_.history != nullptr || recorder.enabled()) {
-        // Mid-attempt events carry the job's cumulative checkpointed
-        // progress (pre-attempt steps plus the attempt's own) and its
-        // pre-settlement spend: cost is charged at settlement, so the
-        // cumulative dollars move only on the closing event below.
-        ProtocolEvent pe;
-        pe.kind = protocol_kind_of(ev.kind);
-        pe.job = rec.spec.id;
-        pe.attempt = rec.attempts;
-        pe.at_s = event.start_s + ev.at_s;
-        pe.steps = rec.steps_done + ev.steps_done;
-        pe.usd = rec.dollars;
-        if (config_.history != nullptr) {
-          pe.seq = static_cast<index_t>(config_.history->events.size());
-        }
-        if (recorder.enabled()) {
-          recorder.note("protocol", protocol_event_line(pe));
-        }
-        if (config_.history != nullptr) {
-          config_.history->record(std::move(pe));
-        }
-      }
-      trace.virtual_instant(attempt_event_name(ev.kind), "fault",
-                            rec.spec.id, event.start_s + ev.at_s,
-                            {{"steps_done", std::to_string(ev.steps_done)}});
-    }
-    if (res.preemptions > 0) {
-      metrics.add("campaign_preemptions_total",
-                  static_cast<real_t>(res.preemptions),
-                  {{"instance", event.placement.instance}});
-    }
-    if (res.checkpoint_corruptions > 0) {
-      metrics.add("campaign_corrupt_restores_total",
-                  static_cast<real_t>(res.checkpoint_corruptions),
-                  {{"instance", event.placement.instance}});
-    }
-    if (res.overrun_aborted) {
-      metrics.add("campaign_guard_stops_total", 1.0,
-                  {{"instance", event.placement.instance}});
-    }
-    if (res.worker_crashed) {
-      metrics.add("campaign_worker_crashes_total", 1.0,
-                  {{"instance", event.placement.instance}});
+      emit(ev.kind, rec, event.start_s + ev.at_s, &event.placement, {},
+           ev.steps_done);
     }
     metrics.observe("campaign_attempt_occupancy_seconds",
                     res.sim_seconds.value());
@@ -461,26 +454,28 @@ CampaignReport CampaignEngine::run(std::vector<CampaignJobSpec> jobs) {
           event.placement.n_tasks, event.placement.raw_mflups,
           res.measured_mflups});
 
-      obs::DriftSample drift;
-      drift.workload = wkey;
-      drift.instance = event.placement.instance;
-      drift.round = round;
-      drift.predicted_mflups = event.placement.predicted_mflups.value();
-      drift.measured_mflups = res.measured_mflups.value();
-      if (event.steps_requested > 0) {
-        drift.predicted_step_seconds =
-            event.placement.predicted_seconds.value() /
-            static_cast<real_t>(event.steps_requested);
+      if (metrics.enabled()) {
+        obs::DriftSample drift;
+        drift.workload = wkey;
+        drift.instance = event.placement.instance;
+        drift.round = round;
+        drift.predicted_mflups = event.placement.predicted_mflups.value();
+        drift.measured_mflups = res.measured_mflups.value();
+        if (event.steps_requested > 0) {
+          drift.predicted_step_seconds =
+              event.placement.predicted_seconds.value() /
+              static_cast<real_t>(event.steps_requested);
+        }
+        if (res.steps_done > 0) {
+          drift.actual_step_seconds = res.compute_seconds.value() /
+                                      static_cast<real_t>(res.steps_done);
+        }
+        obs::record_drift(metrics, drift);
+        metrics.set("campaign_correction_factor",
+                    scheduler_->tracker().correction_factor());
+        metrics.set("campaign_mean_abs_rel_error",
+                    scheduler_->tracker().mean_abs_relative_error());
       }
-      if (res.steps_done > 0) {
-        drift.actual_step_seconds = res.compute_seconds.value() /
-                                    static_cast<real_t>(res.steps_done);
-      }
-      obs::record_drift(metrics, drift);
-      metrics.set("campaign_correction_factor",
-                  scheduler_->tracker().correction_factor());
-      metrics.set("campaign_mean_abs_rel_error",
-                  scheduler_->tracker().mean_abs_relative_error());
       ErrorSample sample;
       sample.virtual_time_s = clock;
       sample.job_id = rec.spec.id;
@@ -504,11 +499,8 @@ CampaignReport CampaignEngine::run(std::vector<CampaignJobSpec> jobs) {
       }
       rec.state = JobState::kPending;
       queued_since[event.job] = clock;
-      tap(ProtocolEventKind::kRequeued, rec, clock, reason, res.steps_done,
-          res.dollars);
-      trace.virtual_instant("requeued", "sched", rec.spec.id, clock,
-                            {{"reason", reason}});
-      metrics.add("campaign_requeues_total", 1.0, {{"reason", reason}});
+      emit(ProtocolEventKind::kRequeued, rec, clock, nullptr, reason,
+           res.steps_done, res.dollars);
       if (config_.seeded_bug == SeededBug::kSkipRestore) {
         rec.steps_done += 1;  // seeded K1a violation: resume past checkpoint
       }
@@ -530,11 +522,8 @@ CampaignReport CampaignEngine::run(std::vector<CampaignJobSpec> jobs) {
     if (rec.steps_done >= rec.spec.timesteps) {
       rec.state = JobState::kCompleted;
       rec.finish_s = clock;
-      tap(ProtocolEventKind::kCompleted, rec, clock, {}, res.steps_done,
-          res.dollars);
-      trace.virtual_instant("completed", "sched", rec.spec.id, clock,
-                            {{"attempts", std::to_string(rec.attempts)}});
-      metrics.add("campaign_jobs_total", 1.0, {{"outcome", "completed"}});
+      emit(ProtocolEventKind::kCompleted, rec, clock, nullptr, {},
+           res.steps_done, res.dollars);
     } else if (res.overrun_aborted) {
       ++rec.overruns;
       if (rec.attempts >= config_.max_attempts) {

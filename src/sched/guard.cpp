@@ -64,7 +64,7 @@ AttemptResult simulate_attempt(const AttemptContext& ctx) {
         rng.uniform() < ctx.faults.worker_crash_probability) {
       occupied_s += chunk_s * rng.uniform();
       res.worker_crashed = true;
-      res.events.push_back({AttemptEvent::Kind::kWorkerCrash,
+      res.events.push_back({ProtocolEventKind::kWorkerCrash,
                             occupied_s + backoff_s, done});
       break;
     }
@@ -85,7 +85,7 @@ AttemptResult simulate_attempt(const AttemptContext& ctx) {
         occupied_s +=
             chunk_s * strike_fraction + ctx.spot.restart_overhead_s;
         ++res.preemptions;
-        res.events.push_back({AttemptEvent::Kind::kPreemption,
+        res.events.push_back({ProtocolEventKind::kPreemption,
                               occupied_s + backoff_s, done});
         if (res.preemptions > ctx.max_preemptions) {
           res.retries_exhausted = true;
@@ -106,7 +106,7 @@ AttemptResult simulate_attempt(const AttemptContext& ctx) {
           done = std::max<index_t>(0, done - chunk_steps);
           occupied_s += ctx.spot.restart_overhead_s;
           ++res.checkpoint_corruptions;
-          res.events.push_back({AttemptEvent::Kind::kCorruptRestore,
+          res.events.push_back({ProtocolEventKind::kCorruptRestore,
                                 occupied_s + backoff_s, done});
         }
         continue;  // resume from the checkpoint: redo this chunk
@@ -124,7 +124,7 @@ AttemptResult simulate_attempt(const AttemptContext& ctx) {
         static_cast<real_t>(done) / static_cast<real_t>(ctx.steps);
     if (done < ctx.steps && ctx.guard.should_abort(occupied_s, fraction)) {
       res.overrun_aborted = true;
-      res.events.push_back({AttemptEvent::Kind::kGuardStop,
+      res.events.push_back({ProtocolEventKind::kGuardStop,
                             occupied_s + backoff_s, done});
       break;
     }

@@ -1,7 +1,8 @@
 #include "sched/history.hpp"
 
-#include <cstdio>
 #include <sstream>
+
+#include "obs/format.hpp"
 
 namespace hemo::sched {
 
@@ -20,34 +21,28 @@ const char* protocol_event_name(ProtocolEventKind kind) {
   return "?";
 }
 
+bool is_mid_attempt(ProtocolEventKind kind) {
+  return kind == ProtocolEventKind::kPreemption ||
+         kind == ProtocolEventKind::kCorruptRestore ||
+         kind == ProtocolEventKind::kGuardStop ||
+         kind == ProtocolEventKind::kWorkerCrash;
+}
+
 void ProtocolHistory::record(ProtocolEvent event) {
   event.seq = static_cast<index_t>(events.size());
   events.push_back(std::move(event));
 }
 
-namespace {
-
-/// Deterministic numeric rendering for canonical bytes: %.9g is exact for
-/// the virtual clock / dollar values the engine produces and renders the
-/// same bytes for the same double on every run.
-std::string canon_num(real_t value) {
-  char buf[40];
-  std::snprintf(buf, sizeof(buf), "%.9g", value);
-  return buf;
-}
-
-}  // namespace
-
 std::string protocol_event_line(const ProtocolEvent& e) {
   std::ostringstream os;
   os << e.seq << ' ' << protocol_event_name(e.kind) << " job=" << e.job
-     << " att=" << e.attempt << " t=" << canon_num(e.at_s.value())
-     << " steps=" << e.steps << " usd=" << canon_num(e.usd.value());
+     << " att=" << e.attempt << " t=" << obs::num(e.at_s.value())
+     << " steps=" << e.steps << " usd=" << obs::num(e.usd.value());
   if (e.kind == ProtocolEventKind::kRequeued ||
       e.kind == ProtocolEventKind::kCompleted ||
       e.kind == ProtocolEventKind::kFailed) {
     os << " d_steps=" << e.delta_steps
-       << " d_usd=" << canon_num(e.delta_usd.value());
+       << " d_usd=" << obs::num(e.delta_usd.value());
   }
   if (!e.detail.empty()) os << ' ' << e.detail;
   return os.str();

@@ -42,6 +42,11 @@ enum class ProtocolEventKind {
 /// Stable lowercase name used in canonical bytes and trace matching.
 [[nodiscard]] const char* protocol_event_name(ProtocolEventKind kind);
 
+/// True for the four kinds reported from inside a running attempt
+/// (kPreemption, kCorruptRestore, kGuardStop, kWorkerCrash); the others
+/// happen at coordinator queue or settlement points.
+[[nodiscard]] bool is_mid_attempt(ProtocolEventKind kind);
+
 /// One protocol event. `steps` and `usd` are the job's cumulative values
 /// at the event; settlement events also carry the attempt's deltas.
 struct ProtocolEvent {

@@ -12,6 +12,7 @@
 #include <string>
 #include <vector>
 
+#include "sched/history.hpp"
 #include "units/units.hpp"
 #include "util/common.hpp"
 
@@ -78,15 +79,10 @@ struct Placement {
 /// One noteworthy incident inside an attempt, stamped with the attempt's
 /// own virtual clock. Offsets are relative to the attempt start so the
 /// simulation stays a pure function of its inputs; the coordinator adds the
-/// placement instant to obtain absolute campaign time for the trace.
+/// placement instant to obtain absolute campaign time. `kind` is one of the
+/// four mid-attempt protocol kinds (is_mid_attempt).
 struct AttemptEvent {
-  enum class Kind {
-    kPreemption,     ///< spot capacity reclaimed; checkpoint/backoff/restart
-    kCorruptRestore, ///< injected corrupted checkpoint forced a re-run
-    kGuardStop,      ///< overrun guard hard-stopped the attempt
-    kWorkerCrash,    ///< worker died mid-attempt; ends at the checkpoint
-  };
-  Kind kind = Kind::kPreemption;
+  ProtocolEventKind kind = ProtocolEventKind::kPreemption;
   units::Seconds at_s;      ///< offset from attempt start (virtual)
   index_t steps_done = 0;   ///< checkpointed steps at the event
 };

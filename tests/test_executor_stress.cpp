@@ -198,10 +198,13 @@ TEST(ExecutorStress, AttemptEventsAreOrderedAndMatchCounters) {
     EXPECT_LE(event.steps_done, ctx.steps);
     previous = event.at_s;
     switch (event.kind) {
-      case AttemptEvent::Kind::kPreemption: ++preemptions; break;
-      case AttemptEvent::Kind::kCorruptRestore: ++corruptions; break;
-      case AttemptEvent::Kind::kGuardStop: ++guard_stops; break;
-      case AttemptEvent::Kind::kWorkerCrash: ++crashes; break;
+      case ProtocolEventKind::kPreemption: ++preemptions; break;
+      case ProtocolEventKind::kCorruptRestore: ++corruptions; break;
+      case ProtocolEventKind::kGuardStop: ++guard_stops; break;
+      case ProtocolEventKind::kWorkerCrash: ++crashes; break;
+      default:
+        ADD_FAILURE() << "not a mid-attempt kind: "
+                      << protocol_event_name(event.kind);
     }
   }
   EXPECT_EQ(preemptions, res.preemptions);

@@ -7,6 +7,7 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <map>
 #include <memory>
 #include <sstream>
 #include <string>
@@ -21,6 +22,7 @@
 #include "obs/profile.hpp"
 #include "obs/trace.hpp"
 #include "sched/executor.hpp"
+#include "sched/history.hpp"
 #include "sched/report.hpp"
 #include "sched/scheduler.hpp"
 
@@ -432,6 +434,71 @@ TEST_F(ObsCampaignTest, CampaignPopulatesSchedulerAndDriftMetrics) {
   EXPECT_TRUE(saw_place);
   EXPECT_TRUE(saw_drift);
   EXPECT_TRUE(saw_calibration);
+}
+
+// The campaign counters are a projection of the protocol history: one
+// increment per event of the matching kind (and requeue reason / outcome).
+TEST_F(ObsCampaignTest, CampaignCountersMatchHistoryEventCounts) {
+  MetricsRegistry::global().enable(true);
+  auto scheduler = make_scheduler();
+  std::vector<sched::CampaignJobSpec> jobs;
+  for (index_t i = 0; i < 24; ++i) {
+    sched::CampaignJobSpec spec;
+    spec.id = i + 1;
+    spec.geometry = "cylinder";
+    spec.timesteps = 20000;
+    spec.allow_spot = i % 2 == 1;
+    jobs.push_back(spec);
+  }
+  sched::ProtocolHistory history;
+  sched::EngineConfig config;
+  config.n_workers = 2;
+  config.seed = 7;
+  config.chunks_per_attempt = 50;
+  config.max_preemptions = 1;
+  config.max_attempts = 2;
+  config.faults.extra_preemption_probability = 0.2;
+  config.faults.checkpoint_corruption_rate = 0.5;
+  config.faults.worker_crash_probability = 0.01;
+  config.history = &history;
+  sched::CampaignEngine engine(*scheduler, config);
+  (void)engine.run(std::move(jobs));
+  MetricsRegistry::global().enable(false);
+
+  std::map<std::string, real_t> counted;  // series name or name{label}
+  for (const MetricSnapshot& snap : MetricsRegistry::global().snapshot()) {
+    if (snap.kind != MetricKind::kCounter) continue;
+    counted[snap.name] += snap.value;
+    for (const auto& [key, value] : snap.labels) {
+      if (key == "reason" || key == "outcome") {
+        counted[snap.name + "{" + value + "}"] += snap.value;
+      }
+    }
+  }
+  std::map<std::string, real_t> recorded;
+  for (const sched::ProtocolEvent& e : history.events) {
+    const std::string kind = sched::protocol_event_name(e.kind);
+    recorded[kind] += 1.0;
+    recorded[kind + "{" + e.detail + "}"] += 1.0;
+  }
+
+  const std::pair<const char*, const char*> projections[] = {
+      {"campaign_preemptions_total", "preemption"},
+      {"campaign_corrupt_restores_total", "corrupt_restore"},
+      {"campaign_guard_stops_total", "guard_stop"},
+      {"campaign_worker_crashes_total", "worker_crash"},
+      {"campaign_attempts_total", "placed"},
+      {"campaign_requeues_total", "requeued"},
+      {"campaign_requeues_total{overrun}", "requeued{overrun}"},
+      {"campaign_requeues_total{crash}", "requeued{crash}"},
+      {"campaign_requeues_total{retries}", "requeued{retries}"},
+      {"campaign_jobs_total{completed}", "completed"},
+      {"campaign_jobs_total{failed}", "failed"},
+  };
+  for (const auto& [counter, kind] : projections) {
+    EXPECT_GT(recorded[kind], 0.0) << "campaign never produced " << kind;
+    EXPECT_EQ(counted[counter], recorded[kind]) << counter << " vs " << kind;
+  }
 }
 
 }  // namespace

@@ -579,9 +579,13 @@ TEST_F(RecorderTest, SnapshotMetricsCapturesSeries) {
 
 // ---------------------------------------------------------------------------
 // Acceptance: the recorder's protocol entries mirror the executor's
-// canonical history byte-for-byte during a faulted campaign.
+// canonical history byte-for-byte during a faulted campaign, and carry the
+// same sequence numbers when no history is attached (the configuration of
+// `hemocloud_cli schedule --listen`).
 
-TEST_F(RecorderTest, ProtocolEntriesMirrorCanonicalHistory) {
+/// Runs the faulted 3-job campaign on a fresh scheduler (the tracker learns
+/// from each run) and returns the recorder's protocol entries, one per line.
+std::string run_mirrored_campaign(sched::ProtocolHistory* history) {
   sched::SchedulerConfig sched_config;
   sched_config.core_counts = {8, 16, 32};
   sched::CampaignScheduler scheduler(
@@ -605,14 +609,13 @@ TEST_F(RecorderTest, ProtocolEntriesMirrorCanonicalHistory) {
   }
 
   FlightRecorder& recorder = FlightRecorder::global();
+  recorder.reset();
   recorder.enable(true);
-
-  sched::ProtocolHistory history;
   sched::EngineConfig config;
   config.n_workers = 2;
   config.seed = 42;
   config.faults.extra_preemption_probability = 0.3;
-  config.history = &history;
+  config.history = history;
   sched::CampaignEngine engine(scheduler, config);
   (void)engine.run(std::move(jobs));
 
@@ -622,8 +625,17 @@ TEST_F(RecorderTest, ProtocolEntriesMirrorCanonicalHistory) {
     mirrored += entry.text;
     mirrored += '\n';
   }
+  recorder.enable(false);
+  return mirrored;
+}
+
+TEST_F(RecorderTest, ProtocolEntriesMirrorCanonicalHistory) {
+  sched::ProtocolHistory history;
+  const std::string mirrored = run_mirrored_campaign(&history);
   ASSERT_FALSE(mirrored.empty());
   EXPECT_EQ(mirrored, history.canonical());
+  EXPECT_EQ(run_mirrored_campaign(nullptr), history.canonical())
+      << "recorder lines must be numbered without a history attached";
 }
 
 }  // namespace
