@@ -48,7 +48,7 @@
 //       variant: bytes per fluid-point update from the paper's access
 //       counts and the resulting MFLUPS bound over a measured STREAM COPY.
 //   hemocloud_cli check [cases] [seed]
-//       Run the differential validation oracles (src/check/). Exit 0
+//       Run the model and solver oracles (src/check/). Exit 0
 //       only when every oracle passes; failures print the shrunk
 //       counterexample and its replay seed. Prints per-oracle wall
 //       time, slowest first.

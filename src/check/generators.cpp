@@ -63,22 +63,6 @@ const cluster::InstanceProfile& gen_cpu_instance(Xoshiro256& rng) {
   return *pick(rng, cpu_catalog());
 }
 
-std::vector<sched::CampaignJobSpec> gen_job_specs(
-    Xoshiro256& rng, index_t count, const std::string& workload) {
-  HEMO_REQUIRE(count >= 1, "job batch needs at least one job");
-  std::vector<sched::CampaignJobSpec> jobs;
-  jobs.reserve(static_cast<std::size_t>(count));
-  for (index_t i = 0; i < count; ++i) {
-    sched::CampaignJobSpec spec;
-    spec.id = i + 1;
-    spec.geometry = workload;
-    spec.timesteps = 200 + 100 * rng.below(9);  // 200..1000 steps
-    spec.allow_spot = rng.uniform() < 0.4;
-    jobs.push_back(std::move(spec));
-  }
-  return jobs;
-}
-
 std::vector<core::Observation> gen_observations(Xoshiro256& rng,
                                                 index_t count) {
   HEMO_REQUIRE(count >= 3, "observation batch needs at least three entries");
@@ -98,21 +82,6 @@ std::vector<core::Observation> gen_observations(Xoshiro256& rng,
         units::Mflups(predicted * rng.uniform(0.3, 1.5))});
   }
   return out;
-}
-
-sched::FaultInjection gen_fault_injection(Xoshiro256& rng) {
-  sched::FaultInjection faults;
-  if (rng.uniform() < 0.5) faults.slowdown_factor = rng.uniform(1.4, 1.9);
-  if (rng.uniform() < 0.5) {
-    faults.extra_preemption_probability = rng.uniform(0.05, 0.35);
-  }
-  if (rng.uniform() < 0.5) {
-    faults.checkpoint_corruption_rate = rng.uniform(0.1, 0.5);
-  }
-  if (rng.uniform() < 0.5) {
-    faults.worker_crash_probability = rng.uniform(0.02, 0.1);
-  }
-  return faults;
 }
 
 fit::TwoLineModel gen_two_line_model(Xoshiro256& rng) {

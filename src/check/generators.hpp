@@ -16,8 +16,6 @@
 #include "fit/log_models.hpp"
 #include "fit/two_line.hpp"
 #include "geometry/generators.hpp"
-#include "sched/guard.hpp"
-#include "sched/job.hpp"
 #include "util/rng.hpp"
 
 namespace hemo::check {
@@ -45,21 +43,11 @@ template <typename T>
 [[nodiscard]] const cluster::InstanceProfile& gen_cpu_instance(
     Xoshiro256& rng);
 
-/// A batch of `count` campaign jobs against `workload`: randomized step
-/// counts, spot tenancy, and ids 1..count.
-[[nodiscard]] std::vector<sched::CampaignJobSpec> gen_job_specs(
-    Xoshiro256& rng, index_t count, const std::string& workload);
-
 /// `count` (>= 3) refinement observations over at least three workload
 /// keys: geometry families, some at a refined resolution ("@x8"), on random
 /// CPU instances, with measured/predicted ratios in [0.3, 1.5).
 [[nodiscard]] std::vector<core::Observation> gen_observations(
     Xoshiro256& rng, index_t count);
-
-/// A randomized fault-injection mix (nemesis storms): each fault class is
-/// enabled with probability 1/2, rates drawn in ranges that reliably
-/// force requeues at test scale while still letting most jobs finish.
-[[nodiscard]] sched::FaultInjection gen_fault_injection(Xoshiro256& rng);
 
 /// Random model parameters in physically plausible ranges (used to test
 /// fit recovery and oracle tolerance logic against known ground truth).

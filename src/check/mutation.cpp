@@ -1,6 +1,5 @@
 #include "check/mutation.hpp"
 
-#include <algorithm>
 #include <functional>
 #include <sstream>
 #include <utility>
@@ -161,217 +160,6 @@ MutationReport run_mutation_suite(OracleContext& ctx,
   report.restored_passed = oracle_model_agreement(ctx, config).passed &&
                            oracle_model_vs_measurement(ctx, config).passed;
   return report;
-}
-
-namespace {
-
-using sched::ProtocolEvent;
-using sched::ProtocolEventKind;
-
-bool is_terminal(ProtocolEventKind kind) {
-  return kind == ProtocolEventKind::kCompleted ||
-         kind == ProtocolEventKind::kFailed;
-}
-
-/// First event index satisfying `pred`, -1 when none.
-template <typename Pred>
-index_t find_event(const sched::ProtocolHistory& history, Pred pred) {
-  for (std::size_t i = 0; i < history.events.size(); ++i) {
-    if (pred(history.events[i])) return static_cast<index_t>(i);
-  }
-  return -1;
-}
-
-/// Latest virtual time in the history; appended events use it so a
-/// mutation aimed at one invariant does not also run the clock backwards.
-units::Seconds latest_time(const sched::ProtocolHistory& history) {
-  units::Seconds t;
-  for (const ProtocolEvent& e : history.events) t = std::max(t, e.at_s);
-  return t;
-}
-
-void erase_event(sched::ProtocolHistory& history, index_t index) {
-  history.events.erase(history.events.begin() + index);
-}
-
-}  // namespace
-
-const std::vector<ProtocolMutation>& protocol_mutations() {
-  static const std::vector<ProtocolMutation> catalog = [] {
-    std::vector<ProtocolMutation> muts;
-
-    // S1: drop a requeue whose job is placed again later — the next
-    // placement now races an attempt the history says is still live.
-    muts.push_back(
-        {"drop_requeue", "S1",
-         [](sched::ProtocolHistory& h, index_t) {
-           for (std::size_t i = 0; i < h.events.size(); ++i) {
-             if (h.events[i].kind != ProtocolEventKind::kRequeued) continue;
-             for (std::size_t j = i + 1; j < h.events.size(); ++j) {
-               if (h.events[j].kind == ProtocolEventKind::kPlaced &&
-                   h.events[j].job == h.events[i].job) {
-                 erase_event(h, static_cast<index_t>(i));
-                 return true;
-               }
-             }
-           }
-           return false;
-         }});
-
-    // C1: apply a settled attempt's cost twice — the cumulative spend no
-    // longer equals the placement's spend plus the attempt's delta.
-    muts.push_back(
-        {"double_charge", "C1",
-         [](sched::ProtocolHistory& h, index_t) {
-           const index_t i = find_event(h, [](const ProtocolEvent& e) {
-             return (e.kind == ProtocolEventKind::kRequeued ||
-                     is_terminal(e.kind)) &&
-                    e.attempt >= 1 && e.delta_usd.value() > 0.0;
-           });
-           if (i < 0) return false;
-           h.events[static_cast<std::size_t>(i)].usd +=
-               h.events[static_cast<std::size_t>(i)].delta_usd;
-           return true;
-         }});
-
-    // K1: a re-placement resumes one step past the durable checkpoint,
-    // fabricating progress that was never computed.
-    muts.push_back(
-        {"skip_restore", "K1",
-         [](sched::ProtocolHistory& h, index_t) {
-           const index_t i = find_event(h, [](const ProtocolEvent& e) {
-             return e.kind == ProtocolEventKind::kPlaced && e.attempt >= 2;
-           });
-           if (i < 0) return false;
-           h.events[static_cast<std::size_t>(i)].steps += 1;
-           return true;
-         }});
-
-    // E1: a job's terminal outcome is lost — it ends the campaign in a
-    // non-terminal state.
-    muts.push_back(
-        {"drop_terminal", "E1",
-         [](sched::ProtocolHistory& h, index_t) {
-           for (std::size_t i = h.events.size(); i-- > 0;) {
-             if (is_terminal(h.events[i].kind)) {
-               erase_event(h, static_cast<index_t>(i));
-               return true;
-             }
-           }
-           return false;
-         }});
-
-    // E1: a terminal outcome is delivered twice.
-    muts.push_back(
-        {"duplicate_terminal", "E1",
-         [](sched::ProtocolHistory& h, index_t) {
-           const index_t i = find_event(h, [](const ProtocolEvent& e) {
-             return is_terminal(e.kind);
-           });
-           if (i < 0) return false;
-           ProtocolEvent copy = h.events[static_cast<std::size_t>(i)];
-           copy.at_s = latest_time(h);
-           copy.seq = static_cast<index_t>(h.events.size());
-           h.events.push_back(std::move(copy));
-           return true;
-         }});
-
-    // T1: a settlement is stamped before the campaign started — the
-    // coordinator clock runs backwards.
-    muts.push_back(
-        {"time_warp", "T1",
-         [](sched::ProtocolHistory& h, index_t) {
-           const index_t i = find_event(h, [](const ProtocolEvent& e) {
-             return (e.kind == ProtocolEventKind::kRequeued ||
-                     is_terminal(e.kind)) &&
-                    e.at_s.value() > 0.0;
-           });
-           if (i < 0) return false;
-           h.events[static_cast<std::size_t>(i)].at_s =
-               units::Seconds{-1.0};
-           return true;
-         }});
-
-    // A1: reopen a completed job and requeue it past the attempt bound.
-    // The appended cycle keeps steps/spend/ordinals self-consistent so
-    // only the attempt bound is violated.
-    muts.push_back(
-        {"requeue_past_attempt_limit", "A1",
-         [](sched::ProtocolHistory& h, index_t max_attempts) {
-           const index_t ti = find_event(h, [](const ProtocolEvent& e) {
-             return e.kind == ProtocolEventKind::kCompleted;
-           });
-           if (ti < 0) return false;
-           const ProtocolEvent terminal =
-               h.events[static_cast<std::size_t>(ti)];
-           // The completed attempt's entry checkpoint, for the first
-           // requeue's deltas.
-           index_t placed_steps = 0;
-           real_t placed_usd = 0.0;
-           for (index_t i = ti; i-- > 0;) {
-             const ProtocolEvent& e = h.events[static_cast<std::size_t>(i)];
-             if (e.job == terminal.job &&
-                 e.kind == ProtocolEventKind::kPlaced) {
-               placed_steps = e.steps;
-               placed_usd = e.usd.value();
-               break;
-             }
-           }
-           erase_event(h, ti);
-           const units::Seconds t = latest_time(h);
-           const auto append = [&h, &terminal, t](ProtocolEventKind kind,
-                                                  index_t attempt,
-                                                  index_t delta_steps,
-                                                  real_t delta_usd) {
-             ProtocolEvent e;
-             e.seq = static_cast<index_t>(h.events.size());
-             e.kind = kind;
-             e.job = terminal.job;
-             e.attempt = attempt;
-             e.at_s = t;
-             e.steps = terminal.steps;
-             e.usd = terminal.usd;
-             e.delta_steps = delta_steps;
-             e.delta_usd = units::Dollars(delta_usd);
-             h.events.push_back(std::move(e));
-           };
-           index_t attempt = terminal.attempt;
-           append(ProtocolEventKind::kRequeued, attempt,
-                  terminal.steps - placed_steps,
-                  terminal.usd.value() - placed_usd);
-           while (attempt < max_attempts) {
-             append(ProtocolEventKind::kPlaced, attempt + 1, 0, 0.0);
-             ++attempt;
-             append(ProtocolEventKind::kRequeued, attempt, 0, 0.0);
-           }
-           // Close the job again so only A1 (not E1) is violated.
-           append(ProtocolEventKind::kFailed, attempt, 0, 0.0);
-           return true;
-         }});
-
-    // H1: the history claims a preemption the trace never saw.
-    muts.push_back(
-        {"phantom_fault", "H1",
-         [](sched::ProtocolHistory& h, index_t) {
-           const index_t i = find_event(h, [](const ProtocolEvent& e) {
-             return e.kind == ProtocolEventKind::kPlaced;
-           });
-           if (i < 0) return false;
-           ProtocolEvent e;
-           e.seq = static_cast<index_t>(h.events.size());
-           e.kind = ProtocolEventKind::kPreemption;
-           e.job = h.events[static_cast<std::size_t>(i)].job;
-           e.attempt = h.events[static_cast<std::size_t>(i)].attempt;
-           e.at_s = latest_time(h);
-           e.steps = h.events[static_cast<std::size_t>(i)].steps;
-           e.usd = h.events[static_cast<std::size_t>(i)].usd;
-           h.events.push_back(std::move(e));
-           return true;
-         }});
-
-    return muts;
-  }();
-  return catalog;
 }
 
 }  // namespace hemo::check

@@ -19,12 +19,10 @@
 // log2, so it needs a far larger factor than the linear coefficients.
 #pragma once
 
-#include <functional>
 #include <string>
 #include <vector>
 
 #include "check/oracles.hpp"
-#include "sched/history.hpp"
 
 namespace hemo::check {
 
@@ -57,27 +55,5 @@ struct MutationReport {
 /// oracle). `config.cases` model-oracle cases are run per mutation.
 [[nodiscard]] MutationReport run_mutation_suite(OracleContext& ctx,
                                                 const PropertyConfig& config);
-
-/// One executor-protocol mutation: a seeded corruption of a recorded
-/// ProtocolHistory that the nemesis invariant checker must flag. This is
-/// the same every-check-has-teeth argument as the coefficient mutations
-/// above, aimed at specs/executor_protocol.md: each protocol invariant
-/// has at least one mutant here that only it kills.
-struct ProtocolMutation {
-  std::string name;       ///< e.g. "drop_requeue"
-  std::string invariant;  ///< stable id the checker must flag ("S1", ...)
-  /// Corrupts `history` in place; returns false when the history has no
-  /// suitable event (the caller should pick a busier seeded run).
-  /// `max_attempts` mirrors the engine limit the checker is handed.
-  std::function<bool(sched::ProtocolHistory& history, index_t max_attempts)>
-      apply;
-};
-
-/// The protocol-mutation catalog. Covers every history-checkable
-/// invariant: drop_requeue (S1), double_charge (C1), skip_restore (K1),
-/// drop_terminal + duplicate_terminal (E1), time_warp (T1),
-/// requeue_past_attempt_limit (A1), phantom_fault (H1 — detected by the
-/// history-vs-trace cross-check, not check_history).
-[[nodiscard]] const std::vector<ProtocolMutation>& protocol_mutations();
 
 }  // namespace hemo::check

@@ -13,9 +13,6 @@
 #include "lbm/mesh.hpp"
 #include "obs/metrics.hpp"
 #include "lbm/solver.hpp"
-#include "sched/executor.hpp"
-#include "sched/report.hpp"
-#include "sched/scheduler.hpp"
 
 namespace hemo::check {
 
@@ -256,190 +253,10 @@ PropertyResult oracle_poiseuille(const PropertyConfig& config) {
   return run_property(property, config);
 }
 
-namespace {
-
-/// Sampled campaign case shared by the scheduler oracles.
-struct CampaignCase {
-  std::vector<sched::CampaignJobSpec> jobs;
-  std::uint64_t engine_seed = 0;
-  sched::FaultInjection faults;  ///< all-off for the invariance oracle
-};
-
-std::string describe_campaign(const CampaignCase& c) {
-  std::ostringstream os;
-  os << "jobs=" << c.jobs.size() << " seed=" << c.engine_seed << " steps=[";
-  for (std::size_t i = 0; i < c.jobs.size(); ++i) {
-    os << (i ? "," : "") << c.jobs[i].timesteps
-       << (c.jobs[i].allow_spot ? "s" : "");
-  }
-  os << ']';
-  if (c.faults.any()) {
-    os << " faults{x" << c.faults.slowdown_factor << ",p"
-       << c.faults.extra_preemption_probability << ",c"
-       << c.faults.checkpoint_corruption_rate << '}';
-  }
-  return os.str();
-}
-
-std::vector<CampaignCase> shrink_campaign(const CampaignCase& c) {
-  std::vector<CampaignCase> out;
-  if (c.jobs.size() > 1) {
-    CampaignCase s = c;
-    s.jobs.pop_back();
-    out.push_back(std::move(s));
-  }
-  return out;
-}
-
-/// A fresh scheduler over the small two-pool test cluster. Campaign
-/// oracles must rebuild it per run: the refinement tracker is shared
-/// mutable campaign state, and replay comparisons need a cold start.
-std::unique_ptr<sched::CampaignScheduler> make_check_scheduler(
-    real_t guard_tolerance, real_t preemptions_per_hour) {
-  sched::SchedulerConfig config;
-  config.core_counts = {8, 16, 32};
-  config.guard_tolerance = guard_tolerance;
-  config.pilot_steps = 120;
-  config.spot.preemptions_per_hour = units::PerHour(preemptions_per_hour);
-  auto scheduler = std::make_unique<sched::CampaignScheduler>(
-      std::vector<const cluster::InstanceProfile*>{
-          &cluster::instance_by_abbrev("CSP-1"),
-          &cluster::instance_by_abbrev("CSP-2 Small")},
-      config);
-  const std::vector<index_t> cal_counts = {2, 4, 8};
-  scheduler->register_workload(
-      "cylinder", geometry::make_cylinder({.radius = 6, .length = 40}),
-      cal_counts);
-  return scheduler;
-}
-
-std::string run_check_campaign(const CampaignCase& c,
-                               std::vector<sched::CampaignJobSpec> jobs,
-                               index_t n_workers, real_t guard_tolerance,
-                               real_t preemptions_per_hour,
-                               sched::CampaignReport* out = nullptr) {
-  auto scheduler =
-      make_check_scheduler(guard_tolerance, preemptions_per_hour);
-  sched::EngineConfig engine_config;
-  engine_config.n_workers = n_workers;
-  engine_config.seed = c.engine_seed;
-  engine_config.faults = c.faults;
-  sched::CampaignEngine engine(*scheduler, engine_config);
-  sched::CampaignReport report = engine.run(std::move(jobs));
-  std::string csv = report.to_csv();
-  if (out) *out = std::move(report);
-  return csv;
-}
-
-}  // namespace
-
-PropertyResult oracle_scheduler_invariance(const PropertyConfig& config) {
-  Property<CampaignCase> property;
-  property.name = "scheduler_invariance(workers,order)";
-  property.generate = [](Xoshiro256& rng) {
-    CampaignCase c;
-    c.jobs = gen_job_specs(rng, 3 + rng.below(4), "cylinder");
-    c.engine_seed = rng.next();
-    return c;
-  };
-  property.describe = describe_campaign;
-  property.shrink = shrink_campaign;
-  property.check = [](const CampaignCase& c) -> std::optional<std::string> {
-    const real_t tol = 0.25, spot_rate = 8.0;
-    const std::string base = run_check_campaign(c, c.jobs, 1, tol, spot_rate);
-    const std::string more = run_check_campaign(c, c.jobs, 3, tol, spot_rate);
-    if (base != more) {
-      return "report differs between 1 and 3 workers";
-    }
-    std::vector<sched::CampaignJobSpec> reversed(c.jobs.rbegin(),
-                                                 c.jobs.rend());
-    const std::string permuted =
-        run_check_campaign(c, std::move(reversed), 2, tol, spot_rate);
-    if (base != permuted) {
-      return "report differs under permuted job submission order";
-    }
-    return std::nullopt;
-  };
-  return run_property(property, config);
-}
-
-PropertyResult oracle_fault_recovery(const PropertyConfig& config) {
-  Property<CampaignCase> property;
-  property.name = "fault_recovery(consistent report)";
-  property.generate = [](Xoshiro256& rng) {
-    CampaignCase c;
-    c.jobs = gen_job_specs(rng, 3 + rng.below(3), "cylinder");
-    c.engine_seed = rng.next();
-    if (rng.uniform() < 0.5) {
-      c.faults.slowdown_factor = rng.uniform(1.4, 1.8);
-    }
-    if (rng.uniform() < 0.5) {
-      c.faults.extra_preemption_probability = rng.uniform(0.05, 0.3);
-    }
-    if (rng.uniform() < 0.5) {
-      c.faults.checkpoint_corruption_rate = rng.uniform(0.1, 0.5);
-    }
-    if (!c.faults.any()) c.faults.slowdown_factor = 1.5;
-    if (c.faults.slowdown_factor >= 1.4) {
-      // Spot pricing folds expected preemption losses into the predicted
-      // wall time (the 120 s restart overhead dwarfs these sub-second
-      // jobs), widening the guard band far past the injected slowdown.
-      // Keep slowdown campaigns on-demand so the overrun invariant below
-      // tests the pace guard, not the spot-pricing slack.
-      for (auto& job : c.jobs) job.allow_spot = false;
-    }
-    return c;
-  };
-  property.describe = describe_campaign;
-  property.shrink = shrink_campaign;
-  property.check = [](const CampaignCase& c) -> std::optional<std::string> {
-    const real_t tol = 0.25, spot_rate = 20.0;
-    sched::CampaignReport report;
-    const std::string first =
-        run_check_campaign(c, c.jobs, 2, tol, spot_rate, &report);
-    const std::string replay = run_check_campaign(c, c.jobs, 2, tol,
-                                                  spot_rate);
-    if (first != replay) {
-      return "faulted campaign does not replay byte-identically";
-    }
-    if (report.n_completed + report.n_failed != report.n_jobs) {
-      return "jobs unaccounted for: " + std::to_string(report.n_completed) +
-             " completed + " + std::to_string(report.n_failed) +
-             " failed != " + std::to_string(report.n_jobs);
-    }
-    for (const sched::JobReportRow& row : report.jobs) {
-      if (row.state != sched::JobState::kCompleted &&
-          row.state != sched::JobState::kFailed) {
-        return "job " + std::to_string(row.id) +
-               " left in a non-terminal state";
-      }
-      if (row.state == sched::JobState::kCompleted && row.attempts < 1) {
-        return "completed job " + std::to_string(row.id) + " with 0 attempts";
-      }
-    }
-    if (c.faults.checkpoint_corruption_rate == 0.0 &&
-        report.total_corruptions != 0) {
-      return "corruption counter nonzero without injected corruption";
-    }
-    if (c.faults.slowdown_factor >= 1.4 && report.total_overruns < 1) {
-      return "slowdown x" + format_ratio(c.faults.slowdown_factor) +
-             " never tripped the overrun guard";
-    }
-    if (report.n_completed > 0 && !(report.total_dollars.value() > 0.0)) {
-      return "completed work with zero cost";
-    }
-    return std::nullopt;
-  };
-  return run_property(property, config);
-}
-
 std::vector<PropertyResult> run_all_oracles(OracleContext& ctx,
                                             const PropertyConfig& config) {
-  const auto scaled = [&config](index_t divisor) {
-    PropertyConfig c = config;
-    c.cases = std::max<index_t>(2, config.cases / divisor);
-    return c;
-  };
+  PropertyConfig solver_config = config;
+  solver_config.cases = std::max<index_t>(2, config.cases / 10);
   std::vector<PropertyResult> results;
   // Wall-time per oracle lands in the registry (not in PropertyResult,
   // whose contents stay a pure function of the seed) so `hemocloud_cli
@@ -455,9 +272,7 @@ std::vector<PropertyResult> run_all_oracles(OracleContext& ctx,
   };
   timed([&] { return oracle_model_agreement(ctx, config); });
   timed([&] { return oracle_model_vs_measurement(ctx, config); });
-  timed([&] { return oracle_poiseuille(scaled(10)); });
-  timed([&] { return oracle_scheduler_invariance(scaled(16)); });
-  timed([&] { return oracle_fault_recovery(scaled(10)); });
+  timed([&] { return oracle_poiseuille(solver_config); });
   return results;
 }
 

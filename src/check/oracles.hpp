@@ -12,12 +12,10 @@
 //    see the hidden efficiency, so they overpredict throughput — paper
 //    Figs. 7-8 — but must not drift arbitrarily);
 //  * solver vs analytic — body-force-driven periodic Poiseuille flow
-//    reproduces the analytic profile slope -F/(4 nu) and conserves mass;
-//  * scheduler invariance — a seeded campaign report is byte-identical
-//    across worker counts and job submission permutations;
-//  * fault recovery — campaigns under injected faults (slowdowns,
-//    preemption storms, corrupted checkpoints) still terminate every job,
-//    account consistently, and replay byte-identically.
+//    reproduces the analytic profile slope -F/(4 nu) and conserves mass.
+//
+// Campaigns under faults (worker-count and submission-order invariance,
+// fault accounting, the protocol invariants) are src/nemesis/'s job.
 //
 // The bands are deliberately *stated constants* (not re-measured at check
 // time): the mutation self-test (mutation.hpp) proves each band is tight
@@ -107,18 +105,8 @@ struct ModelCase {
 /// Oracle 3: LBM solver vs analytic Poiseuille + mass conservation.
 [[nodiscard]] PropertyResult oracle_poiseuille(const PropertyConfig& config);
 
-/// Oracle 4: campaign report invariance under worker count and job
-/// submission order.
-[[nodiscard]] PropertyResult oracle_scheduler_invariance(
-    const PropertyConfig& config);
-
-/// Oracle 5: campaigns under injected faults terminate consistently and
-/// replay byte-identically.
-[[nodiscard]] PropertyResult oracle_fault_recovery(
-    const PropertyConfig& config);
-
 /// Runs every oracle. Model oracles run config.cases cases; the expensive
-/// solver/campaign oracles run a scaled-down count (at least 2).
+/// solver oracle runs a scaled-down count (at least 2).
 [[nodiscard]] std::vector<PropertyResult> run_all_oracles(
     OracleContext& ctx, const PropertyConfig& config);
 

@@ -10,15 +10,16 @@
 //   T1  time coherence                  A1  attempt bound
 //   R1  report consistency (when the final CampaignReport is given)
 //
-// check_trace_consistency covers H1 (history vs obs:: virtual trace);
-// worker-count invariance (W1) is a harness-level property over several
-// engine runs (harness.hpp), not over one history.
+// check_trace_consistency covers H1 (history vs obs:: virtual trace).
+// Worker-count and submission-order invariance (W1) compares several
+// engine runs, and fault accounting (F1) needs the injected fault mix, so
+// both are harness-level checks (harness.hpp), not history checks.
 //
 // The checker is deliberately independent of the engine: it reads only
 // the recorded events, the submitted specs, and the engine limits, so a
 // protocol regression in src/sched/ cannot hide itself by also breaking
 // the checker. Violations carry the stable invariant id the spec, the
-// mutation catalog (check::protocol_mutations) and CI artifacts share.
+// mutation catalog (protocol_mutations, harness.hpp) and CI artifacts share.
 #pragma once
 
 #include <string>

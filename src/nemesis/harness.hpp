@@ -1,26 +1,29 @@
 // The nemesis harness: drives seeded fault storms through the real
 // engine, records the protocol history, and replays it through the
-// invariant checker.
+// invariant checker. It is the one place campaigns run under faults.
 //
 // Three layers of trust, each mechanically checkable:
 //
 //  1. run_nemesis drives one NemesisSchedule through sched::CampaignEngine
-//     at worker counts {1, 2, 8}, asserting the canonical history and the
-//     CSV report are byte-identical across them (invariant W1), then
+//     at worker counts {1, 2, 8}, and once more with the jobs submitted in
+//     reverse order, asserting the canonical history and the CSV report
+//     are byte-identical across all of them (invariant W1). It then
 //     replays the base history through check_history (E1..R1 against the
-//     final report) and check_trace_consistency (H1 against the obs::
-//     virtual trace).
+//     final report), check_trace_consistency (H1 against the obs::
+//     virtual trace) and check_fault_accounting (F1 against the
+//     schedule's fault mix).
 //  2. nemesis_property wraps run_nemesis as a property over generated
 //     storm schedules, with greedy shrinking to a minimal failing
 //     schedule; the minimal schedule and its verdict are captured for CI
 //     artifact upload (write_failure_artifacts).
 //  3. run_protocol_self_test proves the checker has teeth: a clean run
-//     passes; every check::protocol_mutations() corruption of a real
-//     recorded history is flagged on its stated invariant; and every
+//     passes; every protocol_mutations() corruption of a real recorded
+//     history is flagged on its stated invariant; and every
 //     sched::SeededBug engine variant is caught end-to-end through the
 //     live engine → history → checker path.
 #pragma once
 
+#include <functional>
 #include <memory>
 #include <string>
 #include <vector>
@@ -42,10 +45,10 @@ struct RunArtifacts {
 };
 
 /// Runs `schedule` once with `n_workers` workers on a fresh check-scale
-/// scheduler (the same two-pool cluster as src/check/'s campaign
-/// oracles). `bug` seeds a deliberate protocol violation (self-tests
-/// only). The obs:: global trace recorder is left untouched; enable it
-/// around this call to collect the H1 cross-check stream.
+/// scheduler (two pools, CSP-1 and CSP-2 Small, one cylinder workload).
+/// `bug` seeds a deliberate protocol violation (self-tests only). The
+/// obs:: global trace recorder is left untouched; enable it around this
+/// call to collect the H1 cross-check stream.
 [[nodiscard]] RunArtifacts run_schedule(
     const NemesisSchedule& schedule, index_t n_workers,
     sched::SeededBug bug = sched::SeededBug::kNone);
@@ -62,8 +65,17 @@ struct NemesisVerdict {
   std::string csv;                ///< base run's report CSV
 };
 
-/// Full check of one schedule: W1 across worker counts, then E1..R1 and
-/// H1 over the base run's history.
+/// F1, fault accounting: the base run's history and report agree with the
+/// fault mix the schedule injected. Flags a corrupt_restore event without
+/// checkpoint corruption, a worker_crash event without crash injection, a
+/// slowdown of at least 1.4x on an all-on-demand schedule that never
+/// tripped the overrun guard, and completed work that cost nothing.
+[[nodiscard]] CheckResult check_fault_accounting(
+    const NemesisSchedule& schedule, const sched::ProtocolHistory& history,
+    const sched::CampaignReport& report);
+
+/// Full check of one schedule: W1 across worker counts and submission
+/// order, then E1..R1, H1 and F1 over the base run's history.
 [[nodiscard]] NemesisVerdict run_nemesis(const NemesisSchedule& schedule);
 
 /// A failing schedule with its verdict (minimal after shrinking).
@@ -103,8 +115,29 @@ struct SelfTestReport {
   [[nodiscard]] std::string summary() const;
 };
 
+/// One executor-protocol mutation: a seeded corruption of a recorded
+/// ProtocolHistory that the invariant checker must flag. Each protocol
+/// invariant of specs/executor_protocol.md has at least one mutant here
+/// that only it kills.
+struct ProtocolMutation {
+  std::string name;       ///< e.g. "drop_requeue"
+  std::string invariant;  ///< stable id the checker must flag ("S1", ...)
+  /// Corrupts `history` in place; returns false when the history has no
+  /// suitable event (the caller should pick a busier seeded run).
+  /// `max_attempts` mirrors the engine limit the checker is handed.
+  std::function<bool(sched::ProtocolHistory& history, index_t max_attempts)>
+      apply;
+};
+
+/// The protocol-mutation catalog. Covers every history-checkable
+/// invariant: drop_requeue (S1), double_charge (C1), skip_restore (K1),
+/// drop_terminal + duplicate_terminal (E1), time_warp (T1),
+/// requeue_past_attempt_limit (A1), phantom_fault (H1 — detected by the
+/// history-vs-trace cross-check, not check_history).
+[[nodiscard]] const std::vector<ProtocolMutation>& protocol_mutations();
+
 /// Proves the checker kills every seeded protocol violation: replays a
-/// busy recorded history through every check::protocol_mutations() entry,
+/// busy recorded history through every protocol_mutations() entry,
 /// and runs every sched::SeededBug through the live engine. `seed` keys
 /// the schedule generation; the same seed reproduces the same report.
 [[nodiscard]] SelfTestReport run_protocol_self_test(std::uint64_t seed);

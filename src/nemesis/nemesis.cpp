@@ -3,8 +3,6 @@
 #include <algorithm>
 #include <sstream>
 
-#include "check/generators.hpp"
-
 namespace hemo::nemesis {
 
 const std::vector<std::string>& storm_names() {
@@ -14,10 +12,41 @@ const std::vector<std::string>& storm_names() {
   return names;
 }
 
+std::vector<sched::CampaignJobSpec> gen_job_specs(
+    Xoshiro256& rng, index_t count, const std::string& workload) {
+  HEMO_REQUIRE(count >= 1, "job batch needs at least one job");
+  std::vector<sched::CampaignJobSpec> jobs;
+  jobs.reserve(static_cast<std::size_t>(count));
+  for (index_t i = 0; i < count; ++i) {
+    sched::CampaignJobSpec spec;
+    spec.id = i + 1;
+    spec.geometry = workload;
+    spec.timesteps = 200 + 100 * rng.below(9);  // 200..1000 steps
+    spec.allow_spot = rng.uniform() < 0.4;
+    jobs.push_back(std::move(spec));
+  }
+  return jobs;
+}
+
+sched::FaultInjection gen_fault_injection(Xoshiro256& rng) {
+  sched::FaultInjection faults;
+  if (rng.uniform() < 0.5) faults.slowdown_factor = rng.uniform(1.4, 1.9);
+  if (rng.uniform() < 0.5) {
+    faults.extra_preemption_probability = rng.uniform(0.05, 0.35);
+  }
+  if (rng.uniform() < 0.5) {
+    faults.checkpoint_corruption_rate = rng.uniform(0.1, 0.5);
+  }
+  if (rng.uniform() < 0.5) {
+    faults.worker_crash_probability = rng.uniform(0.02, 0.1);
+  }
+  return faults;
+}
+
 NemesisSchedule gen_schedule(const std::string& storm, Xoshiro256& rng) {
   NemesisSchedule s;
   s.storm = storm;
-  s.jobs = check::gen_job_specs(rng, 3 + rng.below(3), "cylinder");
+  s.jobs = gen_job_specs(rng, 3 + rng.below(3), "cylinder");
   s.engine_seed = rng.next();
 
   if (storm == "calm") {
@@ -40,7 +69,7 @@ NemesisSchedule gen_schedule(const std::string& storm, Xoshiro256& rng) {
   } else if (storm == "crash_storm") {
     s.faults.worker_crash_probability = rng.uniform(0.08, 0.2);
   } else if (storm == "mixed_storm") {
-    s.faults = check::gen_fault_injection(rng);
+    s.faults = gen_fault_injection(rng);
     if (!s.faults.any()) {
       s.faults.extra_preemption_probability = 0.2;
     }

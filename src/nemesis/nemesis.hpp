@@ -42,6 +42,16 @@ struct NemesisSchedule {
 ///   mixed_storm       a random combination of all fault classes
 [[nodiscard]] const std::vector<std::string>& storm_names();
 
+/// A batch of `count` campaign jobs against `workload`: randomized step
+/// counts, spot tenancy, and ids 1..count.
+[[nodiscard]] std::vector<sched::CampaignJobSpec> gen_job_specs(
+    Xoshiro256& rng, index_t count, const std::string& workload);
+
+/// A randomized fault-injection mix (mixed_storm): each fault class is
+/// enabled with probability 1/2, rates drawn in ranges that reliably
+/// force requeues at test scale while still letting most jobs finish.
+[[nodiscard]] sched::FaultInjection gen_fault_injection(Xoshiro256& rng);
+
 /// Generates one `storm` schedule from the RNG stream. Throws
 /// PreconditionError for an unknown storm name.
 [[nodiscard]] NemesisSchedule gen_schedule(const std::string& storm,

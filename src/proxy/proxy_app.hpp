@@ -4,7 +4,7 @@
 // isolate the performance of the common LBM kernels, exposing AA/AB
 // propagation, AoS/SoA layouts, and unrolled/looped inner loops. ProxyApp
 // wraps a cylinder Simulation with a chosen kernel variant, offers real
-// timed local runs (for the google-benchmark kernels), and exposes the
+// timed local runs, and exposes the
 // standard variant sets benchmarked in the paper's Figs. 4 and 8.
 #pragma once
 

@@ -157,18 +157,6 @@ TEST(Generators, CpuCatalogExcludesGpuAndHyperthreaded) {
   EXPECT_EQ(cpu_catalog().size(), 5u);  // TRC, CSP-1, CSP-2 {Small,,EC}
 }
 
-TEST(Generators, JobSpecsHaveUniqueSequentialIds) {
-  Xoshiro256 rng(5);
-  const auto jobs = gen_job_specs(rng, 12, "cylinder");
-  ASSERT_EQ(jobs.size(), 12u);
-  for (std::size_t i = 0; i < jobs.size(); ++i) {
-    EXPECT_EQ(jobs[i].id, static_cast<index_t>(i) + 1);
-    EXPECT_EQ(jobs[i].geometry, "cylinder");
-    EXPECT_GE(jobs[i].timesteps, 200);
-    EXPECT_LE(jobs[i].timesteps, 1000);
-  }
-}
-
 TEST(Generators, ModelParametersStayInPhysicalRanges) {
   Xoshiro256 rng(17);
   for (int i = 0; i < 20; ++i) {

@@ -27,7 +27,7 @@ PropertyConfig slow_config() {
 
 TEST(CheckSlow, AllOraclesPassAtFullCaseCount) {
   const auto results = run_all_oracles(shared_context(), slow_config());
-  ASSERT_GE(results.size(), 5u);
+  ASSERT_GE(results.size(), 3u);
   for (const PropertyResult& r : results) {
     EXPECT_TRUE(r.passed) << r.summary();
     EXPECT_GE(r.cases_run, 1);

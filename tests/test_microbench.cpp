@@ -1,7 +1,10 @@
 // Unit tests for the STREAM and PingPong microbenchmarks.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cmath>
+#include <limits>
+#include <vector>
 
 #include "cluster/instance.hpp"
 #include "fit/two_line.hpp"
@@ -109,12 +112,22 @@ TEST(PingPongSimulated, DeterministicPerSample) {
 }
 
 TEST(PingPongLocal, TimesGrowWithMessageSize) {
+  // One wall-clock sample per size is at the mercy of a single scheduler
+  // hiccup, so the ladder runs five times, interleaved, and each size is
+  // judged by its fastest sample.
   const std::vector<real_t> sizes = {0.0, 1024.0, 262144.0};
-  const auto samples = run_pingpong_local(sizes, 50);
-  ASSERT_EQ(samples.size(), 3u);
-  for (const auto& s : samples) EXPECT_GT(s.time_us, 0.0);
+  std::vector<real_t> fastest(sizes.size(),
+                              std::numeric_limits<real_t>::infinity());
+  for (int repeat = 0; repeat < 5; ++repeat) {
+    const auto samples = run_pingpong_local(sizes, 50);
+    ASSERT_EQ(samples.size(), 3u);
+    for (std::size_t i = 0; i < samples.size(); ++i) {
+      EXPECT_GT(samples[i].time_us, 0.0);
+      fastest[i] = std::min(fastest[i], samples[i].time_us);
+    }
+  }
   // A 256 KiB copy costs measurably more than a zero-byte handshake.
-  EXPECT_GT(samples[2].time_us, samples[0].time_us);
+  EXPECT_GT(fastest[2], fastest[0]);
 }
 
 TEST(PingPongLocal, ZeroByteLadderMeasuresPureLatency) {

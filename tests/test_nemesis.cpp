@@ -1,8 +1,9 @@
 // Tier-1 tests for the nemesis fault harness (src/nemesis/): protocol
 // history determinism and worker-count invariance (W1), the invariant
-// checker on clean runs, the mutation/seeded-bug self-test (every
-// invariant of specs/executor_protocol.md has a mutant the checker
-// kills), and the CI failure-artifact writer. The longer seeded storm
+// checker on clean runs, fault accounting (F1), the mutation/seeded-bug
+// self-test (every invariant of specs/executor_protocol.md has a mutant
+// the checker kills), the schedule generators, and the CI
+// failure-artifact writer. The longer seeded storm
 // sweeps run in test_nemesis_slow.cpp (ctest label "slow").
 #include <gtest/gtest.h>
 
@@ -11,7 +12,6 @@
 #include <fstream>
 #include <sstream>
 
-#include "check/mutation.hpp"
 #include "nemesis/harness.hpp"
 #include "util/rng.hpp"
 
@@ -95,7 +95,7 @@ TEST(NemesisSelfTest, EveryMutantAndSeededBugIsDetected) {
   EXPECT_TRUE(report.all_detected()) << report.summary();
   // One outcome per catalog mutation plus the four seeded engine bugs.
   EXPECT_EQ(report.outcomes.size(),
-            check::protocol_mutations().size() + 4);
+            protocol_mutations().size() + 4);
   for (const SelfTestOutcome& outcome : report.outcomes) {
     EXPECT_TRUE(outcome.detected)
         << outcome.name << " expected " << outcome.invariant << ": "
@@ -140,6 +140,45 @@ TEST(NemesisFaults, CalmScheduleRecordsNoInjectedFaultEvents) {
   }
 }
 
+// -------------------------------------------------------- fault accounting
+
+TEST(NemesisHarness, FaultAccountingFlagsEachViolation) {
+  const NemesisSchedule calm = storm_schedule("calm", 9);
+  const RunArtifacts run = run_schedule(calm, 1);
+  EXPECT_TRUE(check_fault_accounting(calm, run.history, run.report).passed())
+      << check_fault_accounting(calm, run.history, run.report).summary();
+
+  // A checkpoint corruption the calm schedule never injected.
+  sched::ProtocolHistory corrupted = run.history;
+  sched::ProtocolEvent restore = corrupted.events.back();
+  restore.kind = sched::ProtocolEventKind::kCorruptRestore;
+  corrupted.record(std::move(restore));
+  EXPECT_TRUE(check_fault_accounting(calm, corrupted, run.report)
+                  .violates("F1"));
+
+  // A slowed on-demand campaign whose guard never stopped an attempt.
+  const NemesisSchedule overrun = storm_schedule("overrun_storm", 9);
+  const RunArtifacts slowed = run_schedule(overrun, 1);
+  ASSERT_TRUE(
+      check_fault_accounting(overrun, slowed.history, slowed.report)
+          .passed());
+  sched::ProtocolHistory unguarded = slowed.history;
+  const auto guard_stops = std::erase_if(
+      unguarded.events, [](const sched::ProtocolEvent& e) {
+        return e.kind == sched::ProtocolEventKind::kGuardStop;
+      });
+  ASSERT_GT(guard_stops, 0u) << slowed.history.canonical();
+  EXPECT_TRUE(check_fault_accounting(overrun, unguarded, slowed.report)
+                  .violates("F1"));
+
+  // Completed work that cost nothing.
+  ASSERT_GT(run.report.n_completed, 0);
+  sched::CampaignReport free_report = run.report;
+  free_report.total_dollars = units::Dollars(0.0);
+  EXPECT_TRUE(check_fault_accounting(calm, run.history, free_report)
+                  .violates("F1"));
+}
+
 // --------------------------------------------------------------- artifacts
 
 TEST(NemesisArtifacts, WritesScheduleHistoryReportAndVerdict) {
@@ -168,6 +207,18 @@ TEST(NemesisArtifacts, WritesScheduleHistoryReportAndVerdict) {
 }
 
 // ------------------------------------------------------------- generators
+
+TEST(Generators, JobSpecsHaveUniqueSequentialIds) {
+  Xoshiro256 rng(5);
+  const auto jobs = gen_job_specs(rng, 12, "cylinder");
+  ASSERT_EQ(jobs.size(), 12u);
+  for (std::size_t i = 0; i < jobs.size(); ++i) {
+    EXPECT_EQ(jobs[i].id, static_cast<index_t>(i) + 1);
+    EXPECT_EQ(jobs[i].geometry, "cylinder");
+    EXPECT_GE(jobs[i].timesteps, 200);
+    EXPECT_LE(jobs[i].timesteps, 1000);
+  }
+}
 
 TEST(NemesisSchedules, ShrinkCandidatesAreStrictlySmaller) {
   const NemesisSchedule schedule = storm_schedule("mixed_storm", 17);
