@@ -20,9 +20,6 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
-#include <cstdlib>
-#include <fstream>
-#include <sstream>
 #include <string>
 
 #include "geometry/generators.hpp"
@@ -31,38 +28,12 @@
 #include "sched/report.hpp"
 #include "sched/scheduler.hpp"
 
-#ifndef HEMO_GOLDEN_DIR
-#error "HEMO_GOLDEN_DIR must point at tests/golden"
-#endif
+#include "golden_file.hpp"
 
 namespace hemo::sched {
 namespace {
 
-std::string golden_path(const std::string& name) {
-  return std::string(HEMO_GOLDEN_DIR) + "/" + name;
-}
-
-/// Compares `actual` with the golden file `name` byte for byte, or
-/// rewrites the file when HEMO_UPDATE_GOLDEN is set (returns true then, so
-/// the caller can skip).
-bool check_golden(const std::string& name, const std::string& actual) {
-  const std::string path = golden_path(name);
-  if (std::getenv("HEMO_UPDATE_GOLDEN") != nullptr) {
-    std::ofstream out(path, std::ios::binary);
-    EXPECT_TRUE(out.good()) << "cannot write " << path;
-    out << actual;
-    return true;
-  }
-  std::ifstream in(path, std::ios::binary);
-  EXPECT_TRUE(in.good()) << "missing golden file " << path
-                         << " (regenerate with HEMO_UPDATE_GOLDEN=1)";
-  std::ostringstream expected;
-  expected << in.rdbuf();
-  EXPECT_EQ(actual, expected.str())
-      << name << " drifted from the golden file; if the change is "
-      << "intentional rerun with HEMO_UPDATE_GOLDEN=1 and review the diff";
-  return false;
-}
+using golden::check_golden;
 
 /// Mirrors cmd_schedule in examples/hemocloud_cli.cpp: same catalog filter,
 /// objective, core counts and calibration ladder.
