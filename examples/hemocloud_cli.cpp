@@ -420,7 +420,6 @@ class LivePlane {
                 obs::ServerOptions{.host = "127.0.0.1", .port = port}) {
     obs::MetricsRegistry::global().enable(true);
     obs::FlightRecorder::global().enable(true);
-    watchdog_.set_rules(obs::default_campaign_rules());
     watchdog_.on_unhealthy([] {
       obs::FlightRecorder& recorder = obs::FlightRecorder::global();
       recorder.note("watchdog", "health entered unhealthy");

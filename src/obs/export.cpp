@@ -401,13 +401,9 @@ void append_json_map_entry(std::string& out, bool& first,
 
 }  // namespace
 
-std::string status_json(const std::vector<MetricSnapshot>& snapshots) {
-  real_t completed = 0.0, failed = 0.0, attempts = 0.0, requeues = 0.0;
-  real_t preemptions = 0.0, guard_stops = 0.0, crashes = 0.0;
-  real_t correction = 1.0, mean_abs_rel_error = 0.0;
-  std::map<std::string, real_t> imbalance;       // workload -> gauge
-  std::map<std::string, real_t> rank_busy;       // rank -> sum seconds
-  std::map<std::string, real_t> drift_p99;       // workload -> worst p99
+CampaignHealth campaign_health(const std::vector<MetricSnapshot>& snapshots) {
+  CampaignHealth h;
+  h.series = snapshots.size();
   for (const MetricSnapshot& snap : snapshots) {
     const auto label = [&snap](std::string_view key) {
       for (const auto& [k, v] : snap.labels) {
@@ -416,64 +412,80 @@ std::string status_json(const std::vector<MetricSnapshot>& snapshots) {
       return std::string();
     };
     if (snap.name == "campaign_jobs_total") {
-      (label("outcome") == "completed" ? completed : failed) += snap.value;
+      if (label("outcome") == "completed") {
+        h.jobs_completed += snap.value;
+      } else {
+        h.jobs_failed += snap.value;
+        h.has_failed = true;
+      }
     } else if (snap.name == "campaign_attempts_total") {
-      attempts += snap.value;
+      h.attempts += snap.value;
     } else if (snap.name == "campaign_requeues_total") {
-      requeues += snap.value;
+      h.requeues += snap.value;
     } else if (snap.name == "campaign_preemptions_total") {
-      preemptions += snap.value;
+      h.preemptions += snap.value;
+      h.has_preemptions = true;
     } else if (snap.name == "campaign_guard_stops_total") {
-      guard_stops += snap.value;
+      h.guard_stops += snap.value;
+      h.has_guard_stops = true;
     } else if (snap.name == "campaign_worker_crashes_total") {
-      crashes += snap.value;
+      h.worker_crashes += snap.value;
     } else if (snap.name == "campaign_correction_factor") {
-      correction = snap.value;
+      h.correction_factor = snap.value;
     } else if (snap.name == "campaign_mean_abs_rel_error") {
-      mean_abs_rel_error = snap.value;
+      h.mean_abs_rel_error = snap.value;
     } else if (snap.name == "runtime_measured_imbalance") {
-      imbalance[label("workload")] = snap.value;
+      h.imbalance[label("workload")] = snap.value;
     } else if (snap.name == "runtime_window_busy_seconds") {
-      rank_busy[label("rank")] += snap.histogram.sum;
-    } else if (snap.name == "model_drift_mflups_rel_error") {
-      real_t& worst = drift_p99[label("workload")];
-      worst = std::max(worst, snap.histogram.quantile(0.99));
+      h.rank_busy_seconds[label("rank")] += snap.histogram.sum;
+    } else if (snap.name == "model_drift_mflups_rel_error" &&
+               snap.histogram.count > 0) {
+      // Worst series per workload: one bad instance must not hide behind
+      // healthy siblings. The first series seeds the entry, so a workload
+      // that only drifts below zero reports its (negative) worst p99.
+      const real_t p99 = snap.histogram.quantile(0.99);
+      const auto [it, inserted] = h.drift_p99.emplace(label("workload"), p99);
+      if (!inserted) it->second = std::max(it->second, p99);
     }
   }
+  return h;
+}
 
+std::string status_json(const CampaignHealth& h) {
   std::string out = "{\"campaign\":{";
   bool first = true;
-  append_json_map_entry(out, first, "jobs_completed", num(completed));
-  append_json_map_entry(out, first, "jobs_failed", num(failed));
-  append_json_map_entry(out, first, "attempts", num(attempts));
-  append_json_map_entry(out, first, "requeues", num(requeues));
-  append_json_map_entry(out, first, "preemptions", num(preemptions));
-  append_json_map_entry(out, first, "guard_stops", num(guard_stops));
-  append_json_map_entry(out, first, "worker_crashes", num(crashes));
-  append_json_map_entry(out, first, "correction_factor", num(correction));
+  append_json_map_entry(out, first, "jobs_completed", num(h.jobs_completed));
+  append_json_map_entry(out, first, "jobs_failed", num(h.jobs_failed));
+  append_json_map_entry(out, first, "attempts", num(h.attempts));
+  append_json_map_entry(out, first, "requeues", num(h.requeues));
+  append_json_map_entry(out, first, "preemptions", num(h.preemptions));
+  append_json_map_entry(out, first, "guard_stops", num(h.guard_stops));
+  append_json_map_entry(out, first, "worker_crashes", num(h.worker_crashes));
+  append_json_map_entry(out, first, "correction_factor",
+                        num(h.correction_factor));
   append_json_map_entry(out, first, "mean_abs_rel_error",
-                        num(mean_abs_rel_error));
+                        num(h.mean_abs_rel_error));
   out += "},\"runtime\":{\"imbalance\":{";
   first = true;
-  for (const auto& [workload, value] : imbalance) {
+  for (const auto& [workload, value] : h.imbalance) {
     append_json_map_entry(out, first, workload, num(value));
   }
   out += "},\"rank_busy_seconds\":{";
   first = true;
-  for (const auto& [rank, value] : rank_busy) {
+  for (const auto& [rank, value] : h.rank_busy_seconds) {
     append_json_map_entry(out, first, rank, num(value));
   }
   out += "}},\"model_drift_p99\":{";
   first = true;
-  for (const auto& [workload, value] : drift_p99) {
+  for (const auto& [workload, value] : h.drift_p99) {
     append_json_map_entry(out, first, workload, num(value));
   }
-  out += "},\"series\":" + std::to_string(snapshots.size()) + "}\n";
+  out += "},\"series\":" + std::to_string(h.series) + "}\n";
   return out;
 }
 
 std::string status_json(const MetricsRegistry& registry) {
-  return status_json(registry.snapshot());
+  return status_json(campaign_health(registry.snapshot()));
 }
 
 }  // namespace hemo::obs

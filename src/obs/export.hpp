@@ -20,11 +20,13 @@
 // parse_metrics_jsonl() inverts the JSONL format so `hemocloud_cli
 // metrics` can re-render a saved snapshot as a table or as Prometheus
 // text; glob_match()/series_matches() implement the CLI's
-// `--filter 'name{label=...}'` selection and the watchdog's rule
-// selectors.
+// `--filter 'name{label=...}'` selection. campaign_health() folds a
+// snapshot into the campaign-health summary that `/status` and the
+// watchdog's `/healthz` rules share.
 #pragma once
 
 #include <cstdint>
+#include <map>
 #include <string>
 #include <string_view>
 #include <vector>
@@ -79,12 +81,35 @@ struct CumulativeBucket {
 [[nodiscard]] std::vector<MetricSnapshot> parse_metrics_jsonl(
     std::string_view text);
 
-/// Campaign/runtime health summary served at `/status`: terminal job
-/// counts, attempts/requeues/preemptions, model correction factor,
-/// per-workload measured imbalance, per-rank busy seconds, and per-
-/// workload model-drift p99 (worst series across instances/rounds).
-[[nodiscard]] std::string status_json(
+/// Campaign/runtime health, folded once from a snapshot: `/status`
+/// renders it and the watchdog's rules read it (DESIGN.md §14), so both
+/// surfaces agree on which series make up campaign health.
+struct CampaignHealth {
+  real_t jobs_completed = 0.0;  ///< campaign_jobs_total{outcome=completed}
+  real_t jobs_failed = 0.0;     ///< every other campaign_jobs_total outcome
+  real_t attempts = 0.0;
+  real_t requeues = 0.0;
+  real_t preemptions = 0.0;
+  real_t guard_stops = 0.0;
+  real_t worker_crashes = 0.0;
+  real_t correction_factor = 1.0;
+  real_t mean_abs_rel_error = 0.0;
+  /// Whether the family has any series at all: a ratio rule binds only
+  /// once its numerator has data.
+  bool has_failed = false;
+  bool has_preemptions = false;
+  bool has_guard_stops = false;
+  std::map<std::string, real_t> imbalance;          ///< workload -> gauge
+  std::map<std::string, real_t> rank_busy_seconds;  ///< rank -> summed busy
+  std::map<std::string, real_t> drift_p99;  ///< workload -> worst series p99
+  std::size_t series = 0;                   ///< series in the snapshot
+};
+
+[[nodiscard]] CampaignHealth campaign_health(
     const std::vector<MetricSnapshot>& snapshots);
+
+/// JSON body served at `/status` (without the server's request counter).
+[[nodiscard]] std::string status_json(const CampaignHealth& health);
 [[nodiscard]] std::string status_json(const MetricsRegistry& registry);
 
 }  // namespace hemo::obs

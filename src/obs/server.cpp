@@ -62,11 +62,6 @@ void TelemetryServer::set_watchdog(Watchdog* watchdog) {
   watchdog_ = watchdog;
 }
 
-void TelemetryServer::set_status_fields(std::function<std::string()> hook) {
-  const MutexLock lock(mutex_);
-  status_hook_ = std::move(hook);
-}
-
 void TelemetryServer::start() {
   const MutexLock lock(mutex_);
   if (acceptor_.joinable()) return;
@@ -195,20 +190,11 @@ std::string TelemetryServer::respond(std::string_view target) {
                          "application/json", watchdog->health_json());
   }
   if (target == "/status") {
-    std::function<std::string()> hook;
-    {
-      const MutexLock lock(mutex_);
-      hook = status_hook_;
-    }
     std::string body = status_json(*registry_);
-    // Merge extra fields into the top-level object: replace the trailing
-    // "}\n" with ",<fragment>}\n".
-    const std::string extra = hook ? hook() : std::string();
-    std::string requests =
-        "\"http_requests\":" +
-        std::to_string(requests_.load(std::memory_order_relaxed));
-    if (!extra.empty()) requests += ',' + extra;
-    body.insert(body.rfind('}'), ',' + requests);
+    // Close the top-level object with the request counter.
+    body.insert(body.rfind('}'),
+                ",\"http_requests\":" +
+                    std::to_string(requests_.load(std::memory_order_relaxed)));
     return http_response(200, "OK", "application/json", body);
   }
   if (target.empty()) {

@@ -17,14 +17,13 @@
 //
 // Threading: start() spawns the acceptor; it polls the listen socket on a
 // 200 ms tick so stop() (atomic flag + close) joins promptly. Mutable
-// state (watchdog pointer, status hook, listen fd) is guarded by a
-// hemo::Mutex; request serving takes registry snapshots, which are
-// internally synchronized.
+// state (watchdog pointer, listen fd) is guarded by a hemo::Mutex;
+// request serving takes registry snapshots, which are internally
+// synchronized.
 #pragma once
 
 #include <atomic>
 #include <cstdint>
-#include <functional>
 #include <string>
 #include <thread>  // sync-ok(acceptor jthread; lifecycle guarded by mutex_)
 
@@ -51,11 +50,6 @@ class TelemetryServer {
   /// Attaches a watchdog for /healthz (optional; without one /healthz
   /// reports ok). Call before start().
   void set_watchdog(Watchdog* watchdog) HEMO_EXCLUDES(mutex_);
-
-  /// Extra top-level fields merged into /status (rendered as a JSON
-  /// fragment like `"campaign_jobs":6`; may be empty). Called per request.
-  void set_status_fields(std::function<std::string()> hook)
-      HEMO_EXCLUDES(mutex_);
 
   /// Binds + listens + spawns the acceptor. Throws NumericError when the
   /// socket cannot be bound. No-op if already running.
@@ -86,7 +80,6 @@ class TelemetryServer {
 
   mutable Mutex mutex_;
   Watchdog* watchdog_ HEMO_GUARDED_BY(mutex_) = nullptr;
-  std::function<std::string()> status_hook_ HEMO_GUARDED_BY(mutex_);
   int listen_fd_ HEMO_GUARDED_BY(mutex_) = -1;
   std::uint16_t bound_port_ HEMO_GUARDED_BY(mutex_) = 0;
   std::jthread acceptor_ HEMO_GUARDED_BY(mutex_);

@@ -1,27 +1,14 @@
-// Declarative SLO watchdog over MetricsRegistry snapshots.
+// SLO watchdog over MetricsRegistry snapshots.
 //
-// Rules are parsed from a one-line grammar (DESIGN.md §14):
+// evaluate() folds one snapshot into obs::CampaignHealth (the same fold
+// `/status` renders) and checks the five fixed campaign rules of
+// DESIGN.md §14 against it: model-drift p99 band, runtime imbalance
+// ceiling, and the preemption, failure and guard-stop rates per attempt.
+// A rule without data (no series of its family, or zero attempts under a
+// ratio) is *inapplicable* and reports ok: SLOs only bind once there is
+// data. Breached severities fold into an overall Health
+// (ok < degraded < unhealthy).
 //
-//   rule     := name ':' expr op number '=>' severity
-//   expr     := agg '(' selector ')'
-//             | 'ratio' '(' selector ',' selector ')'
-//   agg      := 'value' | 'sum' | 'count' | 'min' | 'max' | 'mean'
-//             | 'p50' | 'p90' | 'p99'
-//   op       := '<' | '<=' | '>' | '>='
-//   severity := 'degraded' | 'unhealthy'
-//
-// A selector is a glob over series (obs::series_matches): a bare name
-// pattern like `model_drift_*` matches every labeled series of those
-// families; a pattern containing '{' matches the full canonical key.
-// Scalar aggregates (value/sum/count/min/max/mean) combine counter and
-// gauge values across all matched series; the quantile aggregates take
-// the *worst* (maximum) quantile across matched histogram series.
-// `ratio(a, b)` is sum(a)/sum(b) — the preemption-rate shape. A rule
-// whose selector matches nothing (or whose ratio denominator is zero) is
-// *inapplicable* and reports ok: SLOs only bind once there is data.
-//
-// evaluate() takes one snapshot, computes every rule, and folds the
-// breached severities into an overall Health (ok < degraded < unhealthy).
 // Transitions are logged (WARN on degradation, ERROR on unhealthy, INFO
 // on recovery), exported as `watchdog_*` gauges, and surfaced through
 // /healthz by obs::TelemetryServer. start() runs evaluate() on a cadence
@@ -45,35 +32,22 @@ enum class Health { kOk = 0, kDegraded = 1, kUnhealthy = 2 };
 
 [[nodiscard]] std::string_view health_name(Health health) noexcept;
 
-/// One parsed SLO rule.
+/// One of the watchdog's fixed campaign rules: breached when its
+/// observed value exceeds `threshold`.
 struct SloRule {
-  std::string name;       ///< stable identifier ("drift_p99_band")
-  std::string aggregate;  ///< value|sum|count|min|max|mean|p50|p90|p99|ratio
-  std::string selector;       ///< series glob (ratio numerator)
-  std::string denominator;    ///< ratio denominator ("" otherwise)
-  std::string op;             ///< "<" "<=" ">" ">="
+  std::string_view name;  ///< stable identifier ("drift_p99_band")
+  std::string_view expr;  ///< the bounded aggregate, as /healthz shows it
   real_t threshold = 0.0;
   Health severity = Health::kDegraded;  ///< reported when breached
-
-  /// Grammar line this rule round-trips to.
-  [[nodiscard]] std::string to_string() const;
 };
-
-/// Parses one rule line; throws NumericError with the offending token on
-/// any grammar violation.
-[[nodiscard]] SloRule parse_slo_rule(std::string_view line);
 
 /// Outcome of one rule against one snapshot.
 struct RuleOutcome {
   SloRule rule;
-  bool applicable = false;  ///< selector matched data (denominator nonzero)
+  bool applicable = false;  ///< the rule's series have data
   bool breached = false;
   real_t observed = 0.0;  ///< aggregated value (0 when inapplicable)
 };
-
-/// Baseline rule set for a campaign service: model-drift p99 band,
-/// runtime imbalance ceiling, preemption rate, guard-stop/failure floors.
-[[nodiscard]] std::vector<SloRule> default_campaign_rules();
 
 class Watchdog {
  public:
@@ -81,10 +55,6 @@ class Watchdog {
   ~Watchdog();
   Watchdog(const Watchdog&) = delete;
   Watchdog& operator=(const Watchdog&) = delete;
-
-  /// Replaces the rule set (parsed or from default_campaign_rules()).
-  void set_rules(std::vector<SloRule> rules) HEMO_EXCLUDES(mutex_);
-  [[nodiscard]] std::vector<SloRule> rules() const HEMO_EXCLUDES(mutex_);
 
   /// Registers a hook invoked (on the evaluating thread) each time the
   /// overall health *transitions into* kUnhealthy.
@@ -114,7 +84,6 @@ class Watchdog {
   mutable Mutex mutex_;
   CondVar wake_;  ///< signaled by stop() to cut the cadence sleep short
   bool stopping_ HEMO_GUARDED_BY(mutex_) = false;
-  std::vector<SloRule> rules_ HEMO_GUARDED_BY(mutex_);
   std::function<void()> unhealthy_hook_ HEMO_GUARDED_BY(mutex_);
   Health health_ HEMO_GUARDED_BY(mutex_) = Health::kOk;
   std::vector<RuleOutcome> outcomes_ HEMO_GUARDED_BY(mutex_);

@@ -26,7 +26,6 @@ namespace {
 /// as one document, section by section.
 std::string health_surfaces(MetricsRegistry& registry) {
   Watchdog watchdog(registry);
-  watchdog.set_rules(default_campaign_rules());
   watchdog.evaluate();
 
   std::vector<MetricSnapshot> gauges;

@@ -2,8 +2,8 @@
 // exposition conformance (golden bytes, label escaping, cumulative
 // histogram rendering), JSONL round-trip through parse_metrics_jsonl,
 // glob series selection, the POSIX HTTP telemetry server (routing and a
-// real socket round-trip on an ephemeral port), the SLO watchdog (rule
-// grammar, evaluation, health transitions and the unhealthy hook), the
+// real socket round-trip on an ephemeral port), the SLO watchdog
+// (evaluation, health transitions and the unhealthy hook), the
 // phase-stack sampling profiler, and the fault flight recorder —
 // including the acceptance property that the recorder's protocol entries
 // mirror the executor's canonical history byte-for-byte.
@@ -243,7 +243,6 @@ TEST_F(ServerTest, UnhealthyWatchdogYields503) {
   registry.add("campaign_jobs_total", 3.0, {{"outcome", "failed"}});
   registry.add("campaign_attempts_total", 4.0);
   Watchdog watchdog(registry);
-  watchdog.set_rules(default_campaign_rules());
   watchdog.evaluate();
   ASSERT_EQ(watchdog.health(), Health::kUnhealthy);
 
@@ -315,43 +314,10 @@ TEST_F(ServerTest, HttpRoundTripOnEphemeralPort) {
 // ---------------------------------------------------------------------------
 // SLO watchdog.
 
-TEST_F(WatchdogTest, RuleGrammarRoundTrips) {
-  const SloRule rule = parse_slo_rule(
-      "drift_band: p99(model_drift_*) <= 0.35 => degraded");
-  EXPECT_EQ(rule.name, "drift_band");
-  EXPECT_EQ(rule.aggregate, "p99");
-  EXPECT_EQ(rule.selector, "model_drift_*");
-  EXPECT_EQ(rule.op, "<=");
-  EXPECT_DOUBLE_EQ(rule.threshold, 0.35);
-  EXPECT_EQ(rule.severity, Health::kDegraded);
-  EXPECT_EQ(parse_slo_rule(rule.to_string()).to_string(), rule.to_string());
-
-  const SloRule ratio = parse_slo_rule(
-      "preemption_rate: ratio(campaign_preemptions_total, "
-      "campaign_attempts_total) <= 0.5 => degraded");
-  EXPECT_EQ(ratio.aggregate, "ratio");
-  EXPECT_EQ(ratio.denominator, "campaign_attempts_total");
-  EXPECT_EQ(parse_slo_rule(ratio.to_string()).to_string(),
-            ratio.to_string());
-}
-
-TEST_F(WatchdogTest, MalformedRulesThrow) {
-  EXPECT_THROW((void)parse_slo_rule("no colon here"), NumericError);
-  EXPECT_THROW((void)parse_slo_rule("r: bogus(x) <= 1 => degraded"),
-               NumericError);
-  EXPECT_THROW((void)parse_slo_rule("r: sum(x) <= nope => degraded"),
-               NumericError);
-  EXPECT_THROW((void)parse_slo_rule("r: sum(x) <= 1 => fine"),
-               NumericError);
-  EXPECT_THROW((void)parse_slo_rule("r: ratio(x) <= 1 => degraded"),
-               NumericError);
-}
-
 TEST_F(WatchdogTest, EmptyRegistryIsInapplicableAndOk) {
   MetricsRegistry registry;
   registry.enable(true);
   Watchdog watchdog(registry);
-  watchdog.set_rules(default_campaign_rules());
   EXPECT_EQ(watchdog.evaluate(), Health::kOk);
   for (const RuleOutcome& outcome : watchdog.outcomes()) {
     EXPECT_FALSE(outcome.applicable) << outcome.rule.name;
@@ -363,7 +329,6 @@ TEST_F(WatchdogTest, PreemptionStormDegradesThenRecovers) {
   MetricsRegistry registry;
   registry.enable(true);
   Watchdog watchdog(registry);
-  watchdog.set_rules(default_campaign_rules());
 
   registry.add("campaign_attempts_total", 10.0);
   registry.add("campaign_preemptions_total", 2.0);
@@ -393,7 +358,6 @@ TEST_F(WatchdogTest, UnhealthyHookFiresOnTransitionOnly) {
   MetricsRegistry registry;
   registry.enable(true);
   Watchdog watchdog(registry);
-  watchdog.set_rules(default_campaign_rules());
   int fired = 0;
   watchdog.on_unhealthy([&fired] { ++fired; });
 
@@ -410,7 +374,6 @@ TEST_F(WatchdogTest, EvaluateExportsWatchdogGauges) {
   MetricsRegistry registry;
   registry.enable(true);
   Watchdog watchdog(registry);
-  watchdog.set_rules(default_campaign_rules());
   watchdog.evaluate();
   bool saw_state = false, saw_rule_gauge = false;
   for (const auto& snap : registry.snapshot()) {
@@ -425,7 +388,6 @@ TEST_F(WatchdogTest, CadenceThreadEvaluatesAndStopsPromptly) {
   MetricsRegistry registry;
   registry.enable(true);
   Watchdog watchdog(registry);
-  watchdog.set_rules(default_campaign_rules());
   watchdog.start(0.01);
   // The cadence loop has run at least once within a generous bound.
   bool evaluated = false;
