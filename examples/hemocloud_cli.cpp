@@ -28,13 +28,11 @@
 //       are byte-stable for a fixed seed); --metrics writes a JSONL
 //       snapshot of the telemetry registry. --listen serves the live
 //       telemetry plane (/metrics, /metrics.json, /healthz, /status)
-//       during the campaign and for --hold seconds afterwards, with the
-//       SLO watchdog and fault flight recorder armed.
-//   hemocloud_cli serve [geometry] [--port P] [--jobs N] [--steps T]
-//                       [--seed S] [--hold SEC]
-//       Observability quick-start: run a seeded campaign with the live
-//       telemetry plane up and keep serving afterwards (--hold SEC, -1 =
-//       until killed). `curl localhost:P/metrics` while it runs.
+//       during the campaign and for --hold seconds afterwards (-1 = until
+//       killed), with the SLO watchdog and fault flight recorder armed.
+//       Observability quick-start:
+//         hemocloud_cli schedule cylinder 6 20000 42 --listen 9100 --hold -1
+//       then `curl localhost:9100/metrics` while it runs.
 //   hemocloud_cli metrics <file.jsonl> [--filter 'name{label=...}']
 //                         [--sort] [--format table|prom|json]
 //       Summarize a --metrics snapshot. --filter selects series by glob
@@ -524,17 +522,6 @@ int cmd_schedule(const std::string& geometry_name, index_t n_jobs,
   return 0;
 }
 
-/// Observability quick-start: a seeded campaign with the plane up, then
-/// keep serving (`hold_s` < 0 = until killed) so /metrics and /healthz
-/// can be curled at leisure.
-int cmd_serve(const std::string& geometry_name, index_t n_jobs,
-              index_t timesteps, std::uint64_t seed, int port,
-              real_t hold_s) {
-  return cmd_schedule(geometry_name, n_jobs, timesteps, seed,
-                      /*csv=*/false, /*trace_path=*/"", /*metrics_path=*/"",
-                      port, hold_s);
-}
-
 int cmd_check(index_t cases, std::uint64_t seed) {
   check::PropertyConfig config;
   config.seed = seed;
@@ -721,9 +708,8 @@ int usage() {
             << "                         [--trace out.json] "
                "[--metrics out.jsonl]\n"
             << "                         [--listen PORT] [--hold SEC]\n"
-            << "  hemocloud_cli serve [geometry] [--port P] [--jobs N] "
-               "[--steps T]\n"
-            << "                      [--seed S] [--hold SEC]\n"
+            << "    quick-start: hemocloud_cli schedule cylinder 6 20000 42 "
+               "--listen 9100 --hold -1\n"
             << "  hemocloud_cli metrics <file.jsonl> "
                "[--filter 'name{label=...}']\n"
             << "                        [--sort] [--format table|prom|json]\n"
@@ -774,6 +760,7 @@ int main(int argc, char** argv) {
     if (cmd == "schedule" && argc >= 5 && argc <= 15) {
       bool csv = false;
       std::uint64_t seed = 42;
+      bool seed_given = false;
       std::string trace_path, metrics_path;
       int listen_port = -1;
       hemo::real_t hold_s = 0.0;
@@ -789,40 +776,19 @@ int main(int argc, char** argv) {
           listen_port = std::atoi(argv[++i]);
         } else if (arg == "--hold" && i + 1 < argc) {
           hold_s = std::atof(argv[++i]);
+        } else if (!seed_given && !arg.starts_with("--")) {
+          // parse_seed falls back on anything that is not a number; two
+          // different fallbacks expose that instead of running with one.
+          seed = hemo::parse_seed(argv[i], 0);
+          if (seed != hemo::parse_seed(argv[i], 1)) return usage();
+          seed_given = true;
         } else {
-          seed = hemo::parse_seed(argv[i], seed);
+          return usage();
         }
       }
       return cmd_schedule(argv[2], std::atol(argv[3]), std::atol(argv[4]),
                           seed, csv, trace_path, metrics_path, listen_port,
                           hold_s);
-    }
-    if (cmd == "serve") {
-      std::string geometry = "cylinder";
-      hemo::index_t jobs = 6;
-      hemo::index_t steps = 20000;
-      std::uint64_t seed = 42;
-      int port = 9100;
-      hemo::real_t hold_s = -1.0;
-      int i = 2;
-      if (i < argc && argv[i][0] != '-') geometry = argv[i++];
-      for (; i < argc; ++i) {
-        const std::string arg = argv[i];
-        if (arg == "--port" && i + 1 < argc) {
-          port = std::atoi(argv[++i]);
-        } else if (arg == "--jobs" && i + 1 < argc) {
-          jobs = std::atol(argv[++i]);
-        } else if (arg == "--steps" && i + 1 < argc) {
-          steps = std::atol(argv[++i]);
-        } else if (arg == "--seed" && i + 1 < argc) {
-          seed = hemo::parse_seed(argv[++i], seed);
-        } else if (arg == "--hold" && i + 1 < argc) {
-          hold_s = std::atof(argv[++i]);
-        } else {
-          return usage();
-        }
-      }
-      return cmd_serve(geometry, jobs, steps, seed, port, hold_s);
     }
     if (cmd == "metrics" && argc >= 3) {
       std::string filter;
