@@ -1,78 +1,20 @@
-// hemocloud — command-line front end to the framework.
-//
-//   hemocloud_cli instances
-//       List the instance catalog (Table I view).
-//   hemocloud_cli calibrate <instance>
-//       Run the microbenchmark calibration and print fit parameters.
-//   hemocloud_cli predict <geometry> <instance> <ranks>
-//       Direct-model prediction vs a virtual-cluster measurement.
-//   hemocloud_cli dashboard <geometry> <timesteps>
-//       Evaluate all instances, print cost metrics and recommendations.
-//   hemocloud_cli simulate <geometry> <steps> [out.vtk]
-//       Run the real solver locally; optionally export the flow field.
-//   hemocloud_cli run <geometry> <steps> [--ranks N] [--rebalance]
-//                     [--profile out.folded]
-//       Run the threaded parallel runtime (src/runtime/) with real halo
-//       messaging, then characterize this host (STREAM + PingPong) and
-//       print the measured-vs-predicted per-rank table (Eq. 9 memory
-//       term, Eq. 12 communication term). --rebalance enables dynamic
-//       load rebalancing mid-run; --profile samples the rank phase
-//       stacks and writes a collapsed-stack flamegraph profile.
-//   hemocloud_cli schedule <geometry> <n_jobs> <timesteps> [seed] [--csv]
-//                          [--trace out.json] [--metrics out.jsonl]
-//                          [--listen PORT] [--hold SEC]
-//       Run a model-driven campaign through the scheduler (src/sched/)
-//       and print the campaign report (--csv: canonical CSV instead of
-//       the table; byte-identical for a fixed seed). --trace exports a
-//       Chrome-trace/Perfetto JSON of the campaign (virtual-time spans
-//       are byte-stable for a fixed seed); --metrics writes a JSONL
-//       snapshot of the telemetry registry. --listen serves the live
-//       telemetry plane (/metrics, /metrics.json, /healthz, /status)
-//       during the campaign and for --hold seconds afterwards (-1 = until
-//       killed), with the SLO watchdog and fault flight recorder armed.
-//       Observability quick-start:
-//         hemocloud_cli schedule cylinder 6 20000 42 --listen 9100 --hold -1
-//       then `curl localhost:9100/metrics` while it runs.
-//   hemocloud_cli metrics <file.jsonl> [--filter 'name{label=...}']
-//                         [--sort] [--format table|prom|json]
-//       Summarize a --metrics snapshot. --filter selects series by glob
-//       (over the name, or the full name{k=v} key when the pattern has
-//       '{'); --sort orders slowest-first (histogram sum / value, the
-//       same ordering `check` prints); --format prom re-renders the
-//       snapshot as Prometheus text exposition, json as one document.
-//   hemocloud_cli kernels [geometry]
-//       SIMD backend inventory of this host (compiled / CPU-detected /
-//       selected, honoring HEMO_SIMD) plus the roofline inputs per kernel
-//       variant: bytes per fluid-point update from the paper's access
-//       counts and the resulting MFLUPS bound over a measured STREAM COPY.
-//   hemocloud_cli check [cases] [seed]
-//       Run the model and solver oracles (src/check/). Exit 0
-//       only when every oracle passes; failures print the shrunk
-//       counterexample and its replay seed. Prints per-oracle wall
-//       time, slowest first.
-//   hemocloud_cli mutate [cases] [seed]
-//       Mutation self-test: perturb one fitted model coefficient at a
-//       time and verify the matching oracle catches it.
-//   hemocloud_cli nemesis [--seed S] [--cases N] [--storm name]
-//                         [--artifacts dir]
-//       Nemesis fault harness (src/nemesis/): prove the checker kills
-//       every seeded protocol mutant, then drive seeded fault storms
-//       through the engine and replay every recorded history through
-//       the invariant checker (specs/executor_protocol.md). Output is a
-//       pure function of the seed; exit 0 only when everything passes.
-//       --artifacts writes the shrunk failing schedule, its canonical
-//       history, report CSV and verdict under the given directory.
-//
-// Geometries: cylinder | aorta | cerebral.
+// hemocloud — command-line front end to the framework. Its one grammar is
+// the command table, commands(): parse() reads every argument against it
+// and usage() prints it (run `hemocloud_cli` with no arguments).
 #include <algorithm>
 #include <chrono>
-#include <cstdlib>
 #include <fstream>
 #include <iostream>
+#include <map>
 #include <memory>
+#include <optional>
+#include <ranges>
+#include <span>
 #include <sstream>
 #include <string>
+#include <string_view>
 #include <thread>
+#include <vector>
 
 #include "check/mutation.hpp"
 #include "check/oracles.hpp"
@@ -101,6 +43,43 @@ namespace {
 
 using namespace hemo;
 
+/// What an argument must read as. kChoice is one of the '|'-separated words
+/// of its metavar; kSwitch is a flag that takes no value.
+enum class Kind { kText, kCount, kSeed, kReal, kPort, kChoice, kSwitch };
+
+/// A positional argument ("geometry") or a flag ("--ranks"). `fallback` is
+/// read when it is absent: a positional without one is required, and ""
+/// leaves it absent (empty text, no port, or the HEMO_SEED seed).
+struct Param {
+  std::string_view name;
+  Kind kind = Kind::kText;
+  const char* fallback = nullptr;
+  std::string_view metavar = {};  // a flag's value in usage; kChoice's words
+
+  bool flag() const { return name.starts_with("--"); }
+  bool required() const { return fallback == nullptr && !flag(); }
+  bool defaulted() const { return fallback && *fallback; }
+};
+
+/// A parsed command line. parse() checked every value against its kind, so
+/// the typed reads cannot fail.
+struct Args {
+  std::map<std::string_view, const char*> values;
+
+  bool has(std::string_view name) const { return values.contains(name); }
+  std::string text(std::string_view name) const {
+    return has(name) ? values.at(name) : "";
+  }
+  template <typename T>
+  T number(std::string_view name) const {
+    return *read_number<T>(values.at(name));
+  }
+  index_t count(std::string_view name) const { return number<index_t>(name); }
+  std::uint64_t seed(std::string_view name) const {
+    return has(name) ? *read_seed(values.at(name)) : global_seed();
+  }
+};
+
 geometry::Geometry make_named_geometry(const std::string& name) {
   if (name == "cylinder") {
     return geometry::make_cylinder({.radius = 10, .length = 80});
@@ -117,7 +96,7 @@ harvey::Simulation make_sim(const std::string& geometry_name) {
   return harvey::Simulation(make_named_geometry(geometry_name), options);
 }
 
-int cmd_instances() {
+int cmd_instances(const Args& /*args*/) {
   TextTable t;
   t.set_header({"Abbrev", "Name", "Cores/node", "Total cores",
                 "Interconnect (Gb/s)", "$/node-hr", "GPUs/node"});
@@ -132,8 +111,8 @@ int cmd_instances() {
   return 0;
 }
 
-int cmd_calibrate(const std::string& instance) {
-  const auto& profile = cluster::instance_by_abbrev(instance);
+int cmd_calibrate(const Args& args) {
+  const auto& profile = cluster::instance_by_abbrev(args.text("instance"));
   HEMO_LOG_INFO("calibrating %s ...", profile.name.c_str());
   const auto cal = core::calibrate_instance(profile);
   TextTable t;
@@ -160,10 +139,10 @@ int cmd_calibrate(const std::string& instance) {
   return 0;
 }
 
-int cmd_predict(const std::string& geometry_name,
-                const std::string& instance, index_t ranks) {
-  const auto& profile = cluster::instance_by_abbrev(instance);
-  auto sim = make_sim(geometry_name);
+int cmd_predict(const Args& args) {
+  const auto& profile = cluster::instance_by_abbrev(args.text("instance"));
+  auto sim = make_sim(args.text("geometry"));
+  const index_t ranks = args.count("ranks");
   const auto cal = core::calibrate_instance(profile);
   const auto pred = core::predict_direct(
       sim.plan(ranks, profile.cores_per_node), cal);
@@ -187,18 +166,18 @@ int cmd_predict(const std::string& geometry_name,
   return 0;
 }
 
-int cmd_dashboard(const std::string& geometry_name, index_t timesteps) {
+int cmd_dashboard(const Args& args) {
   std::vector<const cluster::InstanceProfile*> profiles;
   for (const auto& p : cluster::default_catalog()) {
     if (p.abbrev != "CSP-2 Hyp.") profiles.push_back(&p);
   }
   core::Dashboard dashboard(std::move(profiles));
-  auto sim = make_sim(geometry_name);
+  auto sim = make_sim(args.text("geometry"));
   const std::vector<index_t> cal_counts = {2, 4, 8, 16, 32};
   const auto workload = core::calibrate_workload(sim, cal_counts, 36);
   const std::vector<index_t> cores = {16, 36, 72, 144};
-  const auto rows =
-      dashboard.evaluate(workload, core::JobSpec{timesteps}, cores);
+  const auto rows = dashboard.evaluate(
+      workload, core::JobSpec{args.count("timesteps")}, cores);
 
   TextTable t;
   t.set_header({"instance", "cores", "mflups", "time_h", "cost_usd",
@@ -225,8 +204,10 @@ int cmd_dashboard(const std::string& geometry_name, index_t timesteps) {
   return 0;
 }
 
-int cmd_simulate(const std::string& geometry_name, index_t steps,
-                 const std::string& vtk_path) {
+int cmd_simulate(const Args& args) {
+  const std::string geometry_name = args.text("geometry");
+  const index_t steps = args.count("steps");
+  const std::string vtk_path = args.text("out.vtk");
   auto sim = make_sim(geometry_name);
   std::cout << geometry_name << ": " << sim.mesh().num_points()
             << " fluid points\n";
@@ -262,7 +243,8 @@ void record_simd_backend_gauge(obs::MetricsRegistry& registry) {
                {{"backend", lbm::to_string(backend)}});
 }
 
-int cmd_kernels(const std::string& geometry_name) {
+int cmd_kernels(const Args& args) {
+  const std::string geometry_name = args.text("geometry");
   const auto print_backends = [](const char* label,
                                  const std::vector<lbm::Backend>& list) {
     std::cout << label << ":";
@@ -312,8 +294,12 @@ int cmd_kernels(const std::string& geometry_name) {
   return 0;
 }
 
-int cmd_run(const std::string& geometry_name, index_t steps, index_t ranks,
-            bool rebalance, const std::string& profile_path) {
+int cmd_run(const Args& args) {
+  const std::string geometry_name = args.text("geometry");
+  const index_t steps = args.count("steps");
+  const index_t ranks = args.count("--ranks");
+  const bool rebalance = args.has("--rebalance");
+  const std::string profile_path = args.text("--profile");
   HEMO_REQUIRE(steps > 0, "need at least one step");
   HEMO_REQUIRE(ranks >= 1, "need at least one rank");
   const auto geo = make_named_geometry(geometry_name);
@@ -446,18 +432,15 @@ class LivePlane {
     std::this_thread::sleep_for(std::chrono::duration<real_t>(seconds));
   }
 
-  [[nodiscard]] std::uint16_t port() const { return server_.port(); }
-
  private:
   obs::Watchdog watchdog_;
   obs::TelemetryServer server_;
 };
 
-int cmd_schedule(const std::string& geometry_name, index_t n_jobs,
-                 index_t timesteps, std::uint64_t seed, bool csv,
-                 const std::string& trace_path,
-                 const std::string& metrics_path, int listen_port,
-                 real_t hold_s) {
+int cmd_schedule(const Args& args) {
+  const std::string geometry_name = args.text("geometry");
+  const std::string trace_path = args.text("--trace");
+  const std::string metrics_path = args.text("--metrics");
   // Telemetry is opt-in per invocation: enabling costs locks and
   // allocations on every instrumented path, and the default run must
   // keep the golden --csv bytes and bench numbers untouched.
@@ -465,13 +448,8 @@ int cmd_schedule(const std::string& geometry_name, index_t n_jobs,
   if (!metrics_path.empty()) obs::MetricsRegistry::global().enable(true);
   record_simd_backend_gauge(obs::MetricsRegistry::global());
   std::unique_ptr<LivePlane> plane;
-  if (listen_port >= 0) {
-    plane = std::make_unique<LivePlane>(
-        static_cast<std::uint16_t>(listen_port));
-    HEMO_LOG_INFO(
-        "telemetry plane on http://127.0.0.1:%u "
-        "(/metrics /metrics.json /healthz /status)",
-        static_cast<unsigned>(plane->port()));
+  if (args.has("--listen")) {
+    plane = std::make_unique<LivePlane>(args.number<std::uint16_t>("--listen"));
   }
 
   std::vector<const cluster::InstanceProfile*> profiles;
@@ -491,6 +469,8 @@ int cmd_schedule(const std::string& geometry_name, index_t n_jobs,
   scheduler.register_workload(geometry_name, std::move(geometry), cal_counts);
 
   std::vector<sched::CampaignJobSpec> jobs;
+  const index_t n_jobs = args.count("n_jobs");
+  const index_t timesteps = args.count("timesteps");
   for (index_t i = 0; i < n_jobs; ++i) {
     sched::CampaignJobSpec spec;
     spec.id = i + 1;
@@ -501,10 +481,10 @@ int cmd_schedule(const std::string& geometry_name, index_t n_jobs,
   }
 
   sched::EngineConfig engine_config;
-  engine_config.seed = seed;
+  engine_config.seed = args.seed("seed");
   sched::CampaignEngine engine(scheduler, engine_config);
   const sched::CampaignReport report = engine.run(std::move(jobs));
-  if (csv) {
+  if (args.has("--csv")) {
     std::cout << report.to_csv();
   } else {
     report.print(std::cout);
@@ -518,14 +498,14 @@ int cmd_schedule(const std::string& geometry_name, index_t n_jobs,
     obs::write_metrics_jsonl(obs::MetricsRegistry::global(), metrics_path);
     HEMO_LOG_INFO("metrics written to %s", metrics_path.c_str());
   }
+  const real_t hold_s = args.number<real_t>("--hold");
   if (plane != nullptr && hold_s != 0.0) plane->hold(hold_s);
   return 0;
 }
 
-int cmd_check(index_t cases, std::uint64_t seed) {
-  check::PropertyConfig config;
-  config.seed = seed;
-  config.cases = cases;
+int cmd_check(const Args& args) {
+  const check::PropertyConfig config{.seed = args.seed("seed"),
+                                     .cases = args.count("cases")};
   // The oracle runner stores per-oracle wall time in the registry; the
   // results themselves stay a pure function of the seed.
   obs::MetricsRegistry::global().enable(true);
@@ -546,8 +526,7 @@ int cmd_check(index_t cases, std::uint64_t seed) {
     }
     timings.emplace_back(oracle, snap.value);
   }
-  std::sort(timings.begin(), timings.end(),
-            [](const auto& a, const auto& b) { return a.second > b.second; });
+  std::ranges::sort(timings, std::greater{}, [](auto& t) { return t.second; });
   if (!timings.empty()) {
     std::cout << "\noracle wall time (slowest first):\n";
     TextTable t;
@@ -570,8 +549,10 @@ real_t series_weight(const obs::MetricSnapshot& snap) {
                                                   : snap.value;
 }
 
-int cmd_metrics(const std::string& path, const std::string& filter,
-                bool slowest_first, const std::string& format) {
+int cmd_metrics(const Args& args) {
+  const std::string path = args.text("file.jsonl");
+  const std::string filter = args.text("--filter");
+  const std::string format = args.text("--format");
   std::ifstream in(path, std::ios::binary);
   if (!in.good()) {
     std::cerr << "error: cannot read metrics file: " << path << "\n";
@@ -595,7 +576,7 @@ int cmd_metrics(const std::string& path, const std::string& filter,
     }
     return 1;
   }
-  if (slowest_first) {
+  if (args.has("--sort")) {
     // Stable so ties keep the canonical key order of the snapshot.
     std::stable_sort(snapshots.begin(), snapshots.end(),
                      [](const auto& a, const auto& b) {
@@ -640,10 +621,9 @@ int cmd_metrics(const std::string& path, const std::string& filter,
   return 0;
 }
 
-int cmd_mutate(index_t cases, std::uint64_t seed) {
-  check::PropertyConfig config;
-  config.seed = seed;
-  config.cases = cases;
+int cmd_mutate(const Args& args) {
+  const check::PropertyConfig config{.seed = args.seed("seed"),
+                                     .cases = args.count("cases")};
   HEMO_LOG_INFO("calibrating oracle context (3 workloads, CPU catalog) ...");
   auto ctx = check::OracleContext::make_default();
   const check::MutationReport report =
@@ -652,11 +632,11 @@ int cmd_mutate(index_t cases, std::uint64_t seed) {
   return report.all_detected() ? 0 : 1;
 }
 
-int cmd_nemesis(index_t cases, std::uint64_t seed, const std::string& storm,
-                const std::string& artifacts_dir) {
-  check::PropertyConfig config;
-  config.seed = seed;
-  config.cases = cases;
+int cmd_nemesis(const Args& args) {
+  const std::uint64_t seed = args.seed("--seed");
+  const std::string artifacts_dir = args.text("--artifacts");
+  const check::PropertyConfig config{.seed = seed,
+                                     .cases = args.count("--cases")};
 
   // Teeth first: a harness whose checker cannot convict a known-buggy
   // engine proves nothing about a passing storm sweep.
@@ -665,12 +645,9 @@ int cmd_nemesis(index_t cases, std::uint64_t seed, const std::string& storm,
   std::cout << self_test.summary();
   bool all_passed = self_test.all_detected();
 
-  std::vector<std::string> storms;
-  if (storm.empty()) {
-    storms = nemesis::storm_names();
-  } else {
-    storms.push_back(storm);
-  }
+  std::vector<std::string> storms = nemesis::storm_names();
+  const std::string storm = args.text("--storm");
+  if (!storm.empty()) storms = {storm};
   for (const std::string& name : storms) {
     std::shared_ptr<nemesis::NemesisFailure> failure;
     const check::PropertyResult result =
@@ -693,31 +670,136 @@ int cmd_nemesis(index_t cases, std::uint64_t seed, const std::string& storm,
   return all_passed ? 0 : 1;
 }
 
+/// A command table entry: its function, positionals and flags, and summary.
+struct Command {
+  std::string_view name;
+  int (*run)(const Args&);
+  std::vector<Param> params;
+  std::string_view summary;
+};
+
+const std::vector<Command>& commands() {
+  using K = Kind;
+  const std::vector<Param> kCasesSeed = {{"cases", K::kCount, "40"},
+                                         {"seed", K::kSeed, ""}};
+  static const std::vector<Command> table = {
+      {"instances", cmd_instances, {},
+       "List the instance catalog (Table I view)."},
+      {"calibrate", cmd_calibrate, {{"instance"}},
+       "Run the microbenchmark calibration and print fit parameters."},
+      {"predict", cmd_predict,
+       {{"geometry"}, {"instance"}, {"ranks", K::kCount}},
+       "Direct-model prediction vs a virtual-cluster measurement."},
+      {"dashboard", cmd_dashboard, {{"geometry"}, {"timesteps", K::kCount}},
+       "Evaluate all instances; print cost metrics and recommendations."},
+      {"simulate", cmd_simulate,
+       {{"geometry"}, {"steps", K::kCount}, {"out.vtk", K::kText, ""}},
+       "Run the real solver locally; optionally export the flow field."},
+      {"run", cmd_run,
+       {{"geometry"}, {"steps", K::kCount}, {"--ranks", K::kCount, "4", "N"},
+        {"--rebalance", K::kSwitch}, {"--profile", K::kText, "", "out.folded"}},
+       "Threaded runtime, then measured-vs-model per-rank step terms."},
+      {"schedule", cmd_schedule,
+       {{"geometry"}, {"n_jobs", K::kCount}, {"timesteps", K::kCount},
+        {"seed", K::kSeed, "42"}, {"--csv", K::kSwitch},
+        {"--trace", K::kText, "", "out.json"},
+        {"--metrics", K::kText, "", "out.jsonl"},
+        {"--listen", K::kPort, "", "PORT"}, {"--hold", K::kReal, "0", "SEC"}},
+       "Campaign report; --listen serves the live plane (--hold -1: forever)."},
+      {"metrics", cmd_metrics,
+       {{"file.jsonl"}, {"--filter", K::kText, "", "'name{label=...}'"},
+        {"--sort", K::kSwitch},
+        {"--format", K::kChoice, "table", "table|prom|json"}},
+       "Summarize a --metrics snapshot; --sort puts the slowest first."},
+      {"kernels", cmd_kernels, {{"geometry", K::kText, "cylinder"}},
+       "SIMD backends of this host and roofline inputs per kernel."},
+      {"check", cmd_check, kCasesSeed,
+       "Model and solver oracles; exit 0 only when all pass."},
+      {"mutate", cmd_mutate, kCasesSeed,
+       "Mutation self-test: every perturbed coefficient must be caught."},
+      {"nemesis", cmd_nemesis,
+       {{"--seed", K::kSeed, "", "S"}, {"--cases", K::kCount, "6", "N"},
+        {"--storm", K::kText, "", "name"},
+        {"--artifacts", K::kText, "", "dir"}},
+       "Protocol self-test and seeded fault storms through the engine."},
+  };
+  return table;
+}
+
+bool well_formed(const Param& param, const char* text) {
+  switch (param.kind) {
+    case Kind::kCount: return read_number<index_t>(text).has_value();
+    case Kind::kReal: return read_number<real_t>(text).has_value();
+    case Kind::kPort: return read_number<std::uint16_t>(text).has_value();
+    case Kind::kSeed: return read_seed(text).has_value();
+    case Kind::kChoice:
+      for (const auto word : std::views::split(param.metavar, '|')) {
+        if (std::string_view(word.begin(), word.end()) == text) return true;
+      }
+      return false;
+    case Kind::kText:
+    case Kind::kSwitch: return true;
+  }
+  return false;
+}
+
+/// Reads the arguments after the command name against `command`. Flags may
+/// sit anywhere among the positionals, a value flag takes the next argument
+/// whatever it looks like (`--hold -1`), and a repeated flag keeps its last
+/// value. An unknown flag, a missing or extra positional, or a value that
+/// does not read in full as its kind gives nothing.
+std::optional<Args> parse(const Command& command,
+                          std::span<char* const> argv) {
+  Args args;
+  for (const Param& param : command.params) {
+    if (param.defaulted()) args.values[param.name] = param.fallback;
+  }
+  auto next = command.params.begin();  // the next positional to fill
+  const auto end = command.params.end();
+  for (std::size_t i = 0; i < argv.size(); ++i) {
+    const char* text = argv[i];
+    auto param = std::ranges::find_if_not(next, end, &Param::flag);
+    if (std::string_view(text).starts_with("--")) {
+      param = std::ranges::find(command.params, std::string_view(text),
+                                &Param::name);
+      if (param == end) return std::nullopt;
+      if (param->kind != Kind::kSwitch) {
+        if (++i == argv.size()) return std::nullopt;
+        text = argv[i];
+      }
+    } else if (param == end) {
+      return std::nullopt;
+    } else {
+      next = param + 1;
+    }
+    if (!well_formed(*param, text)) return std::nullopt;
+    args.values[param->name] = text;
+  }
+  if (std::ranges::any_of(next, end, &Param::required)) return std::nullopt;
+  return args;
+}
+
 int usage() {
-  std::cerr << "usage:\n"
-            << "  hemocloud_cli instances\n"
-            << "  hemocloud_cli calibrate <instance>\n"
-            << "  hemocloud_cli predict <geometry> <instance> <ranks>\n"
-            << "  hemocloud_cli dashboard <geometry> <timesteps>\n"
-            << "  hemocloud_cli simulate <geometry> <steps> [out.vtk]\n"
-            << "  hemocloud_cli run <geometry> <steps> [--ranks N] "
-               "[--rebalance]\n"
-            << "                    [--profile out.folded]\n"
-            << "  hemocloud_cli schedule <geometry> <n_jobs> <timesteps> "
-               "[seed] [--csv]\n"
-            << "                         [--trace out.json] "
-               "[--metrics out.jsonl]\n"
-            << "                         [--listen PORT] [--hold SEC]\n"
-            << "    quick-start: hemocloud_cli schedule cylinder 6 20000 42 "
-               "--listen 9100 --hold -1\n"
-            << "  hemocloud_cli metrics <file.jsonl> "
-               "[--filter 'name{label=...}']\n"
-            << "                        [--sort] [--format table|prom|json]\n"
-            << "  hemocloud_cli kernels [geometry]\n"
-            << "  hemocloud_cli check [cases] [seed]\n"
-            << "  hemocloud_cli mutate [cases] [seed]\n"
-            << "  hemocloud_cli nemesis [--seed S] [--cases N] "
-               "[--storm name] [--artifacts dir]\n";
+  std::cerr << "usage (flags go anywhere; a malformed argument exits 2):\n";
+  for (const Command& command : commands()) {
+    std::string line = "  hemocloud_cli " + std::string(command.name);
+    const std::size_t indent = line.size();
+    for (const Param& param : command.params) {
+      // "<geometry>" when required, else "[seed=42]" or "[--ranks N=4]".
+      std::string word(param.name);
+      if (!param.metavar.empty()) word += ' ' + std::string(param.metavar);
+      if (param.defaulted()) word += '=' + std::string(param.fallback);
+      word = param.required() ? '<' + word + '>' : '[' + word + ']';
+      if (line.size() + 1 + word.size() > 79) {
+        std::cerr << line << "\n";
+        line.assign(indent, ' ');
+      }
+      line += ' ' + word;
+    }
+    std::cerr << line << "\n      " << command.summary << "\n";
+  }
+  std::cerr << "geometries: cylinder | aorta | cerebral; "
+               "a seed with no default is HEMO_SEED, else 42\n";
   return 2;
 }
 
@@ -725,126 +807,14 @@ int usage() {
 
 int main(int argc, char** argv) {
   try {
-    const std::string cmd = argc > 1 ? argv[1] : "";
-    if (cmd == "instances") return cmd_instances();
-    if (cmd == "calibrate" && argc == 3) return cmd_calibrate(argv[2]);
-    if (cmd == "predict" && argc == 5) {
-      return cmd_predict(argv[2], argv[3], std::atol(argv[4]));
-    }
-    if (cmd == "dashboard" && argc == 4) {
-      return cmd_dashboard(argv[2], std::atol(argv[3]));
-    }
-    if (cmd == "simulate" && (argc == 4 || argc == 5)) {
-      return cmd_simulate(argv[2], std::atol(argv[3]),
-                          argc == 5 ? argv[4] : "");
-    }
-    if (cmd == "run" && argc >= 4 && argc <= 9) {
-      hemo::index_t ranks = 4;
-      bool rebalance = false;
-      std::string profile_path;
-      for (int i = 4; i < argc; ++i) {
-        const std::string arg = argv[i];
-        if (arg == "--ranks" && i + 1 < argc) {
-          ranks = std::atol(argv[++i]);
-        } else if (arg == "--rebalance") {
-          rebalance = true;
-        } else if (arg == "--profile" && i + 1 < argc) {
-          profile_path = argv[++i];
-        } else {
-          return usage();
-        }
-      }
-      return cmd_run(argv[2], std::atol(argv[3]), ranks, rebalance,
-                     profile_path);
-    }
-    if (cmd == "schedule" && argc >= 5 && argc <= 15) {
-      bool csv = false;
-      std::uint64_t seed = 42;
-      bool seed_given = false;
-      std::string trace_path, metrics_path;
-      int listen_port = -1;
-      hemo::real_t hold_s = 0.0;
-      for (int i = 5; i < argc; ++i) {
-        const std::string arg = argv[i];
-        if (arg == "--csv") {
-          csv = true;
-        } else if (arg == "--trace" && i + 1 < argc) {
-          trace_path = argv[++i];
-        } else if (arg == "--metrics" && i + 1 < argc) {
-          metrics_path = argv[++i];
-        } else if (arg == "--listen" && i + 1 < argc) {
-          listen_port = std::atoi(argv[++i]);
-        } else if (arg == "--hold" && i + 1 < argc) {
-          hold_s = std::atof(argv[++i]);
-        } else if (!seed_given && !arg.starts_with("--")) {
-          // parse_seed falls back on anything that is not a number; two
-          // different fallbacks expose that instead of running with one.
-          seed = hemo::parse_seed(argv[i], 0);
-          if (seed != hemo::parse_seed(argv[i], 1)) return usage();
-          seed_given = true;
-        } else {
-          return usage();
-        }
-      }
-      return cmd_schedule(argv[2], std::atol(argv[3]), std::atol(argv[4]),
-                          seed, csv, trace_path, metrics_path, listen_port,
-                          hold_s);
-    }
-    if (cmd == "metrics" && argc >= 3) {
-      std::string filter;
-      std::string format = "table";
-      bool slowest_first = false;
-      for (int i = 3; i < argc; ++i) {
-        const std::string arg = argv[i];
-        if (arg == "--filter" && i + 1 < argc) {
-          filter = argv[++i];
-        } else if (arg == "--sort") {
-          slowest_first = true;
-        } else if (arg == "--format" && i + 1 < argc) {
-          format = argv[++i];
-        } else {
-          return usage();
-        }
-      }
-      if (format != "table" && format != "prom" && format != "json") {
-        return usage();
-      }
-      return cmd_metrics(argv[2], filter, slowest_first, format);
-    }
-    if (cmd == "kernels" && (argc == 2 || argc == 3)) {
-      return cmd_kernels(argc == 3 ? argv[2] : "cylinder");
-    }
-    if (cmd == "check" && argc >= 2 && argc <= 4) {
-      return cmd_check(argc > 2 ? std::atol(argv[2]) : 40,
-                       argc > 3 ? hemo::parse_seed(argv[3], 42)
-                                : hemo::global_seed());
-    }
-    if (cmd == "mutate" && argc >= 2 && argc <= 4) {
-      return cmd_mutate(argc > 2 ? std::atol(argv[2]) : 40,
-                        argc > 3 ? hemo::parse_seed(argv[3], 42)
-                                 : hemo::global_seed());
-    }
-    if (cmd == "nemesis") {
-      hemo::index_t cases = 6;
-      std::uint64_t seed = hemo::global_seed();
-      std::string storm, artifacts_dir;
-      for (int i = 2; i < argc; ++i) {
-        const std::string arg = argv[i];
-        if (arg == "--seed" && i + 1 < argc) {
-          seed = hemo::parse_seed(argv[++i], seed);
-        } else if (arg == "--cases" && i + 1 < argc) {
-          cases = std::atol(argv[++i]);
-        } else if (arg == "--storm" && i + 1 < argc) {
-          storm = argv[++i];
-        } else if (arg == "--artifacts" && i + 1 < argc) {
-          artifacts_dir = argv[++i];
-        } else {
-          return usage();
-        }
-      }
-      return cmd_nemesis(cases, seed, storm, artifacts_dir);
-    }
-    return usage();
+    if (argc < 2) return usage();
+    const auto& table = commands();
+    const auto command =
+        std::ranges::find(table, std::string_view(argv[1]), &Command::name);
+    if (command == table.end()) return usage();
+    const std::optional<Args> args = parse(
+        *command, std::span(argv + 2, static_cast<std::size_t>(argc - 2)));
+    return args ? command->run(*args) : usage();
   } catch (const std::exception& e) {
     std::cerr << "error: " << e.what() << "\n";
     return 1;

@@ -1,5 +1,6 @@
 #include "util/rng.hpp"
 
+#include <cerrno>
 #include <cinttypes>
 #include <cstdio>
 #include <cstdlib>
@@ -8,14 +9,19 @@
 
 namespace hemo {
 
-std::uint64_t parse_seed(const char* text, std::uint64_t fallback) noexcept {
-  if (text == nullptr || *text == '\0') return fallback;
+std::optional<std::uint64_t> read_seed(const char* text) noexcept {
+  if (text == nullptr || *text == '\0') return std::nullopt;
   char* end = nullptr;
   // Base 0 accepts decimal and 0x-prefixed hex; reject trailing garbage so
-  // a typo ("42x") falls back loudly rather than truncating silently.
+  // a typo ("42x") reads as nothing rather than truncating silently.
+  errno = 0;
   const unsigned long long value = std::strtoull(text, &end, 0);
-  if (end == text || *end != '\0') return fallback;
+  if (end == text || *end != '\0' || errno == ERANGE) return std::nullopt;
   return static_cast<std::uint64_t>(value);
+}
+
+std::uint64_t parse_seed(const char* text, std::uint64_t fallback) noexcept {
+  return read_seed(text).value_or(fallback);
 }
 
 std::uint64_t global_seed() noexcept {

@@ -8,19 +8,39 @@
 #pragma once
 
 #include <array>
+#include <charconv>
 #include <cmath>
 #include <cstdint>
+#include <optional>
+#include <string_view>
 
 #include "util/common.hpp"
 
 namespace hemo {
 
-/// Parses a seed from `text` (decimal or 0x-prefixed hex). Returns
-/// `fallback` when text is null, empty, or not a number. Exposed separately
-/// from global_seed() so the parsing rules are unit-testable without
-/// touching the process environment cache.
+/// Reads a seed from all of `text` with strtoull base-0 syntax (decimal,
+/// 0x-prefixed hex, 0-prefixed octal). Null or empty text, trailing
+/// characters and values past 2^64-1 read as nothing.
+[[nodiscard]] std::optional<std::uint64_t> read_seed(const char* text) noexcept;
+
+/// read_seed(text), or `fallback` when that reads nothing. Exposed
+/// separately from global_seed() so the parsing rules are unit-testable
+/// without touching the process environment cache.
 [[nodiscard]] std::uint64_t parse_seed(const char* text,
                                        std::uint64_t fallback) noexcept;
+
+/// Reads all of `text` as a T through std::from_chars: base 10 for
+/// integers, no sign but a leading '-', no whitespace, no trailing
+/// characters, in range of T, and finite for reals. So "6x", "" and, for
+/// std::uint16_t, "70000" read as nothing.
+template <typename T>
+[[nodiscard]] std::optional<T> read_number(std::string_view text) noexcept {
+  T value{};
+  const char* const end = text.data() + text.size();
+  const auto [stop, error] = std::from_chars(text.data(), end, value);
+  const bool whole = error == std::errc{} && stop == end;
+  return whole && std::isfinite(value) ? std::optional(value) : std::nullopt;
+}
 
 /// The process-wide default seed: the HEMO_SEED environment variable when
 /// set, else 42. Read once and cached, and the effective value is logged to
