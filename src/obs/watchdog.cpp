@@ -185,6 +185,7 @@ std::string Watchdog::health_json() const {
 }
 
 void Watchdog::start(real_t period_s) {
+  evaluate();  // so /healthz and the watchdog_* gauges are whole at once
   const MutexLock lock(mutex_);
   if (cadence_.joinable()) return;
   stopping_ = false;

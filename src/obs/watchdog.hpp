@@ -72,8 +72,9 @@ class Watchdog {
   /// JSON body served at /healthz: overall state + per-rule outcomes.
   [[nodiscard]] std::string health_json() const HEMO_EXCLUDES(mutex_);
 
-  /// Runs evaluate() every `period_s` seconds on a cadence thread until
-  /// stop(). No-op if already running.
+  /// Evaluates once, then runs evaluate() every `period_s` seconds on a
+  /// cadence thread until stop(). Starting a running watchdog only
+  /// evaluates.
   void start(real_t period_s = 1.0) HEMO_EXCLUDES(mutex_);
   void stop() HEMO_EXCLUDES(mutex_);
 

@@ -404,6 +404,32 @@ TEST_F(WatchdogTest, CadenceThreadEvaluatesAndStopsPromptly) {
   EXPECT_LT(stop_ms, 2000);
 }
 
+TEST_F(WatchdogTest, StartEvaluatesBeforeTheFirstPeriod) {
+  MetricsRegistry registry;
+  registry.enable(true);
+  Watchdog watchdog(registry);
+  watchdog.start(3600.0);
+  // No period has elapsed, so /healthz and the gauges come from start().
+  const std::string body = watchdog.health_json();
+  for (const char* rule :
+       {"drift_p99_band", "imbalance_ceiling", "preemption_rate",
+        "failure_rate", "guard_stop_rate"}) {
+    EXPECT_NE(body.find(std::string("\"name\":\"") + rule + '"'),
+              std::string::npos)
+        << rule << " missing from " << body;
+  }
+  int state = 0, breached = 0, observed = 0;
+  for (const auto& snap : registry.snapshot()) {
+    state += snap.name == "watchdog_health_state";
+    breached += snap.name == "watchdog_rule_breached";
+    observed += snap.name == "watchdog_rule_observed";
+  }
+  EXPECT_EQ(state, 1);
+  EXPECT_EQ(breached, 5);
+  EXPECT_EQ(observed, 5);
+  watchdog.stop();
+}
+
 // ---------------------------------------------------------------------------
 // Sampling profiler.
 
