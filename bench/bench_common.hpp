@@ -8,7 +8,9 @@
 #include <iostream>
 #include <map>
 #include <memory>
+#include <optional>
 #include <string>
+#include <string_view>
 #include <vector>
 
 #include "core/calibration.hpp"
@@ -17,6 +19,7 @@
 #include "harvey/simulation.hpp"
 #include "obs/log.hpp"
 #include "proxy/proxy_app.hpp"
+#include "util/rng.hpp"
 #include "util/table.hpp"
 
 namespace hemo::bench {
@@ -87,6 +90,14 @@ class CalibrationCache {
  private:
   std::map<std::string, core::InstanceCalibration> cache_;
 };
+
+/// The number after `prefix` in a `--name=value` argument, read in full;
+/// nothing when `arg` has another prefix or the value does not parse.
+template <typename T>
+std::optional<T> flag_number(std::string_view arg, std::string_view prefix) {
+  if (!arg.starts_with(prefix)) return std::nullopt;
+  return read_number<T>(arg.substr(prefix.size()));
+}
 
 /// Prints the standard bench header.
 inline void print_header(const std::string& id, const std::string& what) {

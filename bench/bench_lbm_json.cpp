@@ -75,8 +75,9 @@ std::vector<index_t> parse_int_list(const std::string& csv) {
   std::stringstream ss(csv);
   std::string item;
   while (std::getline(ss, item, ',')) {
-    out.push_back(std::stol(item));
-    HEMO_REQUIRE(out.back() >= 1, "thread counts must be positive");
+    const auto count = read_number<index_t>(item);
+    HEMO_REQUIRE(count && *count >= 1, "--threads takes positive integers");
+    out.push_back(*count);
   }
   HEMO_REQUIRE(!out.empty(), "empty thread list");
   return out;
@@ -107,10 +108,12 @@ Options parse_args(int argc, char** argv) {
       opt.geometry = value("--geometry=");
     } else if (arg.rfind("--out=", 0) == 0) {
       opt.out = value("--out=");
-    } else if (arg.rfind("--repetitions=", 0) == 0) {
-      opt.repetitions = std::stol(value("--repetitions="));
-    } else if (arg.rfind("--min-time=", 0) == 0) {
-      opt.min_time = std::stod(value("--min-time="));
+    } else if (const auto reps =
+                   bench::flag_number<index_t>(arg, "--repetitions=")) {
+      opt.repetitions = *reps;
+    } else if (const auto secs =
+                   bench::flag_number<double>(arg, "--min-time=")) {
+      opt.min_time = *secs;
     } else if (arg.rfind("--threads=", 0) == 0) {
       opt.threads = parse_int_list(value("--threads="));
     } else if (arg.rfind("--backends=", 0) == 0) {

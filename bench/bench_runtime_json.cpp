@@ -51,10 +51,12 @@ Options parse_args(int argc, char** argv) {
       opt.geometry = value("--geometry=");
     } else if (arg.rfind("--out=", 0) == 0) {
       opt.out = value("--out=");
-    } else if (arg.rfind("--repetitions=", 0) == 0) {
-      opt.repetitions = std::stol(value("--repetitions="));
-    } else if (arg.rfind("--min-time=", 0) == 0) {
-      opt.min_time = std::stod(value("--min-time="));
+    } else if (const auto reps =
+                   bench::flag_number<index_t>(arg, "--repetitions=")) {
+      opt.repetitions = *reps;
+    } else if (const auto secs =
+                   bench::flag_number<double>(arg, "--min-time=")) {
+      opt.min_time = *secs;
     } else if (arg == "--small") {
       opt.small = true;
     } else {
