@@ -74,7 +74,6 @@ struct Args {
   T number(std::string_view name) const {
     return *read_number<T>(values.at(name));
   }
-  index_t count(std::string_view name) const { return number<index_t>(name); }
   std::uint64_t seed(std::string_view name) const {
     return has(name) ? *read_seed(values.at(name)) : global_seed();
   }
@@ -142,7 +141,7 @@ int cmd_calibrate(const Args& args) {
 int cmd_predict(const Args& args) {
   const auto& profile = cluster::instance_by_abbrev(args.text("instance"));
   auto sim = make_sim(args.text("geometry"));
-  const index_t ranks = args.count("ranks");
+  const index_t ranks = args.number<index_t>("ranks");
   const auto cal = core::calibrate_instance(profile);
   const auto pred = core::predict_direct(
       sim.plan(ranks, profile.cores_per_node), cal);
@@ -177,7 +176,7 @@ int cmd_dashboard(const Args& args) {
   const auto workload = core::calibrate_workload(sim, cal_counts, 36);
   const std::vector<index_t> cores = {16, 36, 72, 144};
   const auto rows = dashboard.evaluate(
-      workload, core::JobSpec{args.count("timesteps")}, cores);
+      workload, core::JobSpec{args.number<index_t>("timesteps")}, cores);
 
   TextTable t;
   t.set_header({"instance", "cores", "mflups", "time_h", "cost_usd",
@@ -206,7 +205,7 @@ int cmd_dashboard(const Args& args) {
 
 int cmd_simulate(const Args& args) {
   const std::string geometry_name = args.text("geometry");
-  const index_t steps = args.count("steps");
+  const index_t steps = args.number<index_t>("steps");
   const std::string vtk_path = args.text("out.vtk");
   auto sim = make_sim(geometry_name);
   std::cout << geometry_name << ": " << sim.mesh().num_points()
@@ -296,8 +295,8 @@ int cmd_kernels(const Args& args) {
 
 int cmd_run(const Args& args) {
   const std::string geometry_name = args.text("geometry");
-  const index_t steps = args.count("steps");
-  const index_t ranks = args.count("--ranks");
+  const index_t steps = args.number<index_t>("steps");
+  const index_t ranks = args.number<index_t>("--ranks");
   const bool rebalance = args.has("--rebalance");
   const std::string profile_path = args.text("--profile");
   HEMO_REQUIRE(steps > 0, "need at least one step");
@@ -469,8 +468,8 @@ int cmd_schedule(const Args& args) {
   scheduler.register_workload(geometry_name, std::move(geometry), cal_counts);
 
   std::vector<sched::CampaignJobSpec> jobs;
-  const index_t n_jobs = args.count("n_jobs");
-  const index_t timesteps = args.count("timesteps");
+  const index_t n_jobs = args.number<index_t>("n_jobs");
+  const index_t timesteps = args.number<index_t>("timesteps");
   for (index_t i = 0; i < n_jobs; ++i) {
     sched::CampaignJobSpec spec;
     spec.id = i + 1;
@@ -505,7 +504,7 @@ int cmd_schedule(const Args& args) {
 
 int cmd_check(const Args& args) {
   const check::PropertyConfig config{.seed = args.seed("seed"),
-                                     .cases = args.count("cases")};
+                                     .cases = args.number<index_t>("cases")};
   // The oracle runner stores per-oracle wall time in the registry; the
   // results themselves stay a pure function of the seed.
   obs::MetricsRegistry::global().enable(true);
@@ -623,7 +622,7 @@ int cmd_metrics(const Args& args) {
 
 int cmd_mutate(const Args& args) {
   const check::PropertyConfig config{.seed = args.seed("seed"),
-                                     .cases = args.count("cases")};
+                                     .cases = args.number<index_t>("cases")};
   HEMO_LOG_INFO("calibrating oracle context (3 workloads, CPU catalog) ...");
   auto ctx = check::OracleContext::make_default();
   const check::MutationReport report =
@@ -636,7 +635,7 @@ int cmd_nemesis(const Args& args) {
   const std::uint64_t seed = args.seed("--seed");
   const std::string artifacts_dir = args.text("--artifacts");
   const check::PropertyConfig config{.seed = seed,
-                                     .cases = args.count("--cases")};
+                                     .cases = args.number<index_t>("--cases")};
 
   // Teeth first: a harness whose checker cannot convict a known-buggy
   // engine proves nothing about a passing storm sweep.
