@@ -15,8 +15,8 @@ int main() {
   cluster::VirtualCluster vc(profile);
   constexpr index_t kRanks = 64;
 
-  for (const auto& geo_name : bench::geometry_names()) {
-    const auto geo = bench::make_geometry(geo_name);
+  for (const auto& geo_name : geometry::names()) {
+    const auto geo = geometry::make_named(geo_name);
     const auto mesh = lbm::FluidMesh::build(geo.grid);
     const lbm::KernelConfig kernel{};
 

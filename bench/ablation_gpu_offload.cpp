@@ -13,8 +13,7 @@ int main() {
 
   const auto& profile = cluster::instance_by_abbrev("CSP-2 GPU");
   const auto cal = core::calibrate_instance(profile);
-  harvey::Simulation sim(bench::make_geometry("aorta"),
-                         bench::default_options());
+  harvey::Simulation sim(geometry::make_named("aorta"), {});
 
   TextTable t;
   t.set_header({"Nodes", "CPU MFLUPS (36/node)", "GPU MFLUPS (4/node)",

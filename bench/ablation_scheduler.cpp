@@ -50,9 +50,9 @@ sched::CampaignReport run_policy(sched::Policy policy) {
   config.core_counts = {16, 36, 72, 144};
   sched::CampaignScheduler scheduler(std::move(profiles), config);
   const std::vector<index_t> cal_counts = {2, 4, 8, 16, 32};
-  scheduler.register_workload("aorta", bench::make_geometry("aorta"),
+  scheduler.register_workload("aorta", geometry::make_named("aorta"),
                               cal_counts);
-  scheduler.register_workload("cerebral", bench::make_geometry("cerebral"),
+  scheduler.register_workload("cerebral", geometry::make_named("cerebral"),
                               cal_counts);
 
   sched::EngineConfig engine_config;

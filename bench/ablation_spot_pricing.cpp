@@ -12,8 +12,7 @@ int main() {
   std::vector<const cluster::InstanceProfile*> profiles = {
       &cluster::instance_by_abbrev("CSP-2 EC")};
   core::Dashboard dashboard(std::move(profiles));
-  harvey::Simulation sim(bench::make_geometry("aorta"),
-                         bench::default_options());
+  harvey::Simulation sim(geometry::make_named("aorta"), {});
   const std::vector<index_t> cal_counts = {2, 4, 8, 16, 32, 64};
   const auto workload = core::calibrate_workload(sim, cal_counts, 36);
 

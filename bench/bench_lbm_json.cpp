@@ -33,12 +33,13 @@
 // --backends defaults to every backend detected on this host.
 #include <algorithm>
 #include <chrono>
-#include <cstring>
 #include <fstream>
 #include <iostream>
 #include <map>
-#include <sstream>
+#include <optional>
+#include <ranges>
 #include <string>
+#include <string_view>
 #include <thread>
 #include <vector>
 
@@ -60,91 +61,65 @@ namespace {
 using namespace hemo;
 using Clock = std::chrono::steady_clock;
 
-struct Options {
-  std::string geometry = "cylinder";
-  std::string out = "BENCH_lbm.json";
-  index_t repetitions = 3;
-  double min_time = 0.2;
-  bool small = false;
+struct Options : bench::JsonBenchOptions {
   std::vector<index_t> threads = {1, 2, 4, 8};
   std::vector<lbm::Backend> backends;  // empty = detected
 };
 
-std::vector<index_t> parse_int_list(const std::string& csv) {
-  std::vector<index_t> out;
-  std::stringstream ss(csv);
-  std::string item;
-  while (std::getline(ss, item, ',')) {
-    const auto count = read_number<index_t>(item);
-    HEMO_REQUIRE(count && *count >= 1, "--threads takes positive integers");
-    out.push_back(*count);
+/// The comma-separated items of `csv`, each read by `read_item`; nothing
+/// when the list is empty or an item does not read.
+template <typename T, typename ReadItem>
+std::optional<std::vector<T>> read_list(std::string_view csv,
+                                        ReadItem read_item) {
+  std::vector<T> out;
+  for (const auto item : std::views::split(csv, ',')) {
+    const std::optional<T> value =
+        read_item(std::string_view(item.begin(), item.end()));
+    if (!value) return std::nullopt;
+    out.push_back(*value);
   }
-  HEMO_REQUIRE(!out.empty(), "empty thread list");
+  if (out.empty()) return std::nullopt;
   return out;
 }
 
-std::vector<lbm::Backend> parse_backend_list(const std::string& csv) {
-  std::vector<lbm::Backend> out;
-  std::stringstream ss(csv);
-  std::string item;
-  while (std::getline(ss, item, ',')) {
-    const auto parsed = lbm::simd::parse_backend(item);
-    HEMO_REQUIRE(parsed.has_value() && *parsed != lbm::Backend::kAuto,
-                 "--backends takes scalar|avx2|avx512");
-    out.push_back(*parsed);
+/// A thread count of at least one.
+std::optional<index_t> read_threads(std::string_view text) {
+  const auto count = read_number<index_t>(text);
+  if (count && *count >= 1) return count;
+  return std::nullopt;
+}
+
+/// A backend this host can run the benchmark's tile kernels on.
+std::optional<lbm::Backend> read_backend(std::string_view text) {
+  const auto backend = lbm::simd::parse_backend(text);
+  if (backend && *backend != lbm::Backend::kAuto &&
+      lbm::simd::cpu_supports(*backend) &&
+      lbm::simd::tile_kernel<float>(*backend, false, false) != nullptr) {
+    return backend;
   }
-  HEMO_REQUIRE(!out.empty(), "empty backend list");
-  return out;
+  return std::nullopt;
 }
 
 Options parse_args(int argc, char** argv) {
   Options opt;
+  opt.out = "BENCH_lbm.json";
   for (int i = 1; i < argc; ++i) {
-    const std::string arg = argv[i];
-    const auto value = [&](const char* prefix) {
-      return arg.substr(std::strlen(prefix));
-    };
-    if (arg.rfind("--geometry=", 0) == 0) {
-      opt.geometry = value("--geometry=");
-    } else if (arg.rfind("--out=", 0) == 0) {
-      opt.out = value("--out=");
-    } else if (const auto reps =
-                   bench::flag_number<index_t>(arg, "--repetitions=")) {
-      opt.repetitions = *reps;
-    } else if (const auto secs =
-                   bench::flag_number<double>(arg, "--min-time=")) {
-      opt.min_time = *secs;
-    } else if (arg.rfind("--threads=", 0) == 0) {
-      opt.threads = parse_int_list(value("--threads="));
-    } else if (arg.rfind("--backends=", 0) == 0) {
-      opt.backends = parse_backend_list(value("--backends="));
-    } else if (arg == "--small") {
-      opt.small = true;
+    const std::string_view arg = argv[i];
+    if (opt.read(arg)) continue;
+    if (const auto list = Options::flag_value(arg, "--threads=")) {
+      const auto threads = read_list<index_t>(*list, read_threads);
+      if (!threads) bench::reject_argument(arg);
+      opt.threads = *threads;
+    } else if (const auto list = Options::flag_value(arg, "--backends=")) {
+      const auto backends = read_list<lbm::Backend>(*list, read_backend);
+      if (!backends) bench::reject_argument(arg);
+      opt.backends = *backends;
     } else {
-      std::cerr << "unknown argument: " << arg << "\n";
-      std::exit(2);
+      bench::reject_argument(arg);
     }
   }
-  HEMO_REQUIRE(opt.repetitions >= 1, "need at least one repetition");
-  HEMO_REQUIRE(opt.min_time > 0.0, "min-time must be positive");
   if (opt.backends.empty()) opt.backends = lbm::simd::detected_backends();
-  for (const lbm::Backend b : opt.backends) {
-    HEMO_REQUIRE(lbm::simd::cpu_supports(b) &&
-                     lbm::simd::tile_kernel<float>(b, false, false) != nullptr,
-                 "requested benchmark backend unavailable on this host");
-  }
   return opt;
-}
-
-geometry::Geometry build_geometry(const Options& opt) {
-  if (!opt.small) return bench::make_geometry(opt.geometry);
-  if (opt.geometry == "cylinder") {
-    return geometry::make_cylinder({.radius = 6, .length = 40});
-  }
-  if (opt.geometry == "cerebral") {
-    return geometry::make_cerebral({.depth = 4});
-  }
-  return bench::make_geometry(opt.geometry);
 }
 
 struct VariantResult {
@@ -197,15 +172,6 @@ VariantResult time_variant(const lbm::FluidMesh& mesh,
   return result;
 }
 
-std::string json_escape(const std::string& s) {
-  std::string out;
-  for (char ch : s) {
-    if (ch == '"' || ch == '\\') out.push_back('\\');
-    out.push_back(ch);
-  }
-  return out;
-}
-
 void write_backend_list(std::ostream& os,
                         const std::vector<lbm::Backend>& backends) {
   os << "[";
@@ -224,7 +190,7 @@ void write_json(std::ostream& os, const Options& opt,
   os << "{\n";
   os << "  \"schema\": \"hemo-bench-lbm/2\",\n";
   os << "  \"host\": {\n";
-  os << "    \"compiler\": \"" << json_escape(__VERSION__) << "\",\n";
+  os << "    \"compiler\": \"" << bench::json_escape(__VERSION__) << "\",\n";
   os << "    \"hardware_concurrency\": "
      << std::thread::hardware_concurrency() << ",\n";
 #ifdef _OPENMP
@@ -253,7 +219,7 @@ void write_json(std::ostream& os, const Options& opt,
   }
   os << "  },\n";
   os << "  \"geometry\": {\n";
-  os << "    \"name\": \"" << json_escape(opt.geometry) << "\",\n";
+  os << "    \"name\": \"" << bench::json_escape(opt.geometry) << "\",\n";
   os << "    \"points\": " << mesh.num_points() << ",\n";
   os << "    \"segments\": {\n";
   os << "      \"bulk_interior\": " << c.bulk_interior << ",\n";
@@ -291,7 +257,7 @@ void write_json(std::ostream& os, const Options& opt,
 
 int main(int argc, char** argv) {
   const Options opt = parse_args(argc, argv);
-  const geometry::Geometry geo = build_geometry(opt);
+  const geometry::Geometry geo = opt.build_geometry();
   const lbm::FluidMesh mesh = lbm::FluidMesh::build(geo.grid);
   const lbm::SegmentedMesh seg = lbm::SegmentedMesh::build(mesh);
 

@@ -13,7 +13,6 @@
 //   bench_runtime_json [--geometry=cylinder] [--out=BENCH_runtime.json]
 //                      [--repetitions=3] [--min-time=0.2] [--small]
 #include <chrono>
-#include <cstring>
 #include <fstream>
 #include <iostream>
 #include <string>
@@ -32,52 +31,15 @@ namespace {
 using namespace hemo;
 using Clock = std::chrono::steady_clock;
 
-struct Options {
-  std::string geometry = "cylinder";
-  std::string out = "BENCH_runtime.json";
-  index_t repetitions = 3;
-  double min_time = 0.2;
-  bool small = false;
-};
+using Options = bench::JsonBenchOptions;
 
 Options parse_args(int argc, char** argv) {
   Options opt;
+  opt.out = "BENCH_runtime.json";
   for (int i = 1; i < argc; ++i) {
-    const std::string arg = argv[i];
-    const auto value = [&](const char* prefix) {
-      return arg.substr(std::strlen(prefix));
-    };
-    if (arg.rfind("--geometry=", 0) == 0) {
-      opt.geometry = value("--geometry=");
-    } else if (arg.rfind("--out=", 0) == 0) {
-      opt.out = value("--out=");
-    } else if (const auto reps =
-                   bench::flag_number<index_t>(arg, "--repetitions=")) {
-      opt.repetitions = *reps;
-    } else if (const auto secs =
-                   bench::flag_number<double>(arg, "--min-time=")) {
-      opt.min_time = *secs;
-    } else if (arg == "--small") {
-      opt.small = true;
-    } else {
-      std::cerr << "unknown argument: " << arg << "\n";
-      std::exit(2);
-    }
+    if (!opt.read(argv[i])) bench::reject_argument(argv[i]);
   }
-  HEMO_REQUIRE(opt.repetitions >= 1, "need at least one repetition");
-  HEMO_REQUIRE(opt.min_time > 0.0, "min-time must be positive");
   return opt;
-}
-
-geometry::Geometry build_geometry(const Options& opt) {
-  if (!opt.small) return bench::make_geometry(opt.geometry);
-  if (opt.geometry == "cylinder") {
-    return geometry::make_cylinder({.radius = 6, .length = 40});
-  }
-  if (opt.geometry == "cerebral") {
-    return geometry::make_cerebral({.depth = 4});
-  }
-  return bench::make_geometry(opt.geometry);
 }
 
 struct ScalingResult {
@@ -94,11 +56,10 @@ struct ScalingResult {
 ScalingResult time_ranks(const lbm::FluidMesh& mesh,
                          const geometry::Geometry& geo, index_t n_ranks,
                          const Options& opt) {
-  lbm::SolverParams params;
-  params.tau = 0.8;
   const auto part =
       decomp::make_partition(mesh, n_ranks, decomp::Strategy::kRcb);
-  runtime::ParallelSolver solver(mesh, part, params, std::span(geo.inlets));
+  runtime::ParallelSolver solver(mesh, part, lbm::SolverParams{},
+                                 std::span(geo.inlets));
   solver.run(4);  // warmup: touch every page, spin up the thread team
 
   ScalingResult result;
@@ -139,22 +100,13 @@ ScalingResult time_ranks(const lbm::FluidMesh& mesh,
   return result;
 }
 
-std::string json_escape(const std::string& s) {
-  std::string out;
-  for (char ch : s) {
-    if (ch == '"' || ch == '\\') out.push_back('\\');
-    out.push_back(ch);
-  }
-  return out;
-}
-
 void write_json(std::ostream& os, const Options& opt,
                 const lbm::FluidMesh& mesh,
                 const std::vector<ScalingResult>& results) {
   os << "{\n";
   os << "  \"schema\": \"hemo-bench-runtime/1\",\n";
   os << "  \"host\": {\n";
-  os << "    \"compiler\": \"" << json_escape(__VERSION__) << "\",\n";
+  os << "    \"compiler\": \"" << bench::json_escape(__VERSION__) << "\",\n";
   os << "    \"hardware_concurrency\": "
      << std::thread::hardware_concurrency() << "\n";
   os << "  },\n";
@@ -164,7 +116,7 @@ void write_json(std::ostream& os, const Options& opt,
   os << "    \"small\": " << (opt.small ? "true" : "false") << "\n";
   os << "  },\n";
   os << "  \"geometry\": {\n";
-  os << "    \"name\": \"" << json_escape(opt.geometry) << "\",\n";
+  os << "    \"name\": \"" << bench::json_escape(opt.geometry) << "\",\n";
   os << "    \"points\": " << mesh.num_points() << "\n";
   os << "  },\n";
   os << "  \"results\": [\n";
@@ -189,7 +141,7 @@ void write_json(std::ostream& os, const Options& opt,
 
 int main(int argc, char** argv) {
   const Options opt = parse_args(argc, argv);
-  const geometry::Geometry geo = build_geometry(opt);
+  const geometry::Geometry geo = opt.build_geometry();
   const lbm::FluidMesh mesh = lbm::FluidMesh::build(geo.grid);
 
   std::cerr << "bench_runtime_json: " << opt.geometry << ", "

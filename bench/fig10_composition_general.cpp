@@ -14,8 +14,7 @@ int main() {
   bench::CalibrationCache cache;
   const auto& cal = cache.get("CSP-2");
   const auto& profile = cluster::instance_by_abbrev("CSP-2");
-  harvey::Simulation sim(bench::make_geometry("cylinder"),
-                         bench::default_options());
+  harvey::Simulation sim(geometry::make_named("cylinder"), {});
   const std::vector<index_t> cal_counts = {2, 4, 8, 16, 32};
   const core::WorkloadCalibration wcal =
       core::calibrate_workload(sim, cal_counts, profile.cores_per_node);

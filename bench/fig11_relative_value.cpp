@@ -12,8 +12,7 @@ int main() {
       "Fig. 11", "relative value r_{B,A}, aorta at 2048 cores (general"
                  " model)");
 
-  harvey::Simulation sim(bench::make_geometry("aorta"),
-                         bench::default_options());
+  harvey::Simulation sim(geometry::make_named("aorta"), {});
   const std::vector<index_t> cal_counts = {2, 4, 8, 16, 32, 64};
   const core::WorkloadCalibration coarse =
       core::calibrate_workload(sim, cal_counts, 36);

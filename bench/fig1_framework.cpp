@@ -32,8 +32,7 @@ int main() {
 
   // ----- Phase 2: anatomy-specific tuning and the decision loop ---------
   std::cout << "\nPhase 2: anatomy-specific predictions for the aorta\n";
-  harvey::Simulation sim(bench::make_geometry("aorta"),
-                         bench::default_options());
+  harvey::Simulation sim(geometry::make_named("aorta"), {});
   const std::vector<index_t> counts = {2, 4, 8, 16, 32, 64};
   const auto workload = core::calibrate_workload(sim, counts, 36);
 

@@ -16,8 +16,8 @@ int main() {
   t.set_header({"Geometry", "Fluid points", "Bulk:wall ratio",
                 "Fill fraction", "Halo links/point @16 tasks",
                 "Imbalance z @16 (RCB)"});
-  for (const auto& name : bench::geometry_names()) {
-    const auto geo = bench::make_geometry(name);
+  for (const auto& name : geometry::names()) {
+    const auto geo = geometry::make_named(name);
     const auto stats = geometry::compute_stats(geo);
     const auto mesh = lbm::FluidMesh::build(geo.grid);
     const auto part =

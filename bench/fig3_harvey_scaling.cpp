@@ -10,9 +10,8 @@ int main() {
   bench::print_header(
       "Fig. 3", "HARVEY strong scaling (MFLUPS) per geometry and system");
 
-  for (const auto& geo_name : bench::geometry_names()) {
-    harvey::Simulation sim(bench::make_geometry(geo_name),
-                           bench::default_options());
+  for (const auto& geo_name : geometry::names()) {
+    harvey::Simulation sim(geometry::make_named(geo_name), {});
     std::cout << "\n(" << geo_name << ", " << sim.mesh().num_points()
               << " fluid points)\n";
     TextTable t;

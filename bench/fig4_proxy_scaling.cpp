@@ -9,39 +9,36 @@ int main() {
   bench::print_header("Fig. 4",
                       "lbm-proxy-app strong scaling, AA (a) and AB (b)");
 
-  for (lbm::Propagation prop :
-       {lbm::Propagation::kAA, lbm::Propagation::kAB}) {
-    std::cout << "\n(" << (prop == lbm::Propagation::kAA ? "a" : "b")
-              << ") " << lbm::to_string(prop) << " propagation pattern\n";
-    for (lbm::Layout layout : {lbm::Layout::kSoA, lbm::Layout::kAoS}) {
-      lbm::KernelConfig kernel;
-      kernel.propagation = prop;
-      kernel.layout = layout;
-      kernel.unroll = lbm::Unroll::kYes;
-      proxy::ProxyApp app(proxy::ProxyParams{}, kernel);
-      std::cout << "kernel: " << lbm::kernel_name(kernel) << "\n";
-
-      TextTable t;
-      std::vector<std::string> header = {"Ranks"};
-      for (const auto& abbrev : bench::system_abbrevs()) {
-        header.push_back(abbrev);
-      }
-      t.set_header(std::move(header));
-      for (index_t n = 2; n <= 144; n *= 2) {
-        std::vector<std::string> row = {TextTable::num(n)};
-        for (const auto& abbrev : bench::system_abbrevs()) {
-          const auto& profile = cluster::instance_by_abbrev(abbrev);
-          if (n > profile.total_cores) {
-            row.push_back("-");
-            continue;
-          }
-          row.push_back(
-              TextTable::num(app.measure(profile, n, 200).mflups.value(), 2));
-        }
-        t.add_row(std::move(row));
-      }
-      t.print(std::cout);
+  std::optional<lbm::Propagation> shown;
+  for (const auto& kernel : proxy::fig4_variants()) {
+    if (kernel.propagation != shown) {
+      shown = kernel.propagation;
+      std::cout << "\n(" << (*shown == lbm::Propagation::kAA ? "a" : "b")
+                << ") " << lbm::to_string(*shown) << " propagation pattern\n";
     }
+    auto sim = proxy::make_simulation(proxy::ProxyParams{}, kernel);
+    std::cout << "kernel: " << lbm::kernel_name(kernel) << "\n";
+
+    TextTable t;
+    std::vector<std::string> header = {"Ranks"};
+    for (const auto& abbrev : bench::system_abbrevs()) {
+      header.push_back(abbrev);
+    }
+    t.set_header(std::move(header));
+    for (index_t n = 2; n <= 144; n *= 2) {
+      std::vector<std::string> row = {TextTable::num(n)};
+      for (const auto& abbrev : bench::system_abbrevs()) {
+        const auto& profile = cluster::instance_by_abbrev(abbrev);
+        if (n > profile.total_cores) {
+          row.push_back("-");
+          continue;
+        }
+        row.push_back(
+            TextTable::num(sim.measure(profile, n, 200).mflups.value(), 2));
+      }
+      t.add_row(std::move(row));
+    }
+    t.print(std::cout);
   }
   std::cout << "\nExpected shape: AA above AB at equal ranks; AoS >= SoA"
                " for AB, AoS ~ SoA for AA.\n";

@@ -16,9 +16,8 @@ int main() {
   const auto& profile = cluster::instance_by_abbrev("CSP-2");
   const std::vector<index_t> cal_counts = {2, 4, 8, 16, 32};
 
-  for (const auto& geo_name : bench::geometry_names()) {
-    harvey::Simulation sim(bench::make_geometry(geo_name),
-                           bench::default_options());
+  for (const auto& geo_name : geometry::names()) {
+    harvey::Simulation sim(geometry::make_named(geo_name), {});
     const core::WorkloadCalibration wcal = core::calibrate_workload(
         sim, cal_counts, profile.cores_per_node);
 

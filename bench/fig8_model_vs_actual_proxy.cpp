@@ -16,8 +16,7 @@ int main() {
   const std::vector<index_t> cal_counts = {2, 4, 8, 16, 32};
 
   for (const auto& kernel : proxy::fig8_variants()) {
-    proxy::ProxyApp app(proxy::ProxyParams{}, kernel);
-    auto& sim = app.simulation();
+    auto sim = proxy::make_simulation(proxy::ProxyParams{}, kernel);
     const core::WorkloadCalibration wcal = core::calibrate_workload(
         sim, cal_counts, profile.cores_per_node);
 
@@ -26,7 +25,7 @@ int main() {
     t.set_header({"Ranks", "Measured MFLUPS", "Direct model",
                   "General model"});
     for (index_t n = 4; n <= 144; n *= 2) {
-      const auto measured = app.measure(profile, n, 200);
+      const auto measured = sim.measure(profile, n, 200);
       const auto direct = core::predict_direct(
           sim.plan(n, profile.cores_per_node), cal);
       const auto general = core::predict_general(

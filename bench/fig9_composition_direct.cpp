@@ -14,8 +14,7 @@ int main() {
   bench::CalibrationCache cache;
   const auto& cal = cache.get("CSP-2");
   const auto& profile = cluster::instance_by_abbrev("CSP-2");
-  harvey::Simulation sim(bench::make_geometry("cylinder"),
-                         bench::default_options());
+  harvey::Simulation sim(geometry::make_named("cylinder"), {});
 
   TextTable t;
   t.set_header({"Ranks", "Memory (us)", "Intranodal (us)",

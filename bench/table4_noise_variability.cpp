@@ -12,8 +12,7 @@ int main() {
   bench::print_header(
       "Table IV", "aorta MFLUPS statistics, 6 h intervals over 7 days");
 
-  harvey::Simulation sim(bench::make_geometry("aorta"),
-                         bench::default_options());
+  harvey::Simulation sim(geometry::make_named("aorta"), {});
 
   struct Config {
     const char* abbrev;

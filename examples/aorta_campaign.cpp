@@ -30,9 +30,7 @@ int main() {
   core::Dashboard dashboard(std::move(candidates));
 
   // Phase 2: anatomy-specific calibration.
-  harvey::SimulationOptions options;
-  options.solver.tau = 0.8;
-  harvey::Simulation sim(geometry::make_aorta({}), options);
+  harvey::Simulation sim(geometry::make_named("aorta"), {});
   const std::vector<index_t> sweep = {2, 4, 8, 16, 32, 64};
   core::WorkloadCalibration anatomy =
       core::calibrate_workload(sim, sweep, 36);

@@ -30,9 +30,9 @@ int main() {
 
   std::cout << "calibrating instances and anatomies (phase 1 + pilots) ...\n";
   const std::vector<index_t> cal_counts = {2, 4, 8, 16, 32};
-  scheduler.register_workload("aorta", geometry::make_aorta({}), cal_counts);
-  scheduler.register_workload("cerebral", geometry::make_cerebral({.depth = 5}),
-                              cal_counts);
+  for (const char* name : {"aorta", "cerebral"}) {
+    scheduler.register_workload(name, geometry::make_named(name), cal_counts);
+  }
 
   // A study a lab might actually queue: steady aorta runs at two
   // resolutions, a cerebral sweep, a few spot-tolerant batch jobs, and one

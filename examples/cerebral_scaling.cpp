@@ -17,9 +17,7 @@ int main() {
   std::cout << "Cerebral vasculature scaling study\n"
             << "==================================\n\n";
 
-  harvey::SimulationOptions options;
-  options.solver.tau = 0.8;
-  harvey::Simulation sim(geometry::make_cerebral({.depth = 5}), options);
+  harvey::Simulation sim(geometry::make_named("cerebral"), {});
   std::cout << "cerebral tree: " << sim.mesh().num_points()
             << " fluid points, "
             << sim.mesh().type_counts().wall << " wall points\n\n";

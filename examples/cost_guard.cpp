@@ -18,14 +18,11 @@ int main() {
   std::cout << "Model-driven overrun protection\n"
             << "===============================\n\n";
 
-  harvey::SimulationOptions options;
-  options.solver.tau = 0.8;
   const auto& profile = cluster::instance_by_abbrev("CSP-2");
   const core::InstanceCalibration cal = core::calibrate_instance(profile);
 
   // Plan: 50k timesteps of the intended geometry at 36 ranks.
-  harvey::Simulation intended(
-      geometry::make_cylinder({.radius = 10, .length = 80}), options);
+  harvey::Simulation intended(geometry::make_named("cylinder"), {});
   constexpr index_t kSteps = 50000;
   constexpr index_t kRanks = 36;
   const auto pred =
@@ -103,7 +100,7 @@ int main() {
 
   // Run B: the user submits a 2x-resolution domain against the same plan.
   harvey::Simulation oversized(
-      geometry::make_cylinder({.radius = 20, .length = 160}), options);
+      geometry::make_cylinder({.radius = 20, .length = 160}), {});
   run_guarded("Run B: accidental 2x-resolution submission (8x points)",
               oversized);
 

@@ -79,20 +79,8 @@ struct Args {
   }
 };
 
-geometry::Geometry make_named_geometry(const std::string& name) {
-  if (name == "cylinder") {
-    return geometry::make_cylinder({.radius = 10, .length = 80});
-  }
-  if (name == "aorta") return geometry::make_aorta({});
-  if (name == "cerebral") return geometry::make_cerebral({.depth = 5});
-  throw PreconditionError("unknown geometry: " + name +
-                          " (expected cylinder | aorta | cerebral)");
-}
-
 harvey::Simulation make_sim(const std::string& geometry_name) {
-  harvey::SimulationOptions options;
-  options.solver.tau = 0.8;
-  return harvey::Simulation(make_named_geometry(geometry_name), options);
+  return harvey::Simulation(geometry::make_named(geometry_name), {});
 }
 
 int cmd_instances(const Args& /*args*/) {
@@ -211,11 +199,11 @@ int cmd_simulate(const Args& args) {
   std::cout << geometry_name << ": " << sim.mesh().num_points()
             << " fluid points\n";
   auto& solver = sim.solver();
-  const auto t0 = std::chrono::steady_clock::now();
-  solver.run(steps);
-  const real_t seconds =
-      std::chrono::duration<real_t>(std::chrono::steady_clock::now() - t0)
-          .count();
+  real_t seconds = 0.0;
+  {
+    const obs::Phase phase("simulate", &seconds);
+    solver.run(steps);
+  }
   std::cout << steps << " steps in " << TextTable::num(seconds, 2)
             << " s = "
             << TextTable::num(
@@ -260,7 +248,7 @@ int cmd_kernels(const Args& args) {
             << "x double; override with HEMO_SIMD or "
                "KernelConfig::backend)\n";
 
-  const auto geo = make_named_geometry(geometry_name);
+  const auto geo = geometry::make_named(geometry_name);
   const auto mesh = lbm::FluidMesh::build(geo.grid);
   std::cout << "\n" << geometry_name << ": " << mesh.num_points()
             << " fluid points; measuring STREAM COPY ...\n";
@@ -301,10 +289,9 @@ int cmd_run(const Args& args) {
   const std::string profile_path = args.text("--profile");
   HEMO_REQUIRE(steps > 0, "need at least one step");
   HEMO_REQUIRE(ranks >= 1, "need at least one rank");
-  const auto geo = make_named_geometry(geometry_name);
+  const auto geo = geometry::make_named(geometry_name);
   const auto mesh = lbm::FluidMesh::build(geo.grid);
-  lbm::SolverParams params;
-  params.tau = 0.8;
+  const lbm::SolverParams params{};
   const auto part =
       decomp::make_partition(mesh, ranks, decomp::Strategy::kRcb);
 
@@ -321,11 +308,11 @@ int cmd_run(const Args& args) {
   obs::PhaseProfiler& profiler = obs::PhaseProfiler::global();
   if (!profile_path.empty()) profiler.start();
 
-  const auto t0 = std::chrono::steady_clock::now();
-  solver.run(steps);
-  const real_t seconds =
-      std::chrono::duration<real_t>(std::chrono::steady_clock::now() - t0)
-          .count();
+  real_t seconds = 0.0;
+  {
+    const obs::Phase phase("run", &seconds);
+    solver.run(steps);
+  }
 
   if (!profile_path.empty()) {
     profiler.stop();
@@ -459,7 +446,7 @@ int cmd_schedule(const Args& args) {
   config.objective = core::Objective::kMinCost;
   config.core_counts = {16, 36, 72, 144};
   sched::CampaignScheduler scheduler(std::move(profiles), config);
-  auto geometry = make_named_geometry(geometry_name);
+  auto geometry = geometry::make_named(geometry_name);
   // Progress goes to stderr (via the logger) so --csv output stays clean
   // for golden files.
   HEMO_LOG_INFO("calibrating %s (phase 1 + pilots) ...",
@@ -498,7 +485,12 @@ int cmd_schedule(const Args& args) {
     HEMO_LOG_INFO("metrics written to %s", metrics_path.c_str());
   }
   const real_t hold_s = args.number<real_t>("--hold");
-  if (plane != nullptr && hold_s != 0.0) plane->hold(hold_s);
+  if (plane != nullptr && hold_s != 0.0) {
+    // A held process ends by being killed, so the report must leave the
+    // stdout buffer first.
+    std::cout.flush();
+    plane->hold(hold_s);
+  }
   return 0;
 }
 

@@ -1,7 +1,6 @@
 #include "check/oracles.hpp"
 
 #include <algorithm>
-#include <chrono>
 #include <cmath>
 #include <sstream>
 #include <utility>
@@ -12,17 +11,12 @@
 #include "geometry/generators.hpp"
 #include "lbm/mesh.hpp"
 #include "obs/metrics.hpp"
+#include "obs/profile.hpp"
 #include "lbm/solver.hpp"
 
 namespace hemo::check {
 
 namespace {
-
-harvey::Simulation make_sim(geometry::Geometry geo) {
-  harvey::SimulationOptions opts;
-  opts.solver.tau = 0.8;
-  return harvey::Simulation(std::move(geo), opts);
-}
 
 std::string format_ratio(real_t value) {
   std::ostringstream os;
@@ -40,7 +34,8 @@ OracleContext OracleContext::make_default() {
   const auto add = [&](const std::string& name, geometry::Geometry geo) {
     Workload w;
     w.name = name;
-    w.sim = std::make_unique<harvey::Simulation>(make_sim(std::move(geo)));
+    w.sim = std::make_unique<harvey::Simulation>(
+        std::move(geo), harvey::SimulationOptions{});
     w.calibration =
         core::calibrate_workload(*w.sim, cal_counts, ctx.tasks_per_node);
     ctx.workloads.push_back(std::move(w));
@@ -262,12 +257,13 @@ std::vector<PropertyResult> run_all_oracles(OracleContext& ctx,
   // whose contents stay a pure function of the seed) so `hemocloud_cli
   // check` can report where the time went.
   const auto timed = [&results](auto&& oracle) {
-    const auto t0 = std::chrono::steady_clock::now();
-    PropertyResult r = oracle();
-    const std::chrono::duration<real_t> dt =
-        std::chrono::steady_clock::now() - t0;
-    obs::MetricsRegistry::global().set("check_oracle_wall_seconds",
-                                       dt.count(), {{"oracle", r.name}});
+    real_t seconds = 0.0;
+    PropertyResult r = [&] {
+      const obs::Phase phase("oracle", &seconds);
+      return oracle();
+    }();
+    obs::MetricsRegistry::global().set("check_oracle_wall_seconds", seconds,
+                                       {{"oracle", r.name}});
     results.push_back(std::move(r));
   };
   timed([&] { return oracle_model_agreement(ctx, config); });

@@ -70,18 +70,6 @@ std::vector<DashboardRow> Dashboard::price(
   return rows;
 }
 
-std::vector<std::vector<real_t>> Dashboard::relative_value_matrix(
-    std::span<const DashboardRow> rows) {
-  std::vector<std::vector<real_t>> m(
-      rows.size(), std::vector<real_t>(rows.size(), 1.0));
-  for (std::size_t b = 0; b < rows.size(); ++b) {
-    for (std::size_t a = 0; a < rows.size(); ++a) {
-      m[b][a] = relative_value(rows[b].prediction, rows[a].prediction);
-    }
-  }
-  return m;
-}
-
 std::optional<DashboardRow> Dashboard::recommend(
     std::span<const DashboardRow> rows, Objective objective,
     units::Seconds deadline) {

@@ -3,9 +3,10 @@
 // For a calibrated workload, the dashboard evaluates every candidate
 // instance type at the requested core counts with the generalized model,
 // derives cost metrics (time-to-solution, total dollars, throughput per
-// cost rate), builds the relative-value matrix r_{B,A} of Eq. 17, and
-// recommends a configuration under a user objective: maximum throughput,
-// minimum cost, or cheapest-within-deadline.
+// cost rate), and recommends a configuration under a user objective:
+// maximum throughput, minimum cost, or cheapest-within-deadline. The
+// relative value r_{B,A} of Eq. 17 between two predictions is
+// core::relative_value (core/models.hpp).
 #pragma once
 
 #include <optional>
@@ -111,10 +112,6 @@ class Dashboard {
   [[nodiscard]] static std::vector<DashboardRow> price(
       std::span<const OptionPrediction> candidates, const JobSpec& job,
       real_t correction = 1.0);
-
-  /// Eq. 17 matrix over rows (r[b][a] = MFLUPS_b / MFLUPS_a).
-  [[nodiscard]] static std::vector<std::vector<real_t>> relative_value_matrix(
-      std::span<const DashboardRow> rows);
 
   /// Recommends a row under the objective. `deadline` is required for
   /// Objective::kDeadline. Returns nullopt if no row qualifies.

@@ -391,6 +391,24 @@ Geometry make_aneurysm(const AneurysmParams& params) {
                                     params.peak_velocity);
 }
 
+const std::vector<std::string>& names() {
+  static const std::vector<std::string> list = {"cylinder", "aorta",
+                                                "cerebral"};
+  return list;
+}
+
+Geometry make_named(const std::string& name) {
+  if (name == "cylinder") return make_cylinder({.radius = 10, .length = 80});
+  if (name == "aorta") return make_aorta({});
+  if (name == "cerebral") return make_cerebral({.depth = 5});
+  std::string expected;
+  for (const std::string& known : names()) {
+    expected += (expected.empty() ? "" : " | ") + known;
+  }
+  throw PreconditionError("unknown geometry: " + name + " (expected " +
+                          expected + ")");
+}
+
 GeometryStats compute_stats(const Geometry& geometry) {
   GeometryStats s;
   s.counts = geometry.grid.count_types();

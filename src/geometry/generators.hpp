@@ -125,6 +125,15 @@ struct AneurysmParams {
 /// decelerates and wall shear stress drops inside the sac.
 [[nodiscard]] Geometry make_aneurysm(const AneurysmParams& params = {});
 
+/// The names make_named() accepts, in the paper's Fig. 2 order.
+[[nodiscard]] const std::vector<std::string>& names();
+
+/// One of the paper's three geometries at the size the CLI, the benches and
+/// the examples share: "cylinder" (radius 10, length 80), "aorta" (the
+/// defaults) or "cerebral" (depth 5). Any other name throws
+/// PreconditionError listing names().
+[[nodiscard]] Geometry make_named(const std::string& name);
+
 /// Geometry summary used by tests and the benchmarks.
 struct GeometryStats {
   TypeCounts counts;

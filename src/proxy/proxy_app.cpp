@@ -2,50 +2,17 @@
 
 namespace hemo::proxy {
 
-namespace {
-
-geometry::Geometry make_proxy_geometry(const ProxyParams& params) {
-  geometry::CylinderParams cyl;
-  cyl.radius = params.radius;
-  cyl.length = params.length;
-  cyl.peak_velocity = params.peak_velocity;
-  return geometry::make_cylinder(cyl);
-}
-
-harvey::SimulationOptions make_options(const ProxyParams& params,
-                                       const lbm::KernelConfig& kernel) {
+harvey::Simulation make_simulation(const ProxyParams& params,
+                                   const lbm::KernelConfig& kernel) {
   harvey::SimulationOptions opts;
-  opts.solver.tau = params.tau;
   opts.solver.kernel = kernel;
   // The proxy's cylinder divides naturally into grid blocks.
   opts.strategy = decomp::Strategy::kGrid;
-  return opts;
-}
-
-}  // namespace
-
-ProxyApp::ProxyApp(const ProxyParams& params, const lbm::KernelConfig& kernel)
-    : kernel_(kernel),
-      sim_(make_proxy_geometry(params), make_options(params, kernel)) {}
-
-LocalRun ProxyApp::run_local(index_t steps) {
-  HEMO_REQUIRE(steps >= 1, "need at least one step");
-  // AA advances in even/odd pairs; keep the count even so the state ends
-  // in natural order.
-  if (kernel_.propagation == lbm::Propagation::kAA && steps % 2 != 0) {
-    ++steps;
-  }
-  auto& solver = sim_.solver();
-  const auto t0 = std::chrono::steady_clock::now();
-  solver.run(steps);
-  const real_t seconds =
-      std::chrono::duration<real_t>(std::chrono::steady_clock::now() - t0)
-          .count();
-  LocalRun run;
-  run.steps = steps;
-  run.seconds = seconds;
-  run.mflups = lbm::mflups(sim_.mesh().num_points(), steps, seconds);
-  return run;
+  return harvey::Simulation(
+      geometry::make_cylinder({.radius = params.radius,
+                               .length = params.length,
+                               .peak_velocity = params.peak_velocity}),
+      opts);
 }
 
 std::vector<lbm::KernelConfig> fig4_variants() {

@@ -59,10 +59,9 @@ void CampaignScheduler::register_workload(const std::string& name,
                                           std::span<const index_t> cal_counts) {
   HEMO_REQUIRE(!workloads_.contains(name),
                "workload already registered: " + name);
-  harvey::SimulationOptions options;
-  options.solver.tau = 0.8;
   Workload w;
-  w.sim = std::make_unique<harvey::Simulation>(std::move(geometry), options);
+  w.sim = std::make_unique<harvey::Simulation>(std::move(geometry),
+                                               harvey::SimulationOptions{});
 
   index_t max_cpn = 1;
   for (const Pool& pool : pools_) {

@@ -62,19 +62,6 @@ TEST_F(DashboardTest, RejectsZeroStepJobs) {
                PreconditionError);
 }
 
-TEST_F(DashboardTest, RelativeValueMatrixHasUnitDiagonalAndReciprocity) {
-  const std::vector<index_t> cores = {144};
-  const auto rows = dashboard_->evaluate(*workload_, JobSpec{10000}, cores);
-  const auto m = Dashboard::relative_value_matrix(rows);
-  ASSERT_EQ(m.size(), rows.size());
-  for (std::size_t b = 0; b < m.size(); ++b) {
-    EXPECT_DOUBLE_EQ(m[b][b], 1.0);
-    for (std::size_t a = 0; a < m.size(); ++a) {
-      EXPECT_NEAR(m[b][a] * m[a][b], 1.0, 1e-9);
-    }
-  }
-}
-
 TEST_F(DashboardTest, EcBeatsNoEcBeatsTrcAtScale) {
   // The ordering and magnitudes of the paper's Fig. 11 heatmap at 2048
   // cores: the aorta there is a patient-scale high-resolution lattice, so

@@ -162,5 +162,35 @@ TEST(Generators, RejectDegenerateParameters) {
   EXPECT_THROW(make_aorta(bad), PreconditionError);
 }
 
+TEST(NamedGeometry, EachNameBuildsItsGeneratorCall) {
+  const std::vector<std::pair<std::string, Geometry>> expected = {
+      {"cylinder", make_cylinder({.radius = 10, .length = 80})},
+      {"aorta", make_aorta({})},
+      {"cerebral", make_cerebral({.depth = 5})}};
+  ASSERT_EQ(names().size(), expected.size());
+  for (std::size_t i = 0; i < expected.size(); ++i) {
+    const auto& [name, geo] = expected[i];
+    EXPECT_EQ(names()[i], name);
+    const Geometry named = make_named(name);
+    EXPECT_EQ(named.name, geo.name);
+    EXPECT_EQ(named.grid.count_types().fluid(),
+              geo.grid.count_types().fluid())
+        << name;
+  }
+}
+
+TEST(NamedGeometry, UnknownNameThrowsListingTheNames) {
+  try {
+    (void)make_named("carotid");
+    FAIL() << "make_named accepted an unknown name";
+  } catch (const PreconditionError& e) {
+    const std::string what = e.what();
+    EXPECT_NE(what.find("carotid"), std::string::npos) << what;
+    for (const std::string& name : names()) {
+      EXPECT_NE(what.find(name), std::string::npos) << what;
+    }
+  }
+}
+
 }  // namespace
 }  // namespace hemo::geometry

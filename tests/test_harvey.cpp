@@ -10,15 +10,8 @@
 namespace hemo::harvey {
 namespace {
 
-SimulationOptions default_options() {
-  SimulationOptions opts;
-  opts.solver.tau = 0.8;
-  return opts;
-}
-
 TEST(Simulation, CachesPartitionsAndPlans) {
-  Simulation sim(geometry::make_cylinder({.radius = 5, .length = 30}),
-                 default_options());
+  Simulation sim(geometry::make_cylinder({.radius = 5, .length = 30}), {});
   const auto& p1 = sim.partition(8);
   const auto& p2 = sim.partition(8);
   EXPECT_EQ(&p1, &p2);  // same cached object
@@ -32,8 +25,7 @@ TEST(Simulation, MeasureShowsWithinNodeScalingThenCommCollapse) {
   // Within one node, adding ranks adds bandwidth share and throughput
   // rises; spilling a small domain across nodes makes latency-dominated
   // halo exchange take over — the strong-scaling rollover of Figs. 3/7.
-  Simulation sim(geometry::make_cylinder({.radius = 6, .length = 40}),
-                 default_options());
+  Simulation sim(geometry::make_cylinder({.radius = 6, .length = 40}), {});
   const auto& csp2 = cluster::instance_by_abbrev("CSP-2");
   const auto r4 = sim.measure(csp2, 4, 500);
   const auto r16 = sim.measure(csp2, 16, 500);
@@ -86,9 +78,8 @@ TEST(Simulation, GeometryEffectsMatchPaperOrdering) {
   // Fig. 3: with the same core budget, the wall-point-rich cerebral
   // geometry achieves the highest MFLUPS.
   const auto& csp2 = cluster::instance_by_abbrev("CSP-2");
-  Simulation cyl(geometry::make_cylinder({.radius = 10, .length = 80}),
-                 default_options());
-  Simulation cer(geometry::make_cerebral({.depth = 5}), default_options());
+  Simulation cyl(geometry::make_cylinder({.radius = 10, .length = 80}), {});
+  Simulation cer(geometry::make_cerebral({.depth = 5}), {});
   const real_t m_cyl = cyl.measure(csp2, 36, 200).mflups.value();
   const real_t m_cer = cer.measure(csp2, 36, 200).mflups.value();
   EXPECT_GT(m_cer, m_cyl);

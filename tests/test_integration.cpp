@@ -101,8 +101,9 @@ TEST(Integration, ProxyMeasurementsMatchKernelOrdering) {
   const auto& profile = cluster::instance_by_abbrev("CSP-2");
   proxy::ProxyParams params;
   auto mflups_for = [&](lbm::KernelConfig k) {
-    proxy::ProxyApp app(params, k);
-    return app.measure(profile, 36, 100).mflups.value();
+    return proxy::make_simulation(params, k)
+        .measure(profile, 36, 100)
+        .mflups.value();
   };
   lbm::KernelConfig aa_aos, ab_aos, ab_soa;
   aa_aos.propagation = lbm::Propagation::kAA;

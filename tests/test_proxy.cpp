@@ -30,51 +30,31 @@ TEST(ProxyVariants, Fig8SetIsAllSoAWithUnrollSweep) {
   EXPECT_EQ(unrolled, 2);
 }
 
-TEST(ProxyApp, LocalRunProducesThroughput) {
-  ProxyParams params;
-  params.radius = 5;
-  params.length = 24;
-  ProxyApp app(params, lbm::KernelConfig{});
-  const LocalRun run = app.run_local(20);
-  EXPECT_EQ(run.steps, 20);
-  EXPECT_GT(run.seconds, 0.0);
-  EXPECT_GT(run.mflups, 0.0);
-}
-
-TEST(ProxyApp, AaStepCountRoundedUpToEven) {
-  ProxyParams params;
-  params.radius = 4;
-  params.length = 16;
-  lbm::KernelConfig aa;
-  aa.propagation = lbm::Propagation::kAA;
-  ProxyApp app(params, aa);
-  const LocalRun run = app.run_local(7);
-  EXPECT_EQ(run.steps, 8);
-}
-
-TEST(ProxyApp, MeasuredAaBeatsAbOnVirtualCluster) {
+TEST(ProxySimulation, MeasuredAaBeatsAbOnVirtualCluster) {
   // Fig. 4: the AA pattern's reduced memory traffic lifts throughput.
   ProxyParams params;
   lbm::KernelConfig aa, ab;
   aa.propagation = lbm::Propagation::kAA;
   ab.propagation = lbm::Propagation::kAB;
-  ProxyApp app_aa(params, aa), app_ab(params, ab);
+  auto sim_aa = make_simulation(params, aa);
+  auto sim_ab = make_simulation(params, ab);
   const auto& csp2 = cluster::instance_by_abbrev("CSP-2");
-  EXPECT_GT(app_aa.measure(csp2, 36, 100).mflups,
-            app_ab.measure(csp2, 36, 100).mflups);
+  EXPECT_GT(sim_aa.measure(csp2, 36, 100).mflups,
+            sim_ab.measure(csp2, 36, 100).mflups);
 }
 
-TEST(ProxyApp, UnrolledBeatsLoopedOnVirtualCluster) {
+TEST(ProxySimulation, UnrolledBeatsLoopedOnVirtualCluster) {
   ProxyParams params;
   lbm::KernelConfig unrolled, looped;
   looped.unroll = lbm::Unroll::kNo;
-  ProxyApp a(params, unrolled), b(params, looped);
+  auto a = make_simulation(params, unrolled);
+  auto b = make_simulation(params, looped);
   const auto& csp2 = cluster::instance_by_abbrev("CSP-2");
   EXPECT_GT(a.measure(csp2, 36, 100).mflups,
             b.measure(csp2, 36, 100).mflups);
 }
 
-TEST(ProxyApp, AaAdvantageVanishesWithoutUnrolling) {
+TEST(ProxySimulation, AaAdvantageVanishesWithoutUnrolling) {
   // The paper's Fig. 8 observation: AA beats AB only for unrolled kernels.
   ProxyParams params;
   lbm::KernelConfig aa_l, ab_l;
@@ -84,10 +64,11 @@ TEST(ProxyApp, AaAdvantageVanishesWithoutUnrolling) {
   ab_l.propagation = lbm::Propagation::kAB;
   ab_l.unroll = lbm::Unroll::kNo;
   ab_l.layout = lbm::Layout::kSoA;
-  ProxyApp app_aa(params, aa_l), app_ab(params, ab_l);
+  auto sim_aa = make_simulation(params, aa_l);
+  auto sim_ab = make_simulation(params, ab_l);
   const auto& csp2 = cluster::instance_by_abbrev("CSP-2");
-  const real_t maa = app_aa.measure(csp2, 36, 100).mflups.value();
-  const real_t mab = app_ab.measure(csp2, 36, 100).mflups.value();
+  const real_t maa = sim_aa.measure(csp2, 36, 100).mflups.value();
+  const real_t mab = sim_ab.measure(csp2, 36, 100).mflups.value();
   EXPECT_LT(maa, mab * 1.05);  // no meaningful AA advantage when looped
 }
 
