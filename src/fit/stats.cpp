@@ -1,6 +1,5 @@
 #include "fit/stats.hpp"
 
-#include <algorithm>
 #include <cmath>
 
 namespace hemo::fit {
@@ -46,16 +45,6 @@ real_t r_squared(std::span<const real_t> actual,
   const real_t ss_res = sse(actual, predicted);
   if (ss_tot == 0.0) return ss_res == 0.0 ? 1.0 : 0.0;
   return 1.0 - ss_res / ss_tot;
-}
-
-real_t min_of(std::span<const real_t> xs) {
-  HEMO_REQUIRE(!xs.empty(), "min of empty span");
-  return *std::min_element(xs.begin(), xs.end());
-}
-
-real_t max_of(std::span<const real_t> xs) {
-  HEMO_REQUIRE(!xs.empty(), "max of empty span");
-  return *std::max_element(xs.begin(), xs.end());
 }
 
 Summary summarize(std::span<const real_t> xs) {

@@ -25,10 +25,6 @@ namespace hemo::fit {
 [[nodiscard]] real_t r_squared(std::span<const real_t> actual,
                                std::span<const real_t> predicted);
 
-/// Minimum / maximum of a non-empty span.
-[[nodiscard]] real_t min_of(std::span<const real_t> xs);
-[[nodiscard]] real_t max_of(std::span<const real_t> xs);
-
 /// Population summary produced by repeated noisy measurements (Table IV).
 struct Summary {
   real_t mean = 0.0;

@@ -53,16 +53,4 @@ TypeCounts VoxelGrid::count_types() const {
   return c;
 }
 
-std::vector<Voxel> VoxelGrid::fluid_voxels() const {
-  std::vector<Voxel> out;
-  for (index_t z = 0; z < nz_; ++z) {
-    for (index_t y = 0; y < ny_; ++y) {
-      for (index_t x = 0; x < nx_; ++x) {
-        if (is_fluid(x, y, z)) out.push_back(Voxel{x, y, z});
-      }
-    }
-  }
-  return out;
-}
-
 }  // namespace hemo::geometry

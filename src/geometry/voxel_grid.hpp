@@ -94,9 +94,6 @@ class VoxelGrid {
   /// Tallies voxels per classification.
   [[nodiscard]] TypeCounts count_types() const;
 
-  /// All fluid voxels in linear-index order (deterministic).
-  [[nodiscard]] std::vector<Voxel> fluid_voxels() const;
-
  private:
   index_t nx_, ny_, nz_;
   std::vector<PointType> flags_;

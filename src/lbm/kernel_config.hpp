@@ -40,10 +40,12 @@ enum class Precision {
   kDouble,  ///< 8-byte double
 };
 
-/// Hot-path implementation of the serial solver.
+/// Hot-path binding of the one segmented sweep (lbm::bind_sweep). Both
+/// store and step the same segment-reordered mesh; they differ in the
+/// kernel that sweeps the bulk-interior segment.
 enum class KernelPath {
-  kReference,  ///< one fused loop, per-point neighbor gather + type branch
-  kSegmented,  ///< segment-reordered mesh, branch-free RLE bulk kernel
+  kReference,  ///< general kernel everywhere: neighbor gather + type branch
+  kSegmented,  ///< branch-free RLE span kernel over the bulk segment
 };
 
 /// SIMD backend of the segmented SoA bulk kernels (lbm/simd.hpp). Every
@@ -65,11 +67,12 @@ struct KernelConfig {
   Precision precision = Precision::kDouble;
   /// Both paths produce bit-identical distribution state (asserted by
   /// tests/test_kernel_paths.cpp); kSegmented is the production default,
-  /// kReference is retained as the differential oracle and model anchor.
+  /// kReference is the differential oracle and model anchor.
   KernelPath path = KernelPath::kSegmented;
   /// SIMD backend request; only the segmented SoA bulk kernels dispatch on
   /// it (AoS and the reference path always run the portable code). An
-  /// explicit value must name a compiled-in, CPU-supported backend.
+  /// explicit value must name a compiled-in, CPU-supported backend where
+  /// it is used; AoS and reference bindings do not check it.
   Backend backend = Backend::kAuto;
 
   friend bool operator==(const KernelConfig&, const KernelConfig&) = default;

@@ -32,8 +32,10 @@
 // [frontier_begin(), num_points()) after.
 //
 // The segmentation is purely a reordering: kernels that process every
-// point with unchanged per-point arithmetic produce bit-identical state
-// (tests/test_kernel_paths.cpp asserts this against the reference path).
+// point with unchanged per-point arithmetic produce bit-identical state.
+// tests/test_kernel_paths.cpp asserts this for the span kernels against
+// the reference binding, which gathers every point through this view's
+// neighbor table, and checks that table against the mesh's own.
 #pragma once
 
 #include <array>

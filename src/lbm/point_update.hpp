@@ -1,17 +1,14 @@
-// Shared per-point update and boundary-profile helpers.
+// Shared per-point update helpers.
 //
-// Every kernel — the reference loops, the segmented range kernels the
-// serial solver and the runtime ranks share, and the SIMD tiles —
-// performs exactly this arithmetic, in this order, so their results agree
-// bit-for-bit.
+// Every kernel — the range kernels the serial solver and the runtime
+// ranks share (reference and segmented bindings alike) and the SIMD
+// tiles — performs exactly this arithmetic, in this order, so their
+// results agree bit-for-bit.
 #pragma once
 
 #include <array>
 #include <cmath>
-#include <span>
-#include <vector>
 
-#include "geometry/generators.hpp"
 #include "lbm/lattice.hpp"
 #include "lbm/mesh.hpp"
 #include "util/common.hpp"
@@ -23,8 +20,8 @@ namespace hemo::lbm {
 /// non-inlet/outlet point. The LES branch is resolved at compile time so
 /// the segmented bulk kernels instantiate a version with no runtime
 /// branch at all. This is the single definition of the bulk arithmetic —
-/// the reference and segmented paths both inline it, which is what keeps
-/// them bit-identical.
+/// the bulk and boundary kernels of every binding inline it, which is
+/// what keeps the reference and segmented paths bit-identical.
 template <typename T, bool WithLes>
 inline void update_interior_values(const T* g, T* out, T omega,
                                    const std::array<T, 3>& force_shift,
@@ -163,66 +160,6 @@ inline void update_boundary_values(PointType type, const T* g, T* out,
   }
   update_point_values<T>(type, g, out, omega, bc, force_shift,
                          smagorinsky_cs2);
-}
-
-/// Per-point pulsatile parameters {amplitude, period} from the inlets
-/// (zero for non-inlet points and steady inlets).
-template <typename T>
-[[nodiscard]] std::vector<std::array<T, 2>> inlet_pulse_params(
-    const FluidMesh& mesh, std::span<const geometry::InletSpec> inlets) {
-  std::vector<std::array<T, 2>> params(
-      static_cast<std::size_t>(mesh.num_points()), {T{0}, T{0}});
-  for (index_t p = 0; p < mesh.num_points(); ++p) {
-    if (mesh.type(p) != PointType::kInlet) continue;
-    const Voxel& v = mesh.voxel(p);
-    for (const auto& inlet : inlets) {
-      if (inlet.pulse_amplitude == 0.0) continue;
-      const real_t dx = static_cast<real_t>(v.x) - inlet.center.x;
-      const real_t dy = static_cast<real_t>(v.y) - inlet.center.y;
-      const real_t dz = static_cast<real_t>(v.z) - inlet.center.z;
-      const real_t d2 = inlet.axis == 0   ? dy * dy + dz * dz
-                        : inlet.axis == 1 ? dx * dx + dz * dz
-                                          : dx * dx + dy * dy;
-      const real_t r = inlet.radius;
-      if (d2 > (r + 0.5) * (r + 0.5)) continue;
-      params[static_cast<std::size_t>(p)] = {
-          static_cast<T>(inlet.pulse_amplitude),
-          static_cast<T>(inlet.pulse_period)};
-      break;
-    }
-  }
-  return params;
-}
-
-/// Per-point imposed inlet velocities from the Poiseuille profiles: zero
-/// for non-inlet points; for inlet points the parabolic profile of the
-/// matching InletSpec.
-template <typename T>
-[[nodiscard]] std::vector<std::array<T, 3>> inlet_velocities(
-    const FluidMesh& mesh, std::span<const geometry::InletSpec> inlets) {
-  std::vector<std::array<T, 3>> bc(
-      static_cast<std::size_t>(mesh.num_points()), {T{0}, T{0}, T{0}});
-  for (index_t p = 0; p < mesh.num_points(); ++p) {
-    if (mesh.type(p) != PointType::kInlet) continue;
-    const Voxel& v = mesh.voxel(p);
-    for (const auto& inlet : inlets) {
-      const real_t dx = static_cast<real_t>(v.x) - inlet.center.x;
-      const real_t dy = static_cast<real_t>(v.y) - inlet.center.y;
-      const real_t dz = static_cast<real_t>(v.z) - inlet.center.z;
-      const real_t d2 = inlet.axis == 0   ? dy * dy + dz * dz
-                        : inlet.axis == 1 ? dx * dx + dz * dz
-                                          : dx * dx + dy * dy;
-      const real_t r = inlet.radius;
-      if (d2 > (r + 0.5) * (r + 0.5)) continue;
-      const real_t profile = std::max(0.0, 1.0 - d2 / (r * r));
-      const real_t u = inlet.peak_velocity * profile *
-                       static_cast<real_t>(inlet.direction);
-      auto& out = bc[static_cast<std::size_t>(p)];
-      out[static_cast<std::size_t>(inlet.axis)] = static_cast<T>(u);
-      break;
-    }
-  }
-  return bc;
 }
 
 }  // namespace hemo::lbm

@@ -42,9 +42,80 @@ namespace {
 }  // namespace
 
 template <typename T>
+InletTables<T> inlet_tables(const FluidMesh& mesh, const SegmentedMesh& view,
+                            std::span<const geometry::InletSpec> inlets) {
+  const auto owned = static_cast<std::size_t>(view.num_points());
+  InletTables<T> bc{std::vector<std::array<T, 3>>(owned, {T{0}, T{0}, T{0}}),
+                    std::vector<std::array<T, 2>>(owned, {T{0}, T{0}})};
+  for (index_t i = 0; i < view.num_points(); ++i) {
+    if (view.type(i) != PointType::kInlet) continue;
+    const Voxel& v = mesh.voxel(view.point_at(i));
+    bool have_velocity = false, have_pulse = false;
+    for (const auto& inlet : inlets) {
+      const real_t dx = static_cast<real_t>(v.x) - inlet.center.x;
+      const real_t dy = static_cast<real_t>(v.y) - inlet.center.y;
+      const real_t dz = static_cast<real_t>(v.z) - inlet.center.z;
+      const real_t d2 = inlet.axis == 0   ? dy * dy + dz * dz
+                        : inlet.axis == 1 ? dx * dx + dz * dz
+                                          : dx * dx + dy * dy;
+      const real_t r = inlet.radius;
+      if (d2 > (r + 0.5) * (r + 0.5)) continue;
+      if (!have_velocity) {
+        // The parabolic Poiseuille profile along the inlet's axis.
+        const real_t profile = std::max(0.0, 1.0 - d2 / (r * r));
+        const real_t u = inlet.peak_velocity * profile *
+                         static_cast<real_t>(inlet.direction);
+        bc.velocity[static_cast<std::size_t>(i)]
+                   [static_cast<std::size_t>(inlet.axis)] = static_cast<T>(u);
+        have_velocity = true;
+      }
+      if (!have_pulse && inlet.pulse_amplitude != 0.0) {
+        bc.pulse[static_cast<std::size_t>(i)] = {
+            static_cast<T>(inlet.pulse_amplitude),
+            static_cast<T>(inlet.pulse_period)};
+        have_pulse = true;
+      }
+      if (have_velocity && have_pulse) break;
+    }
+  }
+  return bc;
+}
+
+template <typename T>
+void owned_to_canonical(Layout layout, const SegmentedMesh& view,
+                        std::span<const T> f, std::span<T> state) {
+  const auto rows = static_cast<index_t>(state.size()) / kQ;
+  for (index_t i = 0; i < view.num_points(); ++i) {
+    const index_t p = view.point_at(i);
+    for (index_t q = 0; q < kQ; ++q) {
+      state[static_cast<std::size_t>(dist_offset(layout, rows, p, q))] =
+          f[static_cast<std::size_t>(
+              dist_offset(layout, view.num_slots(), i, q))];
+    }
+  }
+}
+
+template <typename T>
+void canonical_to_owned(Layout layout, const SegmentedMesh& view,
+                        std::span<const T> state, std::span<T> f) {
+  const auto rows = static_cast<index_t>(state.size()) / kQ;
+  for (index_t i = 0; i < view.num_points(); ++i) {
+    const index_t p = view.point_at(i);
+    for (index_t q = 0; q < kQ; ++q) {
+      f[static_cast<std::size_t>(
+          dist_offset(layout, view.num_slots(), i, q))] =
+          state[static_cast<std::size_t>(dist_offset(layout, rows, p, q))];
+    }
+  }
+}
+
+template <typename T>
 Solver<T>::Solver(const FluidMesh& mesh, const SolverParams& params,
                   std::span<const geometry::InletSpec> inlets)
-    : mesh_(&mesh), params_(params), n_(mesh.num_points()) {
+    : mesh_(&mesh),
+      params_(params),
+      n_(mesh.num_points()),
+      seg_(SegmentedMesh::build(mesh)) {
   binding_ = bind_sweep<T>(params_, n_);
   params_.kernel.precision =
       sizeof(T) == sizeof(float) ? Precision::kSingle : Precision::kDouble;
@@ -58,62 +129,29 @@ Solver<T>::Solver(const FluidMesh& mesh, const SolverParams& params,
   threads_ = 1;
 #endif
 
-  if (params_.kernel.path == KernelPath::kSegmented) {
-    seg_ = std::make_unique<SegmentedMesh>(SegmentedMesh::build(mesh));
-    // Span-aligned bulk blocks: cut only at RLE span ends so the tile
-    // kernels always see whole spans (no masked tails at partition
-    // seams), sized so a thread's per-block working set stays
-    // cache-resident while still yielding several blocks per thread for
-    // an even static split.
-    const index_t bulk = seg_->bulk_count();
-    const index_t target = std::clamp(bulk / (threads_ * 8), index_t{512},
-                                      index_t{4096});
-    block_bounds_.push_back(0);
-    index_t in_block = 0;
-    for (const auto& span : seg_->spans()) {
-      in_block += span.length;
-      if (in_block >= target) {
-        block_bounds_.push_back(span.begin + span.length);
-        in_block = 0;
-      }
-    }
-    if (block_bounds_.back() != bulk) block_bounds_.push_back(bulk);
-  } else {
-    const bool aos = params_.kernel.layout == Layout::kAoS;
-    if (params_.kernel.propagation == Propagation::kAB) {
-      step_even_fn_ = aos ? &Solver::step_ab<Layout::kAoS>
-                          : &Solver::step_ab<Layout::kSoA>;
-      step_odd_fn_ = step_even_fn_;
-    } else {
-      step_even_fn_ = aos ? &Solver::step_aa_even<Layout::kAoS>
-                          : &Solver::step_aa_even<Layout::kSoA>;
-      step_odd_fn_ = aos ? &Solver::step_aa_odd<Layout::kAoS>
-                         : &Solver::step_aa_odd<Layout::kSoA>;
+  // Span-aligned bulk blocks: cut only at RLE span ends so the tile
+  // kernels always see whole spans (no masked tails at partition seams),
+  // sized so a thread's per-block working set stays cache-resident while
+  // still yielding several blocks per thread for an even static split.
+  const index_t bulk = seg_.bulk_count();
+  const index_t target =
+      std::clamp(bulk / (threads_ * 8), index_t{512}, index_t{4096});
+  block_bounds_.push_back(0);
+  index_t in_block = 0;
+  for (const auto& span : seg_.spans()) {
+    in_block += span.length;
+    if (in_block >= target) {
+      block_bounds_.push_back(span.begin + span.length);
+      in_block = 0;
     }
   }
+  if (block_bounds_.back() != bulk) block_bounds_.push_back(bulk);
 
   f_.resize(static_cast<std::size_t>(n_ * kQ));
   if (params_.kernel.propagation == Propagation::kAB) {
     f2_.resize(static_cast<std::size_t>(n_ * kQ));
   }
-
-  // Precompute inlet velocity targets from the Poiseuille profiles, then
-  // permute them into internal point order so the boundary kernels index
-  // them directly.
-  auto bc_velocity = inlet_velocities<T>(mesh, inlets);
-  auto bc_pulse = inlet_pulse_params<T>(mesh, inlets);
-  if (seg_) {
-    bc_velocity_.resize(bc_velocity.size());
-    bc_pulse_.resize(bc_pulse.size());
-    for (index_t i = 0; i < n_; ++i) {
-      const auto p = static_cast<std::size_t>(seg_->point_at(i));
-      bc_velocity_[static_cast<std::size_t>(i)] = bc_velocity[p];
-      bc_pulse_[static_cast<std::size_t>(i)] = bc_pulse[p];
-    }
-  } else {
-    bc_velocity_ = std::move(bc_velocity);
-    bc_pulse_ = std::move(bc_pulse);
-  }
+  bc_ = inlet_tables<T>(mesh, seg_, inlets);
   initialize();
 }
 
@@ -123,8 +161,7 @@ void Solver<T>::initialize() {
   // Rest equilibrium is point-independent, so the only thing the loop
   // structure decides is which thread first-touches which pages; mirror
   // the step kernels' partition (bulk region and boundary region each
-  // statically chunked on the segmented path, one static loop on the
-  // reference path).
+  // statically chunked).
   const auto init_position = [&](index_t i) {
     for (index_t q = 0; q < kQ; ++q) {
       const T feq = equilibrium<T>(q, T{1}, T{0}, T{0}, T{0});
@@ -133,121 +170,26 @@ void Solver<T>::initialize() {
       if (!f2_.empty()) f2_[static_cast<std::size_t>(slot)] = feq;
     }
   };
-  if (seg_) {
-    const index_t bulk = seg_->bulk_count();
-    const auto n_blocks = static_cast<index_t>(block_bounds_.size()) - 1;
+  const index_t bulk = seg_.bulk_count();
+  const auto n_blocks = static_cast<index_t>(block_bounds_.size()) - 1;
 #ifdef _OPENMP
 #pragma omp parallel num_threads(static_cast<int>(threads_))
 #endif
-    {
-      const auto [tid, nt] = omp_ids();
-      const auto [b0, b1] = static_chunk(n_blocks, tid, nt);
-      for (index_t b = b0; b < b1; ++b) {
-        const index_t lo = block_bounds_[static_cast<std::size_t>(b)];
-        const index_t hi = block_bounds_[static_cast<std::size_t>(b + 1)];
-        for (index_t i = lo; i < hi; ++i) init_position(i);
-      }
-      const auto [blo, bhi] = static_chunk(n_ - bulk, tid, nt);
-      for (index_t i = bulk + blo; i < bulk + bhi; ++i) init_position(i);
+  {
+    const auto [tid, nt] = omp_ids();
+    const auto [b0, b1] = static_chunk(n_blocks, tid, nt);
+    for (index_t b = b0; b < b1; ++b) {
+      const index_t lo = block_bounds_[static_cast<std::size_t>(b)];
+      const index_t hi = block_bounds_[static_cast<std::size_t>(b + 1)];
+      for (index_t i = lo; i < hi; ++i) init_position(i);
     }
-  } else {
-#ifdef _OPENMP
-#pragma omp parallel for schedule(static) \
-    num_threads(static_cast<int>(threads_))
-#endif
-    for (index_t i = 0; i < n_; ++i) init_position(i);
+    const auto [blo, bhi] = static_chunk(n_ - bulk, tid, nt);
+    for (index_t i = bulk + blo; i < bulk + bhi; ++i) init_position(i);
   }
   timestep_ = 0;
 }
 
-template <typename T>
-void Solver<T>::update_point(index_t p, const T* g, T* out) const {
-  update_boundary_values<T>(mesh_->type(p), g, out, binding_.omega,
-                            bc_velocity_[static_cast<std::size_t>(p)],
-                            bc_pulse_[static_cast<std::size_t>(p)],
-                            timestep_, binding_.force_shift, binding_.cs2);
-}
-
-// Parallelization notes: in the AB pull kernel every point writes only its
-// own row of the back buffer; in the AA even kernel every point reads and
-// writes only its own row; in the AA odd kernel every array location is
-// read and written by exactly one point (the reader is the writer — see
-// the derivation in tests/test_solver.cpp and DESIGN.md), so all three
-// loops are race-free under OpenMP with per-iteration locals — and, for
-// the same reason, splitting a step into a bulk pass plus a boundary pass
-// (segmented path) cannot change the result: no point's gather reads a
-// location another point writes within the same step.
-
-template <typename T>
-template <Layout L>
-void Solver<T>::step_ab() {
-#ifdef _OPENMP
-#pragma omp parallel for schedule(static) \
-    num_threads(static_cast<int>(threads_))
-#endif
-  for (index_t p = 0; p < n_; ++p) {
-    T g[kQ], out[kQ];
-    for (index_t q = 0; q < kQ; ++q) {
-      const std::int32_t nb = mesh_->neighbor(p, opposite(q));
-      g[q] = nb != kSolidLink
-                 ? f_[static_cast<std::size_t>(idx<L>(nb, q))]
-                 : f_[static_cast<std::size_t>(idx<L>(p, opposite(q)))];
-    }
-    update_point(p, g, out);
-    for (index_t q = 0; q < kQ; ++q) {
-      f2_[static_cast<std::size_t>(idx<L>(p, q))] = out[q];
-    }
-  }
-  f_.swap(f2_);
-}
-
-template <typename T>
-template <Layout L>
-void Solver<T>::step_aa_even() {
-#ifdef _OPENMP
-#pragma omp parallel for schedule(static) \
-    num_threads(static_cast<int>(threads_))
-#endif
-  for (index_t p = 0; p < n_; ++p) {
-    T g[kQ], out[kQ];
-    for (index_t q = 0; q < kQ; ++q) {
-      g[q] = f_[static_cast<std::size_t>(idx<L>(p, q))];
-    }
-    update_point(p, g, out);
-    for (index_t q = 0; q < kQ; ++q) {
-      f_[static_cast<std::size_t>(idx<L>(p, opposite(q)))] = out[q];
-    }
-  }
-}
-
-template <typename T>
-template <Layout L>
-void Solver<T>::step_aa_odd() {
-#ifdef _OPENMP
-#pragma omp parallel for schedule(static) \
-    num_threads(static_cast<int>(threads_))
-#endif
-  for (index_t p = 0; p < n_; ++p) {
-    T g[kQ], out[kQ];
-    for (index_t q = 0; q < kQ; ++q) {
-      const std::int32_t m = mesh_->neighbor(p, opposite(q));
-      g[q] = m != kSolidLink
-                 ? f_[static_cast<std::size_t>(idx<L>(m, opposite(q)))]
-                 : f_[static_cast<std::size_t>(idx<L>(p, q))];
-    }
-    update_point(p, g, out);
-    for (index_t q = 0; q < kQ; ++q) {
-      const std::int32_t nb = mesh_->neighbor(p, q);
-      if (nb != kSolidLink) {
-        f_[static_cast<std::size_t>(idx<L>(nb, q))] = out[q];
-      } else {
-        f_[static_cast<std::size_t>(idx<L>(p, opposite(q)))] = out[q];
-      }
-    }
-  }
-}
-
-// ---- Segmented path ------------------------------------------------------
+// ---- Range kernels ---------------------------------------------------------
 //
 // The range kernels are free functions over a Sweep, so the serial
 // solver and runtime::ParallelSolver's ranks run the same definitions.
@@ -255,8 +197,18 @@ void Solver<T>::step_aa_odd() {
 // offset, so the inner loop is a direct-indexed stream with no neighbor
 // table, no solid-link test, no boundary-type switch, and (via the WithLes
 // template parameter) no LES branch. Boundary loops run the general
-// gather over the view's neighbor table. The AA kernels update the one
-// array in place through sweep.f2 (== sweep.f).
+// gather over the view's neighbor table; the reference binding runs them
+// over the bulk segment too. The AA kernels update the one array in place
+// through sweep.f2 (== sweep.f).
+//
+// Parallelization notes: in the AB pull kernels every point writes only
+// its own row of the back buffer; in the AA even kernels every point reads
+// and writes only its own row; in the AA odd kernels every array location
+// is read and written by exactly one point (the reader is the writer — see
+// the derivation in tests/test_solver.cpp and DESIGN.md), so any split of
+// a step's positions across threads and passes is race-free with
+// per-iteration locals and cannot change the result: no point's gather
+// reads a location another point writes within the same step.
 
 namespace {
 
@@ -487,10 +439,9 @@ SweepBinding<T> bind_sweep(const SolverParams& params, index_t num_points) {
     b.force_shift[d] = static_cast<T>(params.tau * params.body_force[d]);
   }
   const KernelConfig& kernel = params.kernel;
-  if (kernel.path == KernelPath::kReference) return b;
-
   const bool ab = kernel.propagation == Propagation::kAB;
   const bool les = b.cs2 > T{0};
+  const bool reference = kernel.path == KernelPath::kReference;
   const auto bind = [&]<Layout L, bool WithLes>() {
     if (ab) {
       b.bulk = {&seg_bulk_ab<T, L, WithLes>, &seg_bulk_ab<T, L, WithLes>};
@@ -500,16 +451,23 @@ SweepBinding<T> bind_sweep(const SolverParams& params, index_t num_points) {
                 &seg_bulk_aa_odd<T, L, WithLes>};
       b.boundary = {&seg_boundary_aa_even<T, L>, &seg_boundary_aa_odd<T, L>};
     }
+    // The reference binding sweeps the bulk segment through the general
+    // kernels too: every point pays the 19-wide neighbor-table gather and
+    // the type/pulse/LES dispatch.
+    if (reference) b.bulk = b.boundary;
   };
   if (kernel.layout == Layout::kAoS) {
-    // AoS interleaves the 19 directions per point, so there are no
-    // unit-stride streams for a vector tile: the backend stays kScalar.
     if (les) bind.template operator()<Layout::kAoS, true>();
     else bind.template operator()<Layout::kAoS, false>();
-    return b;
+  } else {
+    if (les) bind.template operator()<Layout::kSoA, true>();
+    else bind.template operator()<Layout::kSoA, false>();
   }
-  if (les) bind.template operator()<Layout::kSoA, true>();
-  else bind.template operator()<Layout::kSoA, false>();
+  // Only the segmented SoA bulk kernels call a vector tile. AoS
+  // interleaves the 19 directions per point and the reference binding
+  // gathers every point through the neighbor table, so neither has
+  // unit-stride streams: the backend stays kScalar, unresolved.
+  if (kernel.layout == Layout::kAoS || reference) return b;
 
   b.backend = simd::resolve_backend(kernel.backend);
   // Streaming stores suit only AB's write-only back array: the AA sweeps
@@ -522,57 +480,47 @@ SweepBinding<T> bind_sweep(const SolverParams& params, index_t num_points) {
   return b;
 }
 
-// One segmented step: the bulk segment is walked block-by-block (span-aligned
+// A step runs the parity-selected kernels that bind_sweep() chose at
+// construction: the bulk segment is walked block-by-block (span-aligned
 // block_bounds_, contiguous block ranges per thread — the exact partition
 // initialize() first-touched), the boundary segment by a static chunk. No
 // barrier between the two passes: within a step no point's gather reads a
 // location another point writes (see the parallelization notes above).
 template <typename T>
-void Solver<T>::seg_step(std::size_t parity) {
-  const index_t bulk = seg_->bulk_count();
-  const auto n_blocks = static_cast<index_t>(block_bounds_.size()) - 1;
-  const bool ab = !f2_.empty();
-  const Sweep<T> sweep =
-      binding_.sweep(*seg_, f_.data(), ab ? f2_.data() : f_.data(),
-                     bc_velocity_.data(), bc_pulse_.data(), timestep_);
-  const SweepFn<T> bulk_fn = binding_.bulk[parity];
-  const SweepFn<T> boundary_fn = binding_.boundary[parity];
-#ifdef _OPENMP
-#pragma omp parallel num_threads(static_cast<int>(threads_))
-#endif
-  {
-    const auto [tid, nt] = omp_ids();
-    const auto [b0, b1] = static_chunk(n_blocks, tid, nt);
-    for (index_t b = b0; b < b1; ++b) {
-      bulk_fn(sweep, block_bounds_[static_cast<std::size_t>(b)],
-              block_bounds_[static_cast<std::size_t>(b + 1)]);
-    }
-    // Streaming stores are weakly ordered: fence them (per thread) ahead
-    // of the implicit barrier that publishes this step's back array.
-    if (binding_.nt_stores) simd::store_fence(binding_.backend);
-    const auto [blo, bhi] = static_chunk(n_ - bulk, tid, nt);
-    boundary_fn(sweep, bulk + blo, bulk + bhi);
-  }
-  if (ab) f_.swap(f2_);
-}
-
-template <typename T>
 void Solver<T>::step() {
-  // The layout/propagation/path dispatch is bound once at construction;
-  // a step runs the parity-selected kernels.
   const bool ab = params_.kernel.propagation == Propagation::kAB;
-  const bool even = ab || timestep_ % 2 == 0;
-  const char* phase = ab ? "ab_pull" : (even ? "aa_even" : "aa_odd");
+  const std::size_t parity = ab ? 0 : static_cast<std::size_t>(timestep_ % 2);
+  const char* phase = ab ? "ab_pull" : (parity == 0 ? "aa_even" : "aa_odd");
   obs::MetricsRegistry& metrics = obs::MetricsRegistry::global();
   const bool timed = metrics.enabled();
   real_t seconds = 0.0;
   {
     const obs::Phase scope(phase, timed ? &seconds : nullptr);
-    if (seg_) {
-      seg_step(even ? 0 : 1);
-    } else {
-      (this->*(even ? step_even_fn_ : step_odd_fn_))();
+    const index_t bulk = seg_.bulk_count();
+    const auto n_blocks = static_cast<index_t>(block_bounds_.size()) - 1;
+    const Sweep<T> sweep =
+        binding_.sweep(seg_, f_.data(), ab ? f2_.data() : f_.data(),
+                       bc_.velocity.data(), bc_.pulse.data(), timestep_);
+    const SweepFn<T> bulk_fn = binding_.bulk[parity];
+    const SweepFn<T> boundary_fn = binding_.boundary[parity];
+#ifdef _OPENMP
+#pragma omp parallel num_threads(static_cast<int>(threads_))
+#endif
+    {
+      const auto [tid, nt] = omp_ids();
+      const auto [b0, b1] = static_chunk(n_blocks, tid, nt);
+      for (index_t b = b0; b < b1; ++b) {
+        bulk_fn(sweep, block_bounds_[static_cast<std::size_t>(b)],
+                block_bounds_[static_cast<std::size_t>(b + 1)]);
+      }
+      // Streaming stores are weakly ordered: fence them (per thread)
+      // ahead of the implicit barrier that publishes this step's back
+      // array.
+      if (binding_.nt_stores) simd::store_fence(binding_.backend);
+      const auto [blo, bhi] = static_chunk(n_ - bulk, tid, nt);
+      boundary_fn(sweep, bulk + blo, bulk + bhi);
     }
+    if (ab) f_.swap(f2_);
   }
   if (timed) {
     metrics.observe(
@@ -598,7 +546,7 @@ Moments<real_t> Solver<T>::moments_at(index_t p) const {
   HEMO_REQUIRE(natural_order(),
                "moments require natural distribution order (AA: even step)");
   std::array<T, kQ> g;
-  const index_t i = internal_pos(p);
+  const index_t i = seg_.position_of(p);
   for (index_t q = 0; q < kQ; ++q) {
     const index_t slot = dist_offset(params_.kernel.layout, n_, i, q);
     g[static_cast<std::size_t>(q)] = f_[static_cast<std::size_t>(slot)];
@@ -667,20 +615,7 @@ real_t Solver<T>::mean_speed() const {
 template <typename T>
 std::vector<T> Solver<T>::export_state() const {
   std::vector<T> state(f_.size());
-  if (!seg_) {
-    std::copy(f_.begin(), f_.end(), state.begin());
-    return state;
-  }
-  const Layout layout = params_.kernel.layout;
-  for (index_t p = 0; p < n_; ++p) {
-    const index_t i = seg_->position_of(p);
-    for (index_t q = 0; q < kQ; ++q) {
-      const index_t dst = dist_offset(layout, n_, p, q);
-      const index_t src = dist_offset(layout, n_, i, q);
-      state[static_cast<std::size_t>(dst)] =
-          f_[static_cast<std::size_t>(src)];
-    }
-  }
+  owned_to_canonical<T>(params_.kernel.layout, seg_, f_, state);
   return state;
 }
 
@@ -689,20 +624,7 @@ void Solver<T>::restore_state(std::span<const T> state, index_t timestep) {
   HEMO_REQUIRE(state.size() == f_.size(),
                "restore_state: state size mismatch");
   HEMO_REQUIRE(timestep >= 0, "restore_state: negative timestep");
-  if (!seg_) {
-    std::copy(state.begin(), state.end(), f_.begin());
-  } else {
-    const Layout layout = params_.kernel.layout;
-    for (index_t p = 0; p < n_; ++p) {
-      const index_t i = seg_->position_of(p);
-      for (index_t q = 0; q < kQ; ++q) {
-        const index_t src = dist_offset(layout, n_, p, q);
-        const index_t dst = dist_offset(layout, n_, i, q);
-        f_[static_cast<std::size_t>(dst)] =
-            state[static_cast<std::size_t>(src)];
-      }
-    }
-  }
+  canonical_to_owned<T>(params_.kernel.layout, seg_, state, f_);
   timestep_ = timestep;
 }
 
@@ -710,7 +632,7 @@ template <typename T>
 real_t Solver<T>::f_value(index_t p, index_t q) const {
   HEMO_REQUIRE(p >= 0 && p < n_ && q >= 0 && q < kQ,
                "f_value index out of range");
-  const index_t i = internal_pos(p);
+  const index_t i = seg_.position_of(p);
   const index_t slot = dist_offset(params_.kernel.layout, n_, i, q);
   return static_cast<real_t>(f_[static_cast<std::size_t>(slot)]);
 }
@@ -722,5 +644,24 @@ template SweepBinding<float> bind_sweep<float>(const SolverParams&,
                                                index_t);
 template SweepBinding<double> bind_sweep<double>(const SolverParams&,
                                                  index_t);
+
+template InletTables<float> inlet_tables<float>(
+    const FluidMesh&, const SegmentedMesh&,
+    std::span<const geometry::InletSpec>);
+template InletTables<double> inlet_tables<double>(
+    const FluidMesh&, const SegmentedMesh&,
+    std::span<const geometry::InletSpec>);
+template void owned_to_canonical<float>(Layout, const SegmentedMesh&,
+                                        std::span<const float>,
+                                        std::span<float>);
+template void owned_to_canonical<double>(Layout, const SegmentedMesh&,
+                                         std::span<const double>,
+                                         std::span<double>);
+template void canonical_to_owned<float>(Layout, const SegmentedMesh&,
+                                        std::span<const float>,
+                                        std::span<float>);
+template void canonical_to_owned<double>(Layout, const SegmentedMesh&,
+                                         std::span<const double>,
+                                         std::span<double>);
 
 }  // namespace hemo::lbm

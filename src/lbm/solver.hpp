@@ -9,26 +9,25 @@
 //    gathers from neighbors' swapped slots and scatters to neighbors so the
 //    array returns to natural order. Bounce-back folds into both steps.
 //
-// Two hot-path implementations share every per-point arithmetic operation
-// (lbm/point_update.hpp) and therefore produce bit-identical state:
-//  * KernelPath::kReference — one fused loop per step: each point pays a
-//    19-wide neighbor-table gather and a type/pulse/LES branch.
-//  * KernelPath::kSegmented (default) — the distribution arrays are held
-//    in SegmentedMesh order (bulk-interior points first, boundary points
-//    after). The bulk segment streams span-by-span with constant neighbor
-//    offsets (direct indexing, no gather table) through a branch-free
-//    inner loop with the LES branch resolved at compile time; only the
-//    small boundary segment runs the general gather + type-switch path.
-//    Public point indices remain the original mesh order — moments_at,
-//    f_value, IO, observables, and the decomposition layer see no
-//    difference. Every segmented range kernel (AB, AA even, AA odd; bulk
-//    and boundary) is a free function over a Sweep, chosen once by
-//    bind_sweep() together with the SIMD tile, backend and streaming-store
-//    setting: runtime::ParallelSolver's ranks call the same binder and
-//    sweep their own slot spaces through the very same definitions.
-// The layout/propagation/path dispatch is hoisted out of step(): the
-// segmented path runs one step function (seg_step) over the bound
-// kernels, the reference path one member function pointer per parity.
+// The distribution arrays are held in SegmentedMesh order (bulk-interior
+// points first, boundary points after); public point indices remain the
+// original mesh order — moments_at, f_value, IO, observables, and the
+// decomposition layer see no difference. Every step sweeps the bulk
+// segment and then the boundary segment through range kernels — free
+// functions over a Sweep — that bind_sweep() chose once, together with
+// the SIMD tile, backend and streaming-store setting; runtime::
+// ParallelSolver's ranks call the same binder and sweep their own slot
+// spaces through the very same definitions. The two kernel paths are two
+// bindings of that one sweep, and share every per-point arithmetic
+// operation (lbm/point_update.hpp), so they produce bit-identical state:
+//  * KernelPath::kSegmented (default) — the bulk segment streams
+//    span-by-span with constant neighbor offsets (direct indexing, no
+//    gather table) through a branch-free inner loop with the LES branch
+//    resolved at compile time; only the small boundary segment runs the
+//    general gather + type-switch kernel.
+//  * KernelPath::kReference — the general kernel sweeps both segments:
+//    every point pays a 19-wide neighbor-table gather and a
+//    type/pulse/LES dispatch.
 //
 // Boundary conditions follow HARVEY's setup in the paper: a Poiseuille
 // velocity profile imposed at inlets (wet-node equilibrium with the locally
@@ -36,7 +35,6 @@
 // Walls are full bounce-back.
 #pragma once
 
-#include <memory>
 #include <span>
 #include <vector>
 
@@ -102,7 +100,7 @@ struct Sweep {
 template <typename T>
 using SweepFn = void (*)(const Sweep<T>&, index_t lo, index_t hi);
 
-/// The segmented kernels and sweep constants of one SolverParams, chosen
+/// The range kernels and sweep constants of one SolverParams, chosen
 /// once by bind_sweep() for the serial solver and the threaded ranks alike.
 template <typename T>
 struct SweepBinding {
@@ -110,8 +108,8 @@ struct SweepBinding {
   /// [1] the AA odd step (AB: the same kernels as [0]). `bulk` sweeps
   /// positions of [0, bulk_count()) span by span; `boundary` sweeps
   /// positions of [bulk_count(), num_points()) through the neighbor-table
-  /// gather with bounce-back and the point-type dispatch. Null on the
-  /// reference path.
+  /// gather with bounce-back and the point-type dispatch. The reference
+  /// path binds the boundary kernels as `bulk` too.
   std::array<SweepFn<T>, 2> bulk{};
   std::array<SweepFn<T>, 2> boundary{};
   /// SoA bulk tile; null on the AoS and reference paths.
@@ -146,6 +144,37 @@ template <typename T>
 [[nodiscard]] SweepBinding<T> bind_sweep(const SolverParams& params,
                                          index_t num_points);
 
+/// Inlet targets of a view's owned positions, indexed by position: the
+/// imposed Poiseuille velocity and the pulse {amplitude, period}; zero for
+/// non-inlet points (and, for the pulse, steady inlets).
+template <typename T>
+struct InletTables {
+  std::vector<std::array<T, 3>> velocity;
+  std::vector<std::array<T, 2>> pulse;
+};
+
+/// Builds `view`'s inlet tables in one pass over its owned positions. An
+/// inlet point takes its velocity from the first of `inlets` whose disc
+/// holds it, and its pulse from the first inlet with a nonzero
+/// pulse_amplitude whose disc holds it.
+template <typename T>
+[[nodiscard]] InletTables<T> inlet_tables(
+    const FluidMesh& mesh, const SegmentedMesh& view,
+    std::span<const geometry::InletSpec> inlets);
+
+/// Copies the owned rows of `f` (an array over `view`'s slots) to their
+/// mesh points' rows of `state`, a canonical array (original mesh point
+/// order, state.size() / kQ rows); both arrays are in `layout`.
+template <typename T>
+void owned_to_canonical(Layout layout, const SegmentedMesh& view,
+                        std::span<const T> f, std::span<T> state);
+
+/// The inverse copy: `view`'s owned rows of `f` from canonical `state`.
+/// Ghost rows of `f` are left untouched.
+template <typename T>
+void canonical_to_owned(Layout layout, const SegmentedMesh& view,
+                        std::span<const T> state, std::span<T> f);
+
 /// The solver. T is the distribution storage type (float or double).
 template <typename T>
 class Solver {
@@ -171,15 +200,14 @@ class Solver {
   [[nodiscard]] const FluidMesh& mesh() const noexcept { return *mesh_; }
   [[nodiscard]] const SolverParams& params() const noexcept { return params_; }
 
-  /// The segment-reordered view driving the kernels; null on the
-  /// reference path.
+  /// The segment-reordered view driving the kernels (never null).
   [[nodiscard]] const SegmentedMesh* segments() const noexcept {
-    return seg_.get();
+    return &seg_;
   }
 
   /// The SIMD backend the bulk kernels actually execute. Only the
-  /// segmented SoA path runs intrinsic kernels; the reference and AoS
-  /// paths always report kScalar (benchmark honesty: what is recorded is
+  /// segmented SoA binding runs intrinsic kernels; the reference and AoS
+  /// bindings always report kScalar (benchmark honesty: what is recorded is
   /// what ran, not what was requested).
   [[nodiscard]] Backend backend() const noexcept { return binding_.backend; }
 
@@ -221,48 +249,16 @@ class Solver {
   void restore_state(std::span<const T> state, index_t timestep);
 
  private:
-  template <Layout L>
-  [[nodiscard]] index_t idx(index_t p, index_t q) const noexcept {
-    return dist_offset(L, n_, p, q);
-  }
-
-  /// Internal storage position of original mesh point p.
-  [[nodiscard]] index_t internal_pos(index_t p) const noexcept {
-    return seg_ ? seg_->position_of(p) : p;
-  }
-
-  // Reference kernels: one fused loop over all points.
-  template <Layout L>
-  void step_ab();
-  template <Layout L>
-  void step_aa_even();
-  template <Layout L>
-  void step_aa_odd();
-
-  /// One segmented step through binding_'s kernels of `parity` (0: AB or
-  /// AA even, 1: AA odd): span-aligned bulk blocks per thread, then a
-  /// static chunk of the boundary segment; AB then swaps its arrays.
-  void seg_step(std::size_t parity);
-
-  /// Computes the post-collision (or boundary) values for point p given its
-  /// gathered arrivals g; writes them to out[0..18]. Reference path:
-  /// p is an original mesh index.
-  void update_point(index_t p, const T* g, T* out) const;
-
   const FluidMesh* mesh_;
   SolverParams params_;
   index_t n_ = 0;
   index_t timestep_ = 0;
 
-  /// Segment-reordered view (segmented path only).
-  std::unique_ptr<SegmentedMesh> seg_;
+  /// Segment-reordered view: the storage order of every array below.
+  SegmentedMesh seg_;
 
-  /// Sweep constants, plus the segmented kernels (segmented path only).
+  /// The range kernels and sweep constants.
   SweepBinding<T> binding_;
-
-  using StepFn = void (Solver::*)();
-  StepFn step_even_fn_ = nullptr;  ///< reference AB or AA even-parity kernel
-  StepFn step_odd_fn_ = nullptr;   ///< reference AA odd-parity kernel
 
   /// Resolved OpenMP team size (>= 1).
   index_t threads_ = 1;
@@ -279,12 +275,8 @@ class Solver {
   std::vector<T> f_;   // main array (internal point order)
   std::vector<T> f2_;  // second array (AB only)
 
-  // Per-point boundary targets in internal point order: for kInlet the
-  // imposed velocity; unused otherwise. Stored densely for O(1) access in
-  // the kernels.
-  std::vector<std::array<T, 3>> bc_velocity_;
-  // Per-point pulsatile {amplitude, period}; zero for steady inlets.
-  std::vector<std::array<T, 2>> bc_pulse_;
+  /// Inlet targets by internal position.
+  InletTables<T> bc_;
 };
 
 /// Convenience: MFLUPS from points, steps, and elapsed seconds (Eq. 7).

@@ -5,7 +5,6 @@
 #include <thread>
 #include <utility>
 
-#include "lbm/point_update.hpp"
 #include "obs/format.hpp"
 #include "obs/log.hpp"
 #include "obs/metrics.hpp"
@@ -79,24 +78,13 @@ void ParallelSolver::build_runtime_structures() {
   topo_ = harvey::build_halo_exchange(*mesh_, partition_);
   const std::size_t n_ranks = topo_.ranks.size();
 
-  // Inlet targets per owned position; the global tables live only here.
-  const auto bc_velocity = lbm::inlet_velocities<double>(*mesh_, inlets_);
-  const auto bc_pulse = lbm::inlet_pulse_params<double>(*mesh_, inlets_);
   states_.resize(n_ranks);
   for (std::size_t r = 0; r < n_ranks; ++r) {
     const lbm::SegmentedMesh& view = topo_.ranks[r];
     RankState& rank = states_[r];
     rank.f = rest_array(layout_, view.num_slots());
     rank.f2.assign(rank.f.size(), 0.0);
-    const auto owned = static_cast<std::size_t>(view.num_points());
-    rank.bc_velocity.resize(owned);
-    rank.bc_pulse.resize(owned);
-    for (std::size_t i = 0; i < owned; ++i) {
-      const auto p =
-          static_cast<std::size_t>(view.point_at(static_cast<index_t>(i)));
-      rank.bc_velocity[i] = bc_velocity[p];
-      rank.bc_pulse[i] = bc_pulse[p];
-    }
+    rank.bc = lbm::inlet_tables<double>(*mesh_, view, inlets_);
   }
 
   mailboxes_.clear();
@@ -123,30 +111,19 @@ void ParallelSolver::build_runtime_structures() {
 }
 
 std::vector<double> ParallelSolver::gather_state() const {
-  const index_t n = mesh_->num_points();
-  std::vector<double> state(static_cast<std::size_t>(n * kQ));
+  std::vector<double> state(
+      static_cast<std::size_t>(mesh_->num_points() * kQ));
   for (std::size_t r = 0; r < states_.size(); ++r) {
-    const lbm::SegmentedMesh& view = topo_.ranks[r];
-    for (index_t i = 0; i < view.num_points(); ++i) {
-      const index_t p = view.point_at(i);
-      for (index_t q = 0; q < kQ; ++q) {
-        state[at(n, p, q)] = states_[r].f[at(view.num_slots(), i, q)];
-      }
-    }
+    lbm::owned_to_canonical<double>(layout_, topo_.ranks[r], states_[r].f,
+                                    state);
   }
   return state;
 }
 
 void ParallelSolver::scatter_state(std::span<const double> state) {
-  const index_t n = mesh_->num_points();
   for (std::size_t r = 0; r < states_.size(); ++r) {
-    const lbm::SegmentedMesh& view = topo_.ranks[r];
-    for (index_t i = 0; i < view.num_points(); ++i) {
-      const index_t p = view.point_at(i);
-      for (index_t q = 0; q < kQ; ++q) {
-        states_[r].f[at(view.num_slots(), i, q)] = state[at(n, p, q)];
-      }
-    }
+    lbm::canonical_to_owned<double>(layout_, topo_.ranks[r], state,
+                                    states_[r].f);
   }
 }
 
@@ -173,7 +150,7 @@ void ParallelSolver::rank_step(std::size_t r, index_t t) {
   RankTimings& timing = timings_[r];
   const lbm::Sweep<double> sweep =
       binding_.sweep(view, rank.f.data(), rank.f2.data(),
-                     rank.bc_velocity.data(), rank.bc_pulse.data(), t);
+                     rank.bc.velocity.data(), rank.bc.pulse.data(), t);
 
   // Each phase adds its wall time to this rank's RankTimings; swap is
   // profiled but charged to no term.

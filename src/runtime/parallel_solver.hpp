@@ -170,8 +170,7 @@ class ParallelSolver {
   /// targets of its owned positions.
   struct RankState {
     std::vector<double> f, f2;
-    std::vector<std::array<double, 3>> bc_velocity;
-    std::vector<std::array<double, 2>> bc_pulse;
+    lbm::InletTables<double> bc;
   };
 
   /// One directed halo message: owner-packed buffer plus the epoch stamp
