@@ -110,6 +110,56 @@ TEST(DirectModel, OverpredictsMeasuredThroughputConsistently) {
   EXPECT_LT(hi, 2.2);   // but in the right ballpark
 }
 
+// Every ModelPrediction field of the direct model, bit for bit, on three
+// plans: one CSP-1 node, several CSP-2 nodes, and the GPU plan the offload
+// ablation prices. The values are hex-float captures of this
+// implementation; a refactor of predict_direct must leave them unchanged.
+struct PinnedPrediction {
+  real_t t_mem, t_comm, t_intra, t_inter, t_comm_bw, t_comm_lat, t_xfer,
+      step_seconds, mflups;
+};
+
+void expect_pinned(const ModelPrediction& p, const PinnedPrediction& want) {
+  EXPECT_EQ(p.t_mem.value(), want.t_mem);
+  EXPECT_EQ(p.t_comm.value(), want.t_comm);
+  EXPECT_EQ(p.t_intra.value(), want.t_intra);
+  EXPECT_EQ(p.t_inter.value(), want.t_inter);
+  EXPECT_EQ(p.t_comm_bw.value(), want.t_comm_bw);
+  EXPECT_EQ(p.t_comm_lat.value(), want.t_comm_lat);
+  EXPECT_EQ(p.t_xfer.value(), want.t_xfer);
+  EXPECT_EQ(p.step_seconds.value(), want.step_seconds);
+  EXPECT_EQ(p.mflups.value(), want.mflups);
+}
+
+TEST(DirectModelPin, CylinderOnOneCsp1Node) {
+  auto sim = make_sim(geometry::make_cylinder({.radius = 8, .length = 64}));
+  const InstanceCalibration cal =
+      calibrate_instance(cluster::instance_by_abbrev("CSP-1"));
+  expect_pinned(predict_direct(sim.plan(16, 16), cal),
+                {0x1.76f162a36f1ap-14, 0x1.091a1883788efp-16,
+                 0x1.091a1883788efp-16, 0.0, 0.0, 0.0, 0.0,
+                 0x1.b937e8c44d3dcp-14, 0x1.df6a7c28c103bp+6});
+}
+
+TEST(DirectModelPin, Csp2OnThreeNodes) {
+  auto sim = make_sim(geometry::make_cylinder({.radius = 8, .length = 64}));
+  expect_pinned(predict_direct(sim.plan(108, 36), csp2_calibration()),
+                {0x1.8461dc05f93dap-16, 0x1.14c0e20796752p-11,
+                 0x1.c7d7b4260599ap-19, 0x1.12f90a53706f8p-11, 0.0, 0.0,
+                 0.0, 0x1.20e3f0e7c63f1p-11, 0x1.6e1a4e37223cp+4});
+}
+
+TEST(DirectModelPin, AortaGpuOffloadPlan) {
+  harvey::Simulation sim(geometry::make_named("aorta"), {});
+  const InstanceCalibration cal =
+      calibrate_instance(cluster::instance_by_abbrev("CSP-2 GPU"));
+  expect_pinned(predict_direct(sim.gpu_plan(8, 4), cal),
+                {0x1.198ef2d0e9d27p-18, 0x1.838c4fb9bfeb1p-13,
+                 0x1.5985a1f66839bp-18, 0x1.9042dc4aed8bep-14, 0.0, 0.0,
+                 0x1.613d69092bc6ap-14, 0x1.8c58c7504739ap-13,
+                 0x1.32c34c4c72866p+8});
+}
+
 TEST(GeneralModel, TracksDirectModelShape) {
   // Fig. 7: generalized predictions drift from direct ones but stay close.
   auto sim = make_sim(geometry::make_cylinder({.radius = 8, .length = 64}));
