@@ -339,7 +339,7 @@ int cmd_run(const Args& args) {
   std::cout << "\n";
 
   // Close the measurement->model loop on this host: STREAM + PingPong
-  // characterization feeds the Eq. 9 / Eq. 12 predictions the per-rank
+  // characterization feeds the direct-model predictions the per-rank
   // wall-clock timings are compared against. Validate against the final
   // partition — it is what the measured timings ran on last.
   HEMO_LOG_INFO("characterizing host (STREAM + PingPong) ...");
@@ -361,9 +361,9 @@ int cmd_run(const Args& args) {
          TextTable::num(
              static_cast<index_t>(solver.partition().points_of[r].size())),
          TextTable::num(v.measured_mem_s * 1e6, 1),
-         TextTable::num(v.predicted.t_mem_s * 1e6, 1),
+         TextTable::num(v.predicted.t_mem.value() * 1e6, 1),
          TextTable::num(v.measured_comm_s * 1e6, 1),
-         TextTable::num(v.predicted.t_comm_s * 1e6, 1),
+         TextTable::num(v.predicted.t_comm().value() * 1e6, 1),
          TextTable::num(v.step_rel_error * 100.0, 1) + "%"});
   }
   t.print(std::cout);

@@ -21,8 +21,6 @@ units::BytesPerSec InstanceCalibration::task_bandwidth(
                             static_cast<real_t>(threads.value()) * 1e6);
 }
 
-namespace {
-
 fit::Interp1D pingpong_interp(
     const std::vector<microbench::PingPongSample>& samples) {
   std::vector<real_t> xs, ys;
@@ -49,8 +47,6 @@ fit::CommModel fit_pingpong(
   // m.bandwidth is bytes/s; m.latency seconds. Convert to MB/s and us.
   return fit::CommModel{m.bandwidth / 1e6, m.latency * 1e6};
 }
-
-}  // namespace
 
 InstanceCalibration calibrate_instance(
     const cluster::InstanceProfile& profile) {

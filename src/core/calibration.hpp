@@ -22,6 +22,7 @@
 #include "fit/log_models.hpp"
 #include "fit/two_line.hpp"
 #include "harvey/simulation.hpp"
+#include "microbench/pingpong.hpp"
 #include "units/units.hpp"
 #include "util/common.hpp"
 
@@ -46,6 +47,15 @@ struct InstanceCalibration {
   /// active per node (paper: linear sharing).
   [[nodiscard]] units::BytesPerSec task_bandwidth(units::Cores threads) const;
 };
+
+/// Raw PingPong table (bytes -> microseconds) for the direct model.
+[[nodiscard]] fit::Interp1D pingpong_interp(
+    const std::vector<microbench::PingPongSample>& samples);
+
+/// Fits Eq. 12 to a PingPong sweep, in MB/s + microseconds. Throws
+/// NumericError when the sweep yields no positive bandwidth.
+[[nodiscard]] fit::CommModel fit_pingpong(
+    const std::vector<microbench::PingPongSample>& samples);
 
 /// Runs the simulated STREAM thread sweep and PingPong size sweeps against
 /// `profile` and fits everything. This is what a user would run once per

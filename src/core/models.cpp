@@ -5,13 +5,14 @@
 
 namespace hemo::core {
 
-ModelPrediction predict_direct(const cluster::WorkloadPlan& plan,
-                               const InstanceCalibration& cal) {
+std::vector<TaskTerms> direct_task_terms(const cluster::WorkloadPlan& plan,
+                                         const InstanceCalibration& cal) {
   HEMO_REQUIRE(plan.n_tasks >= 1, "empty plan");
   HEMO_REQUIRE(cal.inter_raw && cal.intra_raw,
                "direct model needs raw PingPong tables");
   HEMO_REQUIRE(!plan.on_gpu || (cal.gpu_bandwidth && cal.gpu_pcie),
                "GPU plan needs a GPU-calibrated instance");
+  std::vector<TaskTerms> terms(static_cast<std::size_t>(plan.n_tasks));
 
   // Memory term per task: Eq. 9 bytes over the shared two-line bandwidth
   // (CPU) or the calibrated device bandwidth (GPU, one task per device).
@@ -22,62 +23,53 @@ ModelPrediction predict_direct(const cluster::WorkloadPlan& plan,
   for (std::int32_t node : plan.task_node) {
     ++tasks_on_node[static_cast<std::size_t>(node)];
   }
-  real_t max_mem = 0.0;
-  for (index_t t = 0; t < plan.n_tasks; ++t) {
+  for (std::size_t t = 0; t < terms.size(); ++t) {
     real_t bw = 0.0;
     if (plan.on_gpu) {
       bw = cal.gpu_bandwidth->value() * 1e6;
     } else {
-      const index_t resident = tasks_on_node[static_cast<std::size_t>(
-          plan.task_node[static_cast<std::size_t>(t)])];
+      const index_t resident =
+          tasks_on_node[static_cast<std::size_t>(plan.task_node[t])];
       bw = cal.task_bandwidth(units::Cores(resident)).value();
     }
-    max_mem = std::max(
-        max_mem,
-        plan.task_bytes[static_cast<std::size_t>(t)].value() / bw);
+    terms[t].t_mem = units::Seconds(plan.task_bytes[t].value() / bw);
   }
 
   // Communication term per task: interpolate each message's time from the
   // raw PingPong data (the paper's Section III-G: "Direct modeling here
   // interpolates the communication time from PingPong measurement raw
-  // data").
-  std::vector<real_t> intra(static_cast<std::size_t>(plan.n_tasks), 0.0);
-  std::vector<real_t> inter(static_cast<std::size_t>(plan.n_tasks), 0.0);
+  // data"). GPU plans: every message additionally crosses PCIe at both
+  // endpoints (gpu_pcie is in MB/s + us, so time() yields microseconds).
   for (const auto& m : plan.messages) {
     const fit::Interp1D& table = m.internode ? *cal.inter_raw
                                              : *cal.intra_raw;
-    const real_t t_s = table(m.bytes.value()) * 1e-6;
+    const units::Seconds t_net(table(m.bytes.value()) * 1e-6);
+    const units::Seconds t_pcie(
+        plan.on_gpu ? cal.gpu_pcie->time(m.bytes.value()) * 1e-6 : 0.0);
     for (std::int32_t endpoint : {m.from, m.to}) {
-      (m.internode ? inter : intra)[static_cast<std::size_t>(endpoint)] +=
-          t_s;
+      TaskTerms& task = terms[static_cast<std::size_t>(endpoint)];
+      (m.internode ? task.t_inter : task.t_intra) += t_net;
+      task.t_xfer += t_pcie;
     }
   }
-  // GPU plans: every message additionally crosses PCIe at both endpoints.
-  std::vector<real_t> xfer(static_cast<std::size_t>(plan.n_tasks), 0.0);
-  if (plan.on_gpu) {
-    for (const auto& m : plan.messages) {
-      // gpu_pcie is in MB/s + us, so time() yields microseconds.
-      const real_t t_s = cal.gpu_pcie->time(m.bytes.value()) * 1e-6;
-      xfer[static_cast<std::size_t>(m.from)] += t_s;
-      xfer[static_cast<std::size_t>(m.to)] += t_s;
-    }
-  }
+  return terms;
+}
 
+ModelPrediction predict_direct(const cluster::WorkloadPlan& plan,
+                               const InstanceCalibration& cal) {
+  const std::vector<TaskTerms> terms = direct_task_terms(plan, cal);
   ModelPrediction pred;
-  pred.t_mem = units::Seconds(max_mem);
-  index_t critical = 0;
-  for (index_t t = 0; t < plan.n_tasks; ++t) {
-    const units::Seconds total(intra[static_cast<std::size_t>(t)] +
-                               inter[static_cast<std::size_t>(t)] +
-                               xfer[static_cast<std::size_t>(t)]);
-    if (total > pred.t_comm) {
-      pred.t_comm = total;
+  std::size_t critical = 0;
+  for (std::size_t t = 0; t < terms.size(); ++t) {
+    pred.t_mem = std::max(pred.t_mem, terms[t].t_mem);
+    if (terms[t].t_comm() > pred.t_comm) {
+      pred.t_comm = terms[t].t_comm();
       critical = t;
     }
   }
-  pred.t_intra = units::Seconds(intra[static_cast<std::size_t>(critical)]);
-  pred.t_inter = units::Seconds(inter[static_cast<std::size_t>(critical)]);
-  pred.t_xfer = units::Seconds(xfer[static_cast<std::size_t>(critical)]);
+  pred.t_intra = terms[critical].t_intra;
+  pred.t_inter = terms[critical].t_inter;
+  pred.t_xfer = terms[critical].t_xfer;
   pred.step_seconds = pred.t_mem + pred.t_comm;
   pred.mflups =
       mflups_from(static_cast<real_t>(plan.total_points), pred.step_seconds);

@@ -16,6 +16,8 @@
 // traits, or noise — the models overpredict, as the paper's Figs. 7-8 show.
 #pragma once
 
+#include <vector>
+
 #include "cluster/virtual_cluster.hpp"
 #include "core/calibration.hpp"
 #include "units/units.hpp"
@@ -56,7 +58,24 @@ struct ModelPrediction {
   return units::to_hours(runtime) * rate;
 }
 
-/// Direct model: exact counts of `plan`, measured hardware tables of `cal`.
+/// One task's direct-model terms per step.
+struct TaskTerms {
+  units::Seconds t_mem;    ///< Eq. 9 bytes over the task's bandwidth share
+  units::Seconds t_intra;  ///< interpolated intranodal message times
+  units::Seconds t_inter;  ///< interpolated internodal message times
+  units::Seconds t_xfer;   ///< CPU-GPU transfers (GPU plans, Eq. 2)
+
+  [[nodiscard]] units::Seconds t_comm() const noexcept {
+    return t_intra + t_inter + t_xfer;
+  }
+};
+
+/// Direct model per task: exact counts of `plan`, measured hardware tables
+/// of `cal`. Every message is charged to both of its endpoints.
+[[nodiscard]] std::vector<TaskTerms> direct_task_terms(
+    const cluster::WorkloadPlan& plan, const InstanceCalibration& cal);
+
+/// Direct model: the Eq. 6 composition of `direct_task_terms`.
 [[nodiscard]] ModelPrediction predict_direct(
     const cluster::WorkloadPlan& plan, const InstanceCalibration& cal);
 

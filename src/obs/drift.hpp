@@ -49,7 +49,8 @@ struct DriftSample {
 ///   model_drift_mflups_rel_error{workload,instance,round}   histogram
 ///   model_drift_step_time_rel_error{workload,instance,round} histogram
 /// Relative errors are (predicted - measured) / measured: positive means
-/// the model overpredicted throughput / underpredicted time.
+/// the model overpredicted throughput (MFLUPS histogram) or overpredicted
+/// time (step-time histogram).
 void record_drift(MetricsRegistry& registry, const DriftSample& sample);
 
 }  // namespace hemo::obs

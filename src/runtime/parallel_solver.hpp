@@ -32,8 +32,8 @@
 //
 // Per-rank wall-clock t_mem / t_comm (pack, wait, unpack) are measured
 // every step and exported through the obs layer; runtime::validation
-// compares them against the paper's direct model (Eq. 9 byte counts over
-// measured STREAM bandwidth, Eq. 12 per-message times).
+// compares them against core::direct_task_terms on a one-node plan of the
+// partition, with this host measured as a core::InstanceCalibration.
 //
 // The rank ensemble is the process's parallelism: a rank calls the range
 // kernels directly, outside any OpenMP region, so it is exactly one busy

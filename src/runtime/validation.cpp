@@ -2,67 +2,45 @@
 
 #include <algorithm>
 
-#include "decomp/comm_graph.hpp"
+#include "cluster/virtual_cluster.hpp"
 #include "microbench/pingpong.hpp"
 #include "microbench/stream.hpp"
 #include "obs/drift.hpp"
 
 namespace hemo::runtime {
 
-LocalHostModel LocalHostModel::measure(index_t stream_elements,
-                                       index_t stream_repetitions,
-                                       index_t pingpong_iterations) {
+LocalHostModel LocalHostModel::measure() {
   LocalHostModel host;
-  const auto stream = microbench::run_stream_local(
-      stream_elements, stream_repetitions, 1);
-  host.copy_mbs = stream.copy;
+  const real_t copy_mbs = microbench::run_stream_local(1 << 20, 2, 1).copy;
+  host.memory = fit::TwoLineModel{copy_mbs, copy_mbs, 1.0};
 
   // On a loaded host, scheduler noise can dwarf the per-byte cost and hand
   // back a non-monotonic sweep whose fixed-intercept fit has a non-positive
   // slope. Characterization must always yield a usable model (the CLI and
-  // tests run on busy single-core boxes), so retry the cheap sweep and, if
-  // every attempt stays degenerate, fall back to a two-point estimate.
-  const auto sizes = microbench::default_message_sizes(64.0 * 1024);
+  // tests run on busy single-core boxes), so retry the sweep and, if every
+  // attempt stays degenerate, fall back to a two-point estimate.
+  const auto sizes = microbench::default_message_sizes();
   constexpr int kAttempts = 3;
-  for (int attempt = 0; attempt < kAttempts; ++attempt) {
-    const auto samples =
-        microbench::run_pingpong_local(sizes, pingpong_iterations);
-    std::vector<real_t> bytes, times;
-    bytes.reserve(samples.size());
-    times.reserve(samples.size());
-    for (const auto& s : samples) {
-      bytes.push_back(s.bytes);
-      times.push_back(s.time_us * 1e-6);
-    }
+  for (int attempt = 1;; ++attempt) {
+    const auto samples = microbench::run_pingpong_local(sizes, 50);
     try {
-      host.comm = fit::fit_comm_model(bytes, times);
-      return host;
+      host.intra = core::fit_pingpong(samples);
     } catch (const NumericError&) {
-      if (attempt + 1 < kAttempts) continue;
-      const real_t latency = *std::min_element(times.begin(), times.end());
-      const real_t marginal = std::max(times.back() - latency, 1e-9);
-      host.comm = fit::CommModel{bytes.back() / marginal, latency};
+      if (attempt < kAttempts) continue;
+      const real_t latency_us =
+          std::ranges::min(samples, {}, &microbench::PingPongSample::time_us)
+              .time_us;
+      const real_t marginal_us =
+          std::max(samples.back().time_us - latency_us, 1e-3);
+      // bytes per microsecond is MB/s.
+      host.intra =
+          fit::CommModel{samples.back().bytes / marginal_us, latency_us};
     }
+    host.inter = host.intra;
+    host.intra_raw = core::pingpong_interp(samples);
+    host.inter_raw = host.intra_raw;
+    return host;
   }
-  return host;
-}
-
-std::vector<RankPrediction> predict_per_rank(
-    const lbm::FluidMesh& mesh, const decomp::Partition& partition,
-    const lbm::KernelConfig& config, const LocalHostModel& host) {
-  HEMO_REQUIRE(host.copy_mbs > 0.0, "host model needs a positive bandwidth");
-  std::vector<RankPrediction> predictions(
-      static_cast<std::size_t>(partition.n_tasks));
-  const auto bytes = decomp::task_bytes_per_step(mesh, partition, config);
-  for (std::size_t t = 0; t < predictions.size(); ++t) {
-    predictions[t].t_mem_s = bytes[t] / (host.copy_mbs * 1e6);
-  }
-  const decomp::CommGraph graph = decomp::build_comm_graph(mesh, partition);
-  for (const decomp::Message& m : graph.messages) {
-    predictions[static_cast<std::size_t>(m.from)].t_comm_s +=
-        host.comm.time(m.bytes(config));
-  }
-  return predictions;
 }
 
 ValidationReport validate_run(const lbm::FluidMesh& mesh,
@@ -74,10 +52,15 @@ ValidationReport validate_run(const lbm::FluidMesh& mesh,
                               obs::MetricsRegistry& registry) {
   HEMO_REQUIRE(static_cast<index_t>(timings.size()) == partition.n_tasks,
                "validate_run: one timing record per rank required");
-  ValidationReport report;
-  const auto predictions = predict_per_rank(mesh, partition, config, host);
-  report.ranks.resize(timings.size());
+  // Every rank runs on this one node.
+  const cluster::WorkloadPlan plan = cluster::make_workload_plan(
+      mesh, partition, config, partition.n_tasks);
+  const std::vector<core::TaskTerms> terms =
+      core::direct_task_terms(plan, host);
+  const core::ModelPrediction model = core::predict_direct(plan, host);
 
+  ValidationReport report;
+  report.ranks.resize(timings.size());
   auto rel_error = [](real_t predicted, real_t measured) {
     return measured > 0.0 ? (predicted - measured) / measured : 0.0;
   };
@@ -87,13 +70,15 @@ ValidationReport validate_run(const lbm::FluidMesh& mesh,
     HEMO_REQUIRE(timing.steps > 0,
                  "validate_run: every rank needs completed steps");
     RankValidation& v = report.ranks[r];
-    v.predicted = predictions[r];
+    v.predicted = terms[r];
     const auto steps = static_cast<real_t>(timing.steps);
     v.measured_mem_s = timing.mem_s / steps;
     v.measured_comm_s = timing.comm_s() / steps;
-    v.mem_rel_error = rel_error(v.predicted.t_mem_s, v.measured_mem_s);
-    v.comm_rel_error = rel_error(v.predicted.t_comm_s, v.measured_comm_s);
-    v.step_rel_error = rel_error(v.predicted.step_s(),
+    const real_t predicted_mem_s = v.predicted.t_mem.value();
+    const real_t predicted_comm_s = v.predicted.t_comm().value();
+    v.mem_rel_error = rel_error(predicted_mem_s, v.measured_mem_s);
+    v.comm_rel_error = rel_error(predicted_comm_s, v.measured_comm_s);
+    v.step_rel_error = rel_error(predicted_mem_s + predicted_comm_s,
                                  v.measured_mem_s + v.measured_comm_s);
 
     const obs::Labels labels = {{"rank", std::to_string(r)},
@@ -103,18 +88,17 @@ ValidationReport validate_run(const lbm::FluidMesh& mesh,
     registry.observe("runtime_model_comm_rel_error", v.comm_rel_error,
                      labels, obs::drift_error_edges());
 
-    report.predicted_step_s =
-        std::max(report.predicted_step_s, v.predicted.step_s());
     report.measured_step_s = std::max(
         report.measured_step_s, v.measured_mem_s + v.measured_comm_s);
   }
 
-  const auto points = static_cast<real_t>(mesh.num_points());
-  if (report.predicted_step_s > 0.0) {
-    report.predicted_mflups = points / (report.predicted_step_s * 1e6);
-  }
+  report.predicted_step_s = model.step_seconds.value();
+  report.predicted_mflups = model.mflups.value();
   if (report.measured_step_s > 0.0) {
-    report.measured_mflups = points / (report.measured_step_s * 1e6);
+    report.measured_mflups =
+        core::mflups_from(static_cast<real_t>(mesh.num_points()),
+                          units::Seconds(report.measured_step_s))
+            .value();
   }
 
   obs::DriftSample sample;

@@ -1,21 +1,20 @@
 // Measured-vs-model validation of the parallel runtime.
 //
-// The paper's direct model predicts a task's step time from byte counts
-// over measured bandwidths: t_mem from Eq. 9 memory traffic over STREAM
-// COPY bandwidth, t_comm from the communication graph's per-message sizes
-// through the Eq. 12 linear model (latency + bytes/bandwidth), composed as
-// Eq. 6. The threaded runtime measures the same quantities for real —
-// per-rank wall-clock t_mem and t_comm — so this layer closes the loop on
-// one host: characterize the machine (STREAM + PingPong), predict every
-// rank, compare with measurement, and emit the error distributions through
+// The threaded runtime measures per-rank wall-clock t_mem and t_comm every
+// step. This layer predicts the same quantities with the paper's direct
+// model — the one core::predict_direct the cloud instances use — on a
+// one-node plan of the run's partition, with this host characterized as a
+// core::InstanceCalibration (STREAM + PingPong). It compares prediction
+// and measurement per rank and emits the error distributions through
 // obs/drift.hpp so a metrics snapshot shows where the model drifts.
 #pragma once
 
 #include <string>
 #include <vector>
 
+#include "core/calibration.hpp"
+#include "core/models.hpp"
 #include "decomp/partition.hpp"
-#include "fit/linear.hpp"
 #include "lbm/kernel_config.hpp"
 #include "lbm/mesh.hpp"
 #include "obs/metrics.hpp"
@@ -24,41 +23,25 @@
 
 namespace hemo::runtime {
 
-/// Bandwidth/latency characterization of the host the runtime runs on:
-/// the measured inputs of the direct model.
-struct LocalHostModel {
-  real_t copy_mbs = 0.0;  ///< STREAM COPY bandwidth, MB/s
-  fit::CommModel comm;    ///< Eq. 12 fit: bytes/s bandwidth, seconds latency
-
-  /// Runs STREAM and a threaded PingPong on this host and fits Eq. 12.
-  /// Sizes are kept small (default ~8 MiB arrays, 64 KiB max message) so a
-  /// characterization costs well under a second.
-  [[nodiscard]] static LocalHostModel measure(index_t stream_elements = 1
-                                                  << 20,
-                                              index_t stream_repetitions = 2,
-                                              index_t pingpong_iterations =
-                                                  50);
+/// The host the runtime runs on, as a measured instance calibration of one
+/// node:
+///   memory              Eq. 8 law {a1 = a2 = 1-thread COPY MB/s, a3 = 1},
+///                       so every resident rank gets that whole bandwidth
+///   intra_raw/inter_raw the threaded PingPong table (one node: the same)
+///   intra/inter         its Eq. 12 fit
+struct LocalHostModel : core::InstanceCalibration {
+  /// Runs STREAM (8 MiB arrays, one thread) and a threaded PingPong over
+  /// the default message ladder on this host.
+  [[nodiscard]] static LocalHostModel measure();
 };
-
-/// Direct-model prediction for one rank.
-struct RankPrediction {
-  real_t t_mem_s = 0.0;   ///< Eq. 9 bytes / STREAM COPY bandwidth
-  real_t t_comm_s = 0.0;  ///< sum of Eq. 12 times over sent messages
-  [[nodiscard]] real_t step_s() const noexcept { return t_mem_s + t_comm_s; }
-};
-
-/// Per-rank predictions for a partition on a characterized host.
-[[nodiscard]] std::vector<RankPrediction> predict_per_rank(
-    const lbm::FluidMesh& mesh, const decomp::Partition& partition,
-    const lbm::KernelConfig& config, const LocalHostModel& host);
 
 /// One rank's measured-vs-predicted comparison.
 struct RankValidation {
-  RankPrediction predicted;
+  core::TaskTerms predicted;
   real_t measured_mem_s = 0.0;   ///< per-step average
   real_t measured_comm_s = 0.0;  ///< per-step average (pack + wait + unpack)
   /// Signed relative errors, (predicted - measured) / measured: positive
-  /// means the model underpredicted time spent.
+  /// means the model overpredicted time spent.
   real_t mem_rel_error = 0.0;
   real_t comm_rel_error = 0.0;
   real_t step_rel_error = 0.0;
@@ -67,7 +50,7 @@ struct RankValidation {
 /// Whole-run validation report.
 struct ValidationReport {
   std::vector<RankValidation> ranks;
-  real_t predicted_step_s = 0.0;  ///< slowest predicted rank (Eq. 6 shape)
+  real_t predicted_step_s = 0.0;  ///< core::predict_direct (Eq. 6)
   real_t measured_step_s = 0.0;   ///< slowest measured rank
   real_t predicted_mflups = 0.0;
   real_t measured_mflups = 0.0;

@@ -9,7 +9,9 @@
 #include <cmath>
 #include <tuple>
 
+#include "cluster/virtual_cluster.hpp"
 #include "decomp/comm_graph.hpp"
+#include "microbench/pingpong.hpp"
 #include "runtime/parallel_solver.hpp"
 #include "runtime/rebalance.hpp"
 #include "runtime/validation.hpp"
@@ -428,21 +430,87 @@ TEST(RebalanceController, DisabledControllerIsInert) {
   }
 }
 
+/// A hand-set host: 10,000 MB/s COPY and a PingPong table of 1 us plus
+/// 1 us per KB, in the calibration's MB/s + microsecond units.
+LocalHostModel synthetic_host() {
+  LocalHostModel host;
+  host.memory = fit::TwoLineModel{.a1 = 10000.0, .a2 = 10000.0, .a3 = 1.0};
+  host.intra = fit::CommModel{.bandwidth = 1000.0, .latency = 1.0};
+  host.inter = host.intra;
+  host.intra_raw = fit::Interp1D({0.0, 1e6}, {1.0, 1001.0});
+  host.inter_raw = host.intra_raw;
+  return host;
+}
+
+/// One completed step per rank, 1 ms in each phase.
+std::vector<RankTimings> one_step_each(index_t ranks) {
+  return std::vector<RankTimings>(
+      static_cast<std::size_t>(ranks),
+      RankTimings{.steps = 1, .pack_s = 1e-3, .mem_s = 1e-3});
+}
+
 TEST(Validation, PredictionsScaleWithPartitionBytes) {
+  // The local memory rule: every rank gets the whole 1-thread COPY
+  // bandwidth, so t_mem = task bytes / (COPY MB/s * 1e6).
   const auto geo = geometry::make_cylinder({.radius = 5, .length = 24});
   const auto mesh = lbm::FluidMesh::build(geo.grid);
   const auto part = decomp::make_partition(mesh, 4, decomp::Strategy::kRcb);
-  LocalHostModel host;
-  host.copy_mbs = 10000.0;
-  host.comm = fit::CommModel{.bandwidth = 1e9, .latency = 1e-6};
-  const auto predictions =
-      predict_per_rank(mesh, part, lbm::KernelConfig{}, host);
-  ASSERT_EQ(predictions.size(), 4u);
+  obs::MetricsRegistry registry;
+  const auto report = validate_run(mesh, part, {}, synthetic_host(),
+                                   one_step_each(4), "cyl", registry);
+  ASSERT_EQ(report.ranks.size(), 4u);
   const auto bytes = decomp::task_bytes_per_step(mesh, part, {});
-  for (std::size_t r = 0; r < predictions.size(); ++r) {
-    EXPECT_DOUBLE_EQ(predictions[r].t_mem_s, bytes[r] / 1e10);
-    EXPECT_GT(predictions[r].t_comm_s, 0.0);  // every rank communicates
-    EXPECT_GT(predictions[r].step_s(), predictions[r].t_mem_s);
+  for (std::size_t r = 0; r < report.ranks.size(); ++r) {
+    const core::TaskTerms& p = report.ranks[r].predicted;
+    EXPECT_DOUBLE_EQ(p.t_mem.value(), bytes[r] / (10000.0 * 1e6));
+    EXPECT_GT(p.t_comm().value(), 0.0);  // every rank communicates
+  }
+}
+
+TEST(Validation, RankTermsAreTheDirectModelOnOneNode) {
+  const auto geo = geometry::make_cylinder({.radius = 5, .length = 24});
+  const auto mesh = lbm::FluidMesh::build(geo.grid);
+  const auto part = decomp::make_partition(mesh, 4, decomp::Strategy::kRcb);
+  const LocalHostModel host = synthetic_host();
+  const auto plan = cluster::make_workload_plan(mesh, part, {}, 4);
+  ASSERT_EQ(plan.n_nodes, 1);
+  const auto terms = core::direct_task_terms(plan, host);
+
+  obs::MetricsRegistry registry;
+  const auto report =
+      validate_run(mesh, part, {}, host, one_step_each(4), "cyl", registry);
+  ASSERT_EQ(report.ranks.size(), terms.size());
+  for (std::size_t r = 0; r < terms.size(); ++r) {
+    const core::TaskTerms& p = report.ranks[r].predicted;
+    EXPECT_EQ(p.t_mem.value(), terms[r].t_mem.value());
+    EXPECT_EQ(p.t_intra.value(), terms[r].t_intra.value());
+    EXPECT_EQ(p.t_inter.value(), 0.0);
+    EXPECT_EQ(p.t_xfer.value(), 0.0);
+  }
+  const core::ModelPrediction model = core::predict_direct(plan, host);
+  EXPECT_EQ(report.predicted_step_s, model.step_seconds.value());
+  EXPECT_EQ(report.predicted_mflups, model.mflups.value());
+}
+
+TEST(Validation, MessageIsChargedToBothEndpoints) {
+  // With two ranks every message has both as endpoints, so each rank's
+  // t_comm is the interpolated time of every message.
+  const auto geo = geometry::make_cylinder({.radius = 5, .length = 24});
+  const auto mesh = lbm::FluidMesh::build(geo.grid);
+  const auto part = decomp::make_partition(mesh, 2, decomp::Strategy::kRcb);
+  const LocalHostModel host = synthetic_host();
+  real_t all_messages_s = 0.0;
+  for (const decomp::Message& m :
+       decomp::build_comm_graph(mesh, part).messages) {
+    all_messages_s += (*host.intra_raw)(m.bytes({})) * 1e-6;
+  }
+  ASSERT_GT(all_messages_s, 0.0);
+
+  obs::MetricsRegistry registry;
+  const auto report =
+      validate_run(mesh, part, {}, host, one_step_each(2), "cyl", registry);
+  for (const RankValidation& v : report.ranks) {
+    EXPECT_DOUBLE_EQ(v.predicted.t_comm().value(), all_messages_s);
   }
 }
 
@@ -450,19 +518,17 @@ TEST(Validation, ValidateRunReportsErrorsAndRecordsDrift) {
   const auto geo = geometry::make_cylinder({.radius = 5, .length = 24});
   const auto mesh = lbm::FluidMesh::build(geo.grid);
   const auto part = decomp::make_partition(mesh, 2, decomp::Strategy::kRcb);
-  LocalHostModel host;
-  host.copy_mbs = 10000.0;
-  host.comm = fit::CommModel{.bandwidth = 1e9, .latency = 1e-6};
-  const auto predictions =
-      predict_per_rank(mesh, part, lbm::KernelConfig{}, host);
+  const LocalHostModel host = synthetic_host();
+  const auto terms = core::direct_task_terms(
+      cluster::make_workload_plan(mesh, part, {}, 2), host);
 
   // Synthetic measurement: exactly 2x the predicted times, so every
   // signed relative error is (pred - meas) / meas = -0.5.
   std::vector<RankTimings> timings(2);
   for (std::size_t r = 0; r < 2; ++r) {
     timings[r].steps = 10;
-    timings[r].mem_s = 2.0 * predictions[r].t_mem_s * 10.0;
-    timings[r].pack_s = 2.0 * predictions[r].t_comm_s * 10.0;
+    timings[r].mem_s = 2.0 * terms[r].t_mem.value() * 10.0;
+    timings[r].pack_s = 2.0 * terms[r].t_comm().value() * 10.0;
   }
 
   obs::MetricsRegistry registry;
@@ -490,10 +556,17 @@ TEST(Validation, ValidateRunReportsErrorsAndRecordsDrift) {
 }
 
 TEST(Validation, LocalHostModelMeasuresThisMachine) {
-  const auto host = LocalHostModel::measure(1 << 16, 1, 5);
-  EXPECT_GT(host.copy_mbs, 0.0);
-  EXPECT_GT(host.comm.bandwidth, 0.0);
-  EXPECT_GE(host.comm.latency, 0.0);
+  const LocalHostModel host = LocalHostModel::measure();
+  EXPECT_GT(host.memory.a1, 0.0);
+  EXPECT_EQ(host.memory.a2, host.memory.a1);
+  EXPECT_EQ(host.memory.a3, 1.0);
+  EXPECT_GT(host.intra.bandwidth, 0.0);
+  EXPECT_GE(host.intra.latency, 0.0);
+  ASSERT_TRUE(host.intra_raw.has_value());
+  EXPECT_EQ(host.intra_raw->size(),
+            static_cast<index_t>(microbench::default_message_sizes().size()));
+  ASSERT_TRUE(host.inter_raw.has_value());
+  EXPECT_EQ(host.inter.bandwidth, host.intra.bandwidth);
 }
 
 TEST(ParallelSolver, WindowMetricsFlushThroughRegistry) {
