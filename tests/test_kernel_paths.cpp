@@ -143,6 +143,111 @@ INSTANTIATE_TEST_SUITE_P(
              to_string(std::get<1>(info.param));
     });
 
+// ---- Absolute state pins ----------------------------------------------
+//
+// The identity suites compare code with code (paths, backends, ranks): an
+// edit to the shared per-point arithmetic would move every side at once
+// and pass them all. These pins compare the segmented path's canonical
+// state with FNV-1a 64 hashes recorded from a known-good build, so any
+// change to the arithmetic of the bulk or boundary update shows. The
+// pulsatile variant is left out: its inlet calls std::sin, whose last bit
+// may depend on the libm.
+
+/// FNV-1a 64 over the bytes of `state`.
+template <typename T>
+std::uint64_t state_hash(const std::vector<T>& state) {
+  std::uint64_t h = 0xcbf29ce484222325ULL;
+  const auto* bytes = reinterpret_cast<const unsigned char*>(state.data());
+  for (std::size_t k = 0; k < state.size() * sizeof(T); ++k) {
+    h ^= bytes[k];
+    h *= 0x100000001b3ULL;
+  }
+  return h;
+}
+
+/// Expected export_state() hashes of one kernel configuration after 10
+/// and after 11 steps.
+struct StatePin {
+  Propagation prop;
+  Layout layout;
+  bool dbl;
+  std::uint64_t after10;
+  std::uint64_t after11;
+};
+
+template <typename T>
+void expect_state_pin(Variant v, const StatePin& pin) {
+  Scenario s = make_scenario(v, pin.layout, pin.prop);
+  const FluidMesh mesh = FluidMesh::build(s.geo.grid, s.mesh_options);
+  Solver<T> solver(mesh, s.params, std::span(s.geo.inlets));
+  solver.run(10);
+  const std::uint64_t after10 = state_hash(solver.export_state());
+  EXPECT_EQ(after10, pin.after10) << std::hex << after10;
+  solver.run(1);
+  const std::uint64_t after11 = state_hash(solver.export_state());
+  EXPECT_EQ(after11, pin.after11) << std::hex << after11;
+}
+
+void expect_state_pins(Variant v, const std::vector<StatePin>& pins) {
+  for (const StatePin& pin : pins) {
+    SCOPED_TRACE(std::string(variant_name(v)) + " " + to_string(pin.prop) +
+                 " " + to_string(pin.layout) +
+                 (pin.dbl ? " double" : " float"));
+    if (pin.dbl) {
+      expect_state_pin<double>(v, pin);
+    } else {
+      expect_state_pin<float>(v, pin);
+    }
+  }
+}
+
+constexpr Propagation kAB = Propagation::kAB;
+constexpr Propagation kAA = Propagation::kAA;
+constexpr Layout kAoS = Layout::kAoS;
+constexpr Layout kSoA = Layout::kSoA;
+
+TEST(KernelStatePin, PlainCylinder) {
+  expect_state_pins(Variant::kPlain, {
+      {kAB, kAoS, true,
+       0x9f71db197eace7a1ULL, 0xac465a40e3e40f71ULL},
+      {kAB, kSoA, true,
+       0xdcee932e983ba131ULL, 0xe83b3e987dd326b5ULL},
+      {kAA, kAoS, true,
+       0x599cf9e67fce6bc1ULL, 0xc4886f9bbc4f7a55ULL},
+      {kAA, kSoA, true,
+       0x6ce35ca1049fbcc9ULL, 0xf1c7b4aa750ef025ULL},
+      {kAB, kAoS, false,
+       0xab62b88b3243ef55ULL, 0xb4ed71b5edd1f816ULL},
+      {kAB, kSoA, false,
+       0x7432642df8d460f5ULL, 0x5b8800cb46f76252ULL},
+      {kAA, kAoS, false,
+       0xcee7cbe64f10085dULL, 0xb9fd336c210789eeULL},
+      {kAA, kSoA, false,
+       0x2c14e8947740ad11ULL, 0xd8f7bc93a8a78d6eULL},
+  });
+}
+
+TEST(KernelStatePin, PeriodicBodyForceCylinder) {
+  expect_state_pins(Variant::kPeriodic, {
+      {kAB, kAoS, true,
+       0x4c782a3aced52b95ULL, 0x934946e07a427795ULL},
+      {kAB, kSoA, true,
+       0x0dbebefb672ad605ULL, 0x0b04f76e79258695ULL},
+      {kAA, kAoS, true,
+       0xa4a47df947a6e5d5ULL, 0xda72f182dbbae755ULL},
+      {kAA, kSoA, true,
+       0x8de961ac8183e7c5ULL, 0xe68cfdd6e50d1055ULL},
+      {kAB, kAoS, false,
+       0x76bd950f67041375ULL, 0xad3bfb5d5e4c1c65ULL},
+      {kAB, kSoA, false,
+       0xff7a7d3a5e79c1b5ULL, 0xb5baa03ce7b07fd5ULL},
+      {kAA, kAoS, false,
+       0x8c83deccda9f6ab5ULL, 0xfed7e7ef780bd005ULL},
+      {kAA, kSoA, false,
+       0x4492488cc2a32365ULL, 0x0819f642becf1b55ULL},
+  });
+}
+
 TEST(KernelPaths, ObservablesAgreeAcrossPaths) {
   // Derived quantities go through the index translation layer; they must
   // match exactly, not approximately.
