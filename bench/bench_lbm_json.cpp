@@ -94,7 +94,7 @@ std::optional<lbm::Backend> read_backend(std::string_view text) {
   const auto backend = lbm::simd::parse_backend(text);
   if (backend && *backend != lbm::Backend::kAuto &&
       lbm::simd::cpu_supports(*backend) &&
-      lbm::simd::tile_kernel<float>(*backend, false, false) != nullptr) {
+      lbm::simd::tile_kernel<float>(*backend, false) != nullptr) {
     return backend;
   }
   return std::nullopt;

@@ -2,7 +2,7 @@
 //
 // Sparse-geometry LBM pays two hot-path taxes the hardware does not
 // require: a 19-wide neighbor-table gather per point, and a per-point
-// type/pulse/LES branch. Following the HemeLB/Wittmann line of work, this
+// type/pulse branch. Following the HemeLB/Wittmann line of work, this
 // layer removes both for the dominant point class:
 //
 //  * Classification — points split into the *bulk-interior* segment

@@ -117,17 +117,17 @@ Backend resolve_backend(Backend requested) {
 }
 
 template <>
-TileFn<float> tile_kernel<float>(Backend b, bool with_les, bool nt_stores) {
+TileFn<float> tile_kernel<float>(Backend b, bool nt_stores) {
   switch (b) {
     case Backend::kScalar:
-      return detail::scalar_tile_f32(with_les, nt_stores);
+      return detail::scalar_tile_f32(nt_stores);
 #ifdef HEMO_SIMD_HAVE_AVX2
     case Backend::kAVX2:
-      return detail::avx2_tile_f32(with_les, nt_stores);
+      return detail::avx2_tile_f32(nt_stores);
 #endif
 #ifdef HEMO_SIMD_HAVE_AVX512
     case Backend::kAVX512:
-      return detail::avx512_tile_f32(with_les, nt_stores);
+      return detail::avx512_tile_f32(nt_stores);
 #endif
     default:
       return nullptr;
@@ -135,18 +135,17 @@ TileFn<float> tile_kernel<float>(Backend b, bool with_les, bool nt_stores) {
 }
 
 template <>
-TileFn<double> tile_kernel<double>(Backend b, bool with_les,
-                                   bool nt_stores) {
+TileFn<double> tile_kernel<double>(Backend b, bool nt_stores) {
   switch (b) {
     case Backend::kScalar:
-      return detail::scalar_tile_f64(with_les, nt_stores);
+      return detail::scalar_tile_f64(nt_stores);
 #ifdef HEMO_SIMD_HAVE_AVX2
     case Backend::kAVX2:
-      return detail::avx2_tile_f64(with_les, nt_stores);
+      return detail::avx2_tile_f64(nt_stores);
 #endif
 #ifdef HEMO_SIMD_HAVE_AVX512
     case Backend::kAVX512:
-      return detail::avx512_tile_f64(with_les, nt_stores);
+      return detail::avx512_tile_f64(nt_stores);
 #endif
     default:
       return nullptr;

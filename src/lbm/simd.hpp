@@ -39,11 +39,10 @@ namespace hemo::lbm::simd {
 
 /// Signature of a bulk tile kernel: per-direction source/destination
 /// stream pointers (contiguous over w consecutive bulk-interior points —
-/// the RLE span property), BGK omega, the forcing velocity shift, and the
-/// squared Smagorinsky constant (used only by the LES instantiations).
+/// the RLE span property), BGK omega and the forcing velocity shift.
 template <typename T>
 using TileFn = void (*)(const T* const* src, T* const* dst, index_t w,
-                        T omega, const std::array<T, 3>& force_shift, T cs2);
+                        T omega, const std::array<T, 3>& force_shift);
 
 /// Backends compiled into this binary, widest first. Always contains
 /// Backend::kScalar.
@@ -68,13 +67,13 @@ using TileFn = void (*)(const T* const* src, T* const* dst, index_t w,
 /// otherwise selects the widest detected backend.
 [[nodiscard]] Backend resolve_backend(Backend requested);
 
-/// Tile kernel for (backend, LES mode, non-temporal stores). Returns
+/// Tile kernel for (backend, non-temporal stores). Returns
 /// nullptr when the backend is not compiled into this binary. `nt_stores`
 /// selects a variant that uses streaming stores for full-width aligned
 /// destination vectors (AB back-array only — callers must issue
 /// store_fence() before any cross-thread hand-off of the written data).
 template <typename T>
-[[nodiscard]] TileFn<T> tile_kernel(Backend b, bool with_les, bool nt_stores);
+[[nodiscard]] TileFn<T> tile_kernel(Backend b, bool nt_stores);
 
 /// Orders non-temporal stores issued by the calling thread ahead of its
 /// later normal stores (x86 sfence). Required between an NT-store kernel

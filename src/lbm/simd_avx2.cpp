@@ -8,22 +8,14 @@
 
 namespace hemo::lbm::simd::detail {
 
-TileFn<float> avx2_tile_f32(bool with_les, bool nt_stores) {
-  if (with_les) {
-    return nt_stores ? &tile_run<Avx2VecF, true, true>
-                     : &tile_run<Avx2VecF, true, false>;
-  }
-  return nt_stores ? &tile_run<Avx2VecF, false, true>
-                   : &tile_run<Avx2VecF, false, false>;
+TileFn<float> avx2_tile_f32(bool nt_stores) {
+  return nt_stores ? &tile_run<Avx2VecF, true>
+                   : &tile_run<Avx2VecF, false>;
 }
 
-TileFn<double> avx2_tile_f64(bool with_les, bool nt_stores) {
-  if (with_les) {
-    return nt_stores ? &tile_run<Avx2VecD, true, true>
-                     : &tile_run<Avx2VecD, true, false>;
-  }
-  return nt_stores ? &tile_run<Avx2VecD, false, true>
-                   : &tile_run<Avx2VecD, false, false>;
+TileFn<double> avx2_tile_f64(bool nt_stores) {
+  return nt_stores ? &tile_run<Avx2VecD, true>
+                   : &tile_run<Avx2VecD, false>;
 }
 
 }  // namespace hemo::lbm::simd::detail

@@ -8,22 +8,14 @@
 
 namespace hemo::lbm::simd::detail {
 
-TileFn<float> avx512_tile_f32(bool with_les, bool nt_stores) {
-  if (with_les) {
-    return nt_stores ? &tile_run<Avx512VecF, true, true>
-                     : &tile_run<Avx512VecF, true, false>;
-  }
-  return nt_stores ? &tile_run<Avx512VecF, false, true>
-                   : &tile_run<Avx512VecF, false, false>;
+TileFn<float> avx512_tile_f32(bool nt_stores) {
+  return nt_stores ? &tile_run<Avx512VecF, true>
+                   : &tile_run<Avx512VecF, false>;
 }
 
-TileFn<double> avx512_tile_f64(bool with_les, bool nt_stores) {
-  if (with_les) {
-    return nt_stores ? &tile_run<Avx512VecD, true, true>
-                     : &tile_run<Avx512VecD, true, false>;
-  }
-  return nt_stores ? &tile_run<Avx512VecD, false, true>
-                   : &tile_run<Avx512VecD, false, false>;
+TileFn<double> avx512_tile_f64(bool nt_stores) {
+  return nt_stores ? &tile_run<Avx512VecD, true>
+                   : &tile_run<Avx512VecD, false>;
 }
 
 }  // namespace hemo::lbm::simd::detail

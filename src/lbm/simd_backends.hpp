@@ -11,17 +11,17 @@
 
 namespace hemo::lbm::simd::detail {
 
-TileFn<float> scalar_tile_f32(bool with_les, bool nt_stores);
-TileFn<double> scalar_tile_f64(bool with_les, bool nt_stores);
+TileFn<float> scalar_tile_f32(bool nt_stores);
+TileFn<double> scalar_tile_f64(bool nt_stores);
 
 #ifdef HEMO_SIMD_HAVE_AVX2
-TileFn<float> avx2_tile_f32(bool with_les, bool nt_stores);
-TileFn<double> avx2_tile_f64(bool with_les, bool nt_stores);
+TileFn<float> avx2_tile_f32(bool nt_stores);
+TileFn<double> avx2_tile_f64(bool nt_stores);
 #endif
 
 #ifdef HEMO_SIMD_HAVE_AVX512
-TileFn<float> avx512_tile_f32(bool with_les, bool nt_stores);
-TileFn<double> avx512_tile_f64(bool with_les, bool nt_stores);
+TileFn<float> avx512_tile_f32(bool nt_stores);
+TileFn<double> avx512_tile_f64(bool nt_stores);
 #endif
 
 }  // namespace hemo::lbm::simd::detail

@@ -1,12 +1,9 @@
 // Scalar (portable) backend: the autovectorized interleaved tile that was
 // previously embedded in solver.cpp, unchanged arithmetic — this is the
-// baseline every SIMD backend must match bit-for-bit. The LES variant
-// runs the generic kernel at lane 1, which is the per-point scalar loop
-// the reference path executes.
+// baseline every SIMD backend must match bit-for-bit.
 #include <algorithm>
 
 #include "lbm/simd_backends.hpp"
-#include "lbm/simd_tile.hpp"
 
 namespace hemo::lbm::simd {
 
@@ -75,11 +72,10 @@ void interleaved_tile(const T* const* src, T* const* dst, index_t w,
 }
 
 /// TileFn adapter: walks an arbitrary-length span chunk in kTileWidth
-/// pieces. cs2 is unused (the LES entry is the generic lane-1 kernel).
+/// pieces.
 template <typename T>
 void scalar_tile(const T* const* src, T* const* dst, index_t w, T omega,
-                 const std::array<T, 3>& force_shift, T cs2) {
-  (void)cs2;
+                 const std::array<T, 3>& force_shift) {
   const T* s[kQ];
   T* d[kQ];
   for (index_t t0 = 0; t0 < w; t0 += kTileWidth) {
@@ -97,16 +93,14 @@ void scalar_tile(const T* const* src, T* const* dst, index_t w, T omega,
 
 namespace detail {
 
-TileFn<float> scalar_tile_f32(bool with_les, bool nt_stores) {
+TileFn<float> scalar_tile_f32(bool nt_stores) {
   (void)nt_stores;  // no streaming stores without intrinsics
-  return with_les ? &tile_run<ScalarVec<float>, true, false>
-                  : &scalar_tile<float>;
+  return &scalar_tile<float>;
 }
 
-TileFn<double> scalar_tile_f64(bool with_les, bool nt_stores) {
+TileFn<double> scalar_tile_f64(bool nt_stores) {
   (void)nt_stores;
-  return with_les ? &tile_run<ScalarVec<double>, true, false>
-                  : &scalar_tile<double>;
+  return &scalar_tile<double>;
 }
 
 }  // namespace detail

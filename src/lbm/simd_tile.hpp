@@ -1,12 +1,11 @@
 // Generic SIMD bulk tile kernel + per-ISA vector traits.
 //
 // One templated kernel (tile_run) implements the segmented SoA bulk update
-// over any vector trait class V; each backend translation unit
-// (simd_scalar.cpp, simd_avx2.cpp, simd_avx512.cpp)
-// instantiates it with its own traits under the ISA flags that TU is
-// compiled with. The trait operations map 1:1 onto single
-// IEEE-754 vector instructions, and the kernel performs, lane by lane,
-// the exact operation sequence of update_interior_values
+// over any vector trait class V; each vector backend translation unit
+// (simd_avx2.cpp, simd_avx512.cpp) instantiates it with its own traits
+// under the ISA flags that TU is compiled with. The trait operations map
+// 1:1 onto single IEEE-754 vector instructions, and the kernel performs,
+// lane by lane, the exact operation sequence of update_interior_values
 // (lbm/point_update.hpp): moments accumulated in direction order, the
 // same velocity-shift expressions, equilibria and BGK relaxation in
 // direction order, the same left-associated expression trees. Vector
@@ -16,10 +15,9 @@
 //
 // Tail policy: the last (w mod kLanes) points of a span are processed as
 // one partial group via load_n/store_n — masked loads/stores (AVX2,
-// AVX-512; the scalar trait is one lane wide). Inactive lanes compute on
-// zeros (a benign 1/0 = inf that is never
-// stored) and are never read from or written to memory, so there is no
-// out-of-bounds access for ASan to object to and no numeric leakage
+// AVX-512). Inactive lanes compute on zeros (a benign 1/0 = inf that is
+// never stored) and are never read from or written to memory, so there is
+// no out-of-bounds access for ASan to object to and no numeric leakage
 // between spans.
 //
 // In-place safety (AA steps): each group loads all 19 directions before
@@ -31,7 +29,6 @@
 #pragma once
 
 #include <array>
-#include <cmath>
 #include <cstdint>
 
 #include "lbm/kernel_config.hpp"
@@ -61,28 +58,6 @@ template <typename T>
   }
   return k;
 }
-
-/// Lane-1 trait: plain scalar arithmetic. Used by the scalar backend's
-/// LES kernel and as the semantic reference for every vector trait.
-template <typename T>
-struct ScalarVec {
-  using value_type = T;
-  using reg = T;
-  static constexpr index_t kLanes = 1;
-  static reg load(const T* p) noexcept { return *p; }
-  static reg load_n(const T* p, index_t) noexcept { return *p; }
-  static void store(T* p, reg v) noexcept { *p = v; }
-  static void store_n(T* p, reg v, index_t) noexcept { *p = v; }
-  static void stream(T* p, reg v) noexcept { *p = v; }
-  static bool aligned(const T*) noexcept { return false; }
-  static reg set1(T v) noexcept { return v; }
-  static reg zero() noexcept { return T{0}; }
-  static reg add(reg a, reg b) noexcept { return a + b; }
-  static reg sub(reg a, reg b) noexcept { return a - b; }
-  static reg mul(reg a, reg b) noexcept { return a * b; }
-  static reg div(reg a, reg b) noexcept { return a / b; }
-  static reg sqrt(reg a) noexcept { return std::sqrt(a); }
-};
 
 namespace detail_align {
 template <typename T>
@@ -121,7 +96,6 @@ struct Avx2VecF {
   static reg sub(reg a, reg b) noexcept { return _mm256_sub_ps(a, b); }
   static reg mul(reg a, reg b) noexcept { return _mm256_mul_ps(a, b); }
   static reg div(reg a, reg b) noexcept { return _mm256_div_ps(a, b); }
-  static reg sqrt(reg a) noexcept { return _mm256_sqrt_ps(a); }
 };
 
 /// 256-bit x86 double vectors.
@@ -152,7 +126,6 @@ struct Avx2VecD {
   static reg sub(reg a, reg b) noexcept { return _mm256_sub_pd(a, b); }
   static reg mul(reg a, reg b) noexcept { return _mm256_mul_pd(a, b); }
   static reg div(reg a, reg b) noexcept { return _mm256_div_pd(a, b); }
-  static reg sqrt(reg a) noexcept { return _mm256_sqrt_pd(a); }
 };
 
 #endif  // __AVX2__
@@ -187,7 +160,6 @@ struct Avx512VecF {
   static reg sub(reg a, reg b) noexcept { return _mm512_sub_ps(a, b); }
   static reg mul(reg a, reg b) noexcept { return _mm512_mul_ps(a, b); }
   static reg div(reg a, reg b) noexcept { return _mm512_div_ps(a, b); }
-  static reg sqrt(reg a) noexcept { return _mm512_sqrt_ps(a); }
 };
 
 /// 512-bit x86 double vectors.
@@ -216,20 +188,18 @@ struct Avx512VecD {
   static reg sub(reg a, reg b) noexcept { return _mm512_sub_pd(a, b); }
   static reg mul(reg a, reg b) noexcept { return _mm512_mul_pd(a, b); }
   static reg div(reg a, reg b) noexcept { return _mm512_div_pd(a, b); }
-  static reg sqrt(reg a) noexcept { return _mm512_sqrt_pd(a); }
 };
 
 #endif  // __AVX512F__
 
 /// One group of `active` (<= V::kLanes) consecutive points at offset i of
 /// the 19 per-direction streams: the vectorized update_interior_values.
-template <typename V, bool WithLes, bool AllowNt>
+template <typename V, bool AllowNt>
 inline void tile_point_group(
     const typename V::value_type* const* src,
     typename V::value_type* const* dst, index_t i, index_t active,
     typename V::value_type omega,
     const std::array<typename V::value_type, 3>& force_shift,
-    [[maybe_unused]] typename V::value_type cs2,
     [[maybe_unused]] const std::array<bool, kQ>& nt_ok) {
   using T = typename V::value_type;
   using R = typename V::reg;
@@ -273,49 +243,10 @@ inline void tile_point_group(
     return V::mul(V::mul(V::set1(k.w[q]), rho), poly);
   };
 
-  R omega_eff = V::set1(omega);
-  if constexpr (WithLes) {
-    // Smagorinsky eddy viscosity from the non-equilibrium momentum flux —
-    // the vector transcription of the WithLes block of
-    // update_interior_values.
-    R pxx = V::zero(), pyy = V::zero(), pzz = V::zero();
-    R pxy = V::zero(), pxz = V::zero(), pyz = V::zero();
-    for (std::size_t q = 0; q < static_cast<std::size_t>(kQ); ++q) {
-      const R fneq = V::sub(g[q], feq_q(q));
-      const R fcx = V::mul(fneq, V::set1(k.cx[q]));
-      const R fcy = V::mul(fneq, V::set1(k.cy[q]));
-      const R fcz = V::mul(fneq, V::set1(k.cz[q]));
-      pxx = V::add(pxx, V::mul(fcx, V::set1(k.cx[q])));
-      pyy = V::add(pyy, V::mul(fcy, V::set1(k.cy[q])));
-      pzz = V::add(pzz, V::mul(fcz, V::set1(k.cz[q])));
-      pxy = V::add(pxy, V::mul(fcx, V::set1(k.cy[q])));
-      pxz = V::add(pxz, V::mul(fcx, V::set1(k.cz[q])));
-      pyz = V::add(pyz, V::mul(fcy, V::set1(k.cz[q])));
-    }
-    const R pi_mag = V::sqrt(V::add(
-        V::add(V::add(V::mul(pxx, pxx), V::mul(pyy, pyy)),
-               V::mul(pzz, pzz)),
-        V::mul(V::set1(T{2}),
-               V::add(V::add(V::mul(pxy, pxy), V::mul(pxz, pxz)),
-                      V::mul(pyz, pyz)))));
-    // tau and the LES constant are per-call invariants; computing them
-    // once in scalar yields the same values the per-point scalar code
-    // recomputes.
-    const T tau_s = T{1} / omega;
-    const T les_c = T{18} * static_cast<T>(1.41421356237) * cs2;
-    const R tau = V::set1(tau_s);
-    const R tau_eff =
-        V::div(V::add(tau, V::sqrt(V::add(
-                               V::mul(tau, tau),
-                               V::mul(V::mul(V::set1(les_c), pi_mag),
-                                      inv_rho)))),
-               V::set1(T{2}));
-    omega_eff = V::div(V::set1(T{1}), tau_eff);
-  }
-
+  const R omega_v = V::set1(omega);
   for (std::size_t q = 0; q < static_cast<std::size_t>(kQ); ++q) {
     const R feq = feq_q(q);
-    const R out = V::add(g[q], V::mul(omega_eff, V::sub(feq, g[q])));
+    const R out = V::add(g[q], V::mul(omega_v, V::sub(feq, g[q])));
     if (full) {
       if constexpr (AllowNt) {
         if (nt_ok[q]) {
@@ -335,12 +266,11 @@ inline void tile_point_group(
 /// destination stream is vector-aligned use streaming stores (group
 /// offsets advance by whole vectors, so base alignment decides the whole
 /// call).
-template <typename V, bool WithLes, bool AllowNt>
+template <typename V, bool AllowNt>
 void tile_run(const typename V::value_type* const* src,
               typename V::value_type* const* dst, index_t w,
               typename V::value_type omega,
-              const std::array<typename V::value_type, 3>& force_shift,
-              typename V::value_type cs2) {
+              const std::array<typename V::value_type, 3>& force_shift) {
   std::array<bool, kQ> nt_ok{};
   if constexpr (AllowNt) {
     for (std::size_t q = 0; q < static_cast<std::size_t>(kQ); ++q) {
@@ -349,12 +279,12 @@ void tile_run(const typename V::value_type* const* src,
   }
   index_t i = 0;
   for (; i + V::kLanes <= w; i += V::kLanes) {
-    tile_point_group<V, WithLes, AllowNt>(src, dst, i, V::kLanes, omega,
-                                          force_shift, cs2, nt_ok);
+    tile_point_group<V, AllowNt>(src, dst, i, V::kLanes, omega, force_shift,
+                                 nt_ok);
   }
   if (i < w) {
-    tile_point_group<V, WithLes, AllowNt>(src, dst, i, w - i, omega,
-                                          force_shift, cs2, nt_ok);
+    tile_point_group<V, AllowNt>(src, dst, i, w - i, omega, force_shift,
+                                 nt_ok);
   }
 }
 

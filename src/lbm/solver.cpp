@@ -195,11 +195,10 @@ void Solver<T>::initialize() {
 // solver and runtime::ParallelSolver's ranks run the same definitions.
 // Bulk loops iterate RLE spans: every neighbor is position + constant
 // offset, so the inner loop is a direct-indexed stream with no neighbor
-// table, no solid-link test, no boundary-type switch, and (via the WithLes
-// template parameter) no LES branch. Boundary loops run the general
-// gather over the view's neighbor table; the reference binding runs them
-// over the bulk segment too. The AA kernels update the one array in place
-// through sweep.f2 (== sweep.f).
+// table, no solid-link test and no boundary-type switch. Boundary loops
+// run the general gather over the view's neighbor table; the reference
+// binding runs them over the bulk segment too. The AA kernels update the
+// one array in place through sweep.f2 (== sweep.f).
 //
 // Parallelization notes: in the AB pull kernels every point writes only
 // its own row of the back buffer; in the AA even kernels every point reads
@@ -220,14 +219,13 @@ namespace {
       [](index_t v, const SegmentSpan& s) { return v < s.begin + s.length; });
 }
 
-template <typename T, Layout L, bool WithLes>
+template <typename T, Layout L>
 void seg_bulk_ab(const Sweep<T>& sweep, index_t lo, index_t hi) {
   const auto& spans = sweep.view->spans();
   const index_t rows = sweep.view->num_slots();
   const T* const f = sweep.f;
   T* const f2 = sweep.f2;
   const T omega = sweep.omega;
-  const T cs2 = sweep.cs2;
   const std::array<T, 3> force_shift = sweep.force_shift;
   for (auto it = first_span(spans, lo); it != spans.end() && it->begin < hi;
        ++it) {
@@ -236,8 +234,7 @@ void seg_bulk_ab(const Sweep<T>& sweep, index_t lo, index_t hi) {
     const auto& off = it->offsets;
     if constexpr (L == Layout::kSoA) {
       // Every per-direction stream is contiguous across the span, so the
-      // whole span goes to the backend tile kernel in one call (the LES
-      // mode is baked into the bound function pointer).
+      // whole span goes to the backend tile kernel in one call.
       const T* src[kQ];
       T* dst[kQ];
       for (index_t q = 0; q < kQ; ++q) {
@@ -247,7 +244,7 @@ void seg_bulk_ab(const Sweep<T>& sweep, index_t lo, index_t hi) {
         src[q] = f + static_cast<std::size_t>(dist_offset(L, rows, from, q));
         dst[q] = f2 + static_cast<std::size_t>(dist_offset(L, rows, s0, q));
       }
-      sweep.tile(src, dst, s1 - s0, omega, force_shift, cs2);
+      sweep.tile(src, dst, s1 - s0, omega, force_shift);
       continue;
     }
 #ifdef _OPENMP
@@ -261,7 +258,7 @@ void seg_bulk_ab(const Sweep<T>& sweep, index_t lo, index_t hi) {
                     off[static_cast<std::size_t>(opposite(q))]);
         g[q] = f[static_cast<std::size_t>(dist_offset(L, rows, src, q))];
       }
-      update_interior_values<T, WithLes>(g, out, omega, force_shift, cs2);
+      update_interior_values<T>(g, out, omega, force_shift);
       for (index_t q = 0; q < kQ; ++q) {
         f2[static_cast<std::size_t>(dist_offset(L, rows, i, q))] = out[q];
       }
@@ -269,14 +266,13 @@ void seg_bulk_ab(const Sweep<T>& sweep, index_t lo, index_t hi) {
   }
 }
 
-template <typename T, Layout L, bool WithLes>
+template <typename T, Layout L>
 void seg_bulk_aa_even(const Sweep<T>& sweep, index_t lo, index_t hi) {
   // The even AA step touches only the point's own row — no neighbor
   // indexing at all, so spans are irrelevant here.
   const index_t rows = sweep.view->num_slots();
   T* const f = sweep.f2;
   const T omega = sweep.omega;
-  const T cs2 = sweep.cs2;
   const std::array<T, 3> force_shift = sweep.force_shift;
   if constexpr (L == Layout::kSoA) {
     // In-place safe: each vector group loads all 19 directions before it
@@ -289,7 +285,7 @@ void seg_bulk_aa_even(const Sweep<T>& sweep, index_t lo, index_t hi) {
       dst[q] = f + static_cast<std::size_t>(
                        dist_offset(L, rows, lo, opposite(q)));
     }
-    sweep.tile(src, dst, hi - lo, omega, force_shift, cs2);
+    sweep.tile(src, dst, hi - lo, omega, force_shift);
     return;
   }
 #ifdef _OPENMP
@@ -300,7 +296,7 @@ void seg_bulk_aa_even(const Sweep<T>& sweep, index_t lo, index_t hi) {
     for (index_t q = 0; q < kQ; ++q) {
       g[q] = f[static_cast<std::size_t>(dist_offset(L, rows, i, q))];
     }
-    update_interior_values<T, WithLes>(g, out, omega, force_shift, cs2);
+    update_interior_values<T>(g, out, omega, force_shift);
     for (index_t q = 0; q < kQ; ++q) {
       f[static_cast<std::size_t>(dist_offset(L, rows, i, opposite(q)))] =
           out[q];
@@ -308,13 +304,12 @@ void seg_bulk_aa_even(const Sweep<T>& sweep, index_t lo, index_t hi) {
   }
 }
 
-template <typename T, Layout L, bool WithLes>
+template <typename T, Layout L>
 void seg_bulk_aa_odd(const Sweep<T>& sweep, index_t lo, index_t hi) {
   const auto& spans = sweep.view->spans();
   const index_t rows = sweep.view->num_slots();
   T* const f = sweep.f2;
   const T omega = sweep.omega;
-  const T cs2 = sweep.cs2;
   const std::array<T, 3> force_shift = sweep.force_shift;
   for (auto it = first_span(spans, lo); it != spans.end() && it->begin < hi;
        ++it) {
@@ -336,7 +331,7 @@ void seg_bulk_aa_odd(const Sweep<T>& sweep, index_t lo, index_t hi) {
         src[q] = f + static_cast<std::size_t>(dist_offset(L, rows, from, opp));
         dst[q] = f + static_cast<std::size_t>(dist_offset(L, rows, to, q));
       }
-      sweep.tile(src, dst, s1 - s0, omega, force_shift, cs2);
+      sweep.tile(src, dst, s1 - s0, omega, force_shift);
       continue;
     }
 #ifdef _OPENMP
@@ -350,7 +345,7 @@ void seg_bulk_aa_odd(const Sweep<T>& sweep, index_t lo, index_t hi) {
             i + static_cast<index_t>(off[static_cast<std::size_t>(opp)]);
         g[q] = f[static_cast<std::size_t>(dist_offset(L, rows, m, opp))];
       }
-      update_interior_values<T, WithLes>(g, out, omega, force_shift, cs2);
+      update_interior_values<T>(g, out, omega, force_shift);
       for (index_t q = 0; q < kQ; ++q) {
         const index_t nb =
             i + static_cast<index_t>(off[static_cast<std::size_t>(q)]);
@@ -374,7 +369,7 @@ void seg_boundary_ab(const Sweep<T>& sweep, index_t lo, index_t hi) {
     }
     update_boundary_values<T>(view.type(i), g, out, sweep.omega,
                               sweep.bc_velocity[i], sweep.bc_pulse[i],
-                              sweep.timestep, sweep.force_shift, sweep.cs2);
+                              sweep.timestep, sweep.force_shift);
     for (index_t q = 0; q < kQ; ++q) {
       sweep.f2[static_cast<std::size_t>(dist_offset(L, rows, i, q))] =
           out[q];
@@ -394,7 +389,7 @@ void seg_boundary_aa_even(const Sweep<T>& sweep, index_t lo, index_t hi) {
     }
     update_boundary_values<T>(view.type(i), g, out, sweep.omega,
                               sweep.bc_velocity[i], sweep.bc_pulse[i],
-                              sweep.timestep, sweep.force_shift, sweep.cs2);
+                              sweep.timestep, sweep.force_shift);
     for (index_t q = 0; q < kQ; ++q) {
       f[static_cast<std::size_t>(dist_offset(L, rows, i, opposite(q)))] =
           out[q];
@@ -417,7 +412,7 @@ void seg_boundary_aa_odd(const Sweep<T>& sweep, index_t lo, index_t hi) {
     }
     update_boundary_values<T>(view.type(i), g, out, sweep.omega,
                               sweep.bc_velocity[i], sweep.bc_pulse[i],
-                              sweep.timestep, sweep.force_shift, sweep.cs2);
+                              sweep.timestep, sweep.force_shift);
     for (index_t q = 0; q < kQ; ++q) {
       const std::int32_t nb = view.neighbor(i, q);
       f[static_cast<std::size_t>(
@@ -434,34 +429,29 @@ SweepBinding<T> bind_sweep(const SolverParams& params, index_t num_points) {
   HEMO_REQUIRE(params.tau > 0.5, "tau must exceed 0.5 for stability");
   SweepBinding<T> b;
   b.omega = static_cast<T>(1.0 / params.tau);
-  b.cs2 = static_cast<T>(params.smagorinsky_cs * params.smagorinsky_cs);
   for (std::size_t d = 0; d < 3; ++d) {
     b.force_shift[d] = static_cast<T>(params.tau * params.body_force[d]);
   }
   const KernelConfig& kernel = params.kernel;
   const bool ab = kernel.propagation == Propagation::kAB;
-  const bool les = b.cs2 > T{0};
   const bool reference = kernel.path == KernelPath::kReference;
-  const auto bind = [&]<Layout L, bool WithLes>() {
+  const auto bind = [&]<Layout L>() {
     if (ab) {
-      b.bulk = {&seg_bulk_ab<T, L, WithLes>, &seg_bulk_ab<T, L, WithLes>};
+      b.bulk = {&seg_bulk_ab<T, L>, &seg_bulk_ab<T, L>};
       b.boundary = {&seg_boundary_ab<T, L>, &seg_boundary_ab<T, L>};
     } else {
-      b.bulk = {&seg_bulk_aa_even<T, L, WithLes>,
-                &seg_bulk_aa_odd<T, L, WithLes>};
+      b.bulk = {&seg_bulk_aa_even<T, L>, &seg_bulk_aa_odd<T, L>};
       b.boundary = {&seg_boundary_aa_even<T, L>, &seg_boundary_aa_odd<T, L>};
     }
     // The reference binding sweeps the bulk segment through the general
     // kernels too: every point pays the 19-wide neighbor-table gather and
-    // the type/pulse/LES dispatch.
+    // the type/pulse dispatch.
     if (reference) b.bulk = b.boundary;
   };
   if (kernel.layout == Layout::kAoS) {
-    if (les) bind.template operator()<Layout::kAoS, true>();
-    else bind.template operator()<Layout::kAoS, false>();
+    bind.template operator()<Layout::kAoS>();
   } else {
-    if (les) bind.template operator()<Layout::kSoA, true>();
-    else bind.template operator()<Layout::kSoA, false>();
+    bind.template operator()<Layout::kSoA>();
   }
   // Only the segmented SoA bulk kernels call a vector tile. AoS
   // interleaves the 19 directions per point and the reference binding
@@ -476,7 +466,7 @@ SweepBinding<T> bind_sweep(const SolverParams& params, index_t num_points) {
       static_cast<std::size_t>(num_points) * kQ * sizeof(T) * 2;
   b.nt_stores = ab && b.backend != Backend::kScalar &&
                 ab_bytes > (std::size_t{64} << 20);
-  b.tile = simd::tile_kernel<T>(b.backend, les, b.nt_stores);
+  b.tile = simd::tile_kernel<T>(b.backend, b.nt_stores);
   return b;
 }
 

@@ -22,12 +22,11 @@
 // operation (lbm/point_update.hpp), so they produce bit-identical state:
 //  * KernelPath::kSegmented (default) — the bulk segment streams
 //    span-by-span with constant neighbor offsets (direct indexing, no
-//    gather table) through a branch-free inner loop with the LES branch
-//    resolved at compile time; only the small boundary segment runs the
-//    general gather + type-switch kernel.
+//    gather table) through a branch-free inner loop; only the small
+//    boundary segment runs the general gather + type-switch kernel.
 //  * KernelPath::kReference — the general kernel sweeps both segments:
-//    every point pays a 19-wide neighbor-table gather and a
-//    type/pulse/LES dispatch.
+//    every point pays a 19-wide neighbor-table gather and a type/pulse
+//    dispatch.
 //
 // Boundary conditions follow HARVEY's setup in the paper: a Poiseuille
 // velocity profile imposed at inlets (wet-node equilibrium with the locally
@@ -57,10 +56,6 @@ struct SolverParams {
   /// periodic domains (validated against analytic Poiseuille flow).
   std::array<real_t, 3> body_force = {0.0, 0.0, 0.0};
 
-  /// Smagorinsky constant for the LES eddy-viscosity model; 0 disables it
-  /// (plain BGK). Typical values are 0.1 - 0.2 for high-Re hemodynamics.
-  real_t smagorinsky_cs = 0.0;
-
   /// OpenMP threads for the step kernels and reductions; 0 takes the
   /// OpenMP default team size. All results are bit-stable across thread
   /// counts. (runtime::ParallelSolver ignores it: each rank is one thread
@@ -88,7 +83,6 @@ struct Sweep {
   const std::array<T, 3>* bc_velocity = nullptr;
   const std::array<T, 2>* bc_pulse = nullptr;
   T omega = T{0};
-  T cs2 = T{0};  ///< smagorinsky_cs^2
   std::array<T, 3> force_shift = {T{0}, T{0}, T{0}};  ///< tau * body_force
   index_t timestep = 0;
   /// SoA bulk tile kernel (normal or streaming-store variant; a caller
@@ -120,7 +114,6 @@ struct SweepBinding {
   /// simd::store_fence(backend) before publishing a step's f2.
   bool nt_stores = false;
   T omega = T{0};
-  T cs2 = T{0};
   std::array<T, 3> force_shift = {T{0}, T{0}, T{0}};
 
   /// A sweep of `view` under this binding's constants and tile.
@@ -128,7 +121,7 @@ struct SweepBinding {
                                const std::array<T, 3>* bc_velocity,
                                const std::array<T, 2>* bc_pulse,
                                index_t timestep) const {
-    return {&view, f, f2, bc_velocity, bc_pulse, omega, cs2, force_shift,
+    return {&view, f, f2, bc_velocity, bc_pulse, omega, force_shift,
             timestep, tile};
   }
 };

@@ -106,23 +106,6 @@ TEST(ParallelSolver, PulsatileInletMatchesSerialBitwise) {
   }
 }
 
-TEST(ParallelSolver, LesMatchesSerialBitwise) {
-  const auto geo = geometry::make_cylinder({.radius = 5, .length = 24});
-  const auto mesh = lbm::FluidMesh::build(geo.grid);
-  for (const lbm::Layout layout : kLayouts) {
-    SCOPED_TRACE(lbm::to_string(layout));
-    auto params = base_params(layout);
-    params.smagorinsky_cs = 0.12;
-    lbm::Solver<double> serial(mesh, params, std::span(geo.inlets));
-    ParallelSolver parallel(
-        mesh, decomp::make_partition(mesh, 4, decomp::Strategy::kRcb),
-        params, std::span(geo.inlets));
-    serial.run(30);
-    parallel.run(30);
-    EXPECT_EQ(parallel.export_state(), serial.export_state());
-  }
-}
-
 TEST(ParallelSolver, RequestedMigrationPreservesBitIdentity) {
   // A migration mid-run only moves ownership: gather, re-partition,
   // scatter. The state afterwards must equal an unmigrated serial run.

@@ -7,7 +7,7 @@
 // partitions only change which thread processes which point, and within a
 // step no point reads a location another point writes. These tests assert
 // that exhaustively — backends x threads {1, 2, 8} x {AB, AA} x
-// {AoS, SoA} x {float, double} x {plain, LES, pulsatile} — plus the
+// {AoS, SoA} x {float, double} x {plain, pulsatile} — plus the
 // resolution rules (explicit > HEMO_SIMD env > widest detected),
 // checkpoint portability across backends, and streaming-store tiles equal
 // to plain-store tiles.
@@ -81,13 +81,9 @@ TEST(SimdDispatch, ResolutionPrecedence) {
 
 TEST(SimdDispatch, TileKernelExistsForEveryCompiledBackend) {
   for (const Backend b : simd::compiled_backends()) {
-    for (const bool les : {false, true}) {
-      for (const bool nt : {false, true}) {
-        EXPECT_NE(simd::tile_kernel<float>(b, les, nt), nullptr)
-            << to_string(b);
-        EXPECT_NE(simd::tile_kernel<double>(b, les, nt), nullptr)
-            << to_string(b);
-      }
+    for (const bool nt : {false, true}) {
+      EXPECT_NE(simd::tile_kernel<float>(b, nt), nullptr) << to_string(b);
+      EXPECT_NE(simd::tile_kernel<double>(b, nt), nullptr) << to_string(b);
     }
   }
 }
@@ -101,12 +97,11 @@ TEST(SimdDispatch, LanesMatchVectorWidths) {
 
 // ---- Solver-level bit identity ------------------------------------------
 
-enum class Variant { kPlain, kLes, kPulsatile };
+enum class Variant { kPlain, kPulsatile };
 
 const char* variant_name(Variant v) {
   switch (v) {
     case Variant::kPlain: return "plain";
-    case Variant::kLes: return "les";
     case Variant::kPulsatile: return "pulsatile";
   }
   return "?";
@@ -131,15 +126,14 @@ const FluidMesh& shared_mesh() {
   return mesh;
 }
 
-SolverParams make_params(Variant v, Layout layout, Propagation prop,
-                         Backend backend, index_t threads) {
+SolverParams make_params(Layout layout, Propagation prop, Backend backend,
+                         index_t threads) {
   SolverParams params;
   params.kernel.layout = layout;
   params.kernel.propagation = prop;
   params.kernel.path = KernelPath::kSegmented;
   params.kernel.backend = backend;
   params.num_threads = threads;
-  if (v == Variant::kLes) params.smagorinsky_cs = 0.14;
   return params;
 }
 
@@ -150,7 +144,7 @@ std::pair<std::vector<T>, std::vector<T>> run_states(
     index_t threads) {
   const auto geo = make_geometry(v);
   Solver<T> solver(shared_mesh(),
-                   make_params(v, layout, prop, backend, threads),
+                   make_params(layout, prop, backend, threads),
                    std::span(geo.inlets));
   solver.run(5);
   std::vector<T> odd = solver.export_state();
@@ -222,7 +216,7 @@ struct TileStreams {
 /// variant to the bit, write nothing past the call's width, and handle
 /// masked (partial-vector) tails the same way.
 template <typename T>
-void expect_nt_matches_plain(Backend backend, bool les) {
+void expect_nt_matches_plain(Backend backend) {
   TileStreams<T> src;
   std::array<const T*, kQ> src_ptrs{};
   for (std::size_t q = 0; q < static_cast<std::size_t>(kQ); ++q) {
@@ -237,7 +231,6 @@ void expect_nt_matches_plain(Backend backend, bool les) {
   }
   const std::array<T, 3> force_shift{T(1e-4), T(-2e-5), T(0)};
   const T omega = T(1.3);
-  const T cs2 = T(0.14 * 0.14);
 
   const index_t widths[] = {1,  2,  3,  7,  8,  9,   15,
                             16, 17, 31, 33, 64, 100, TileStreams<T>::kWidth};
@@ -252,18 +245,17 @@ void expect_nt_matches_plain(Backend backend, bool les) {
     for (const T* p : nt_dst) {
       ASSERT_EQ(reinterpret_cast<std::uintptr_t>(p) % 64, 0u);
     }
-    simd::tile_kernel<T>(backend, les, /*nt_stores=*/false)(
-        src_ptrs.data(), plain_dst.data(), w, omega, force_shift, cs2);
-    simd::tile_kernel<T>(backend, les, /*nt_stores=*/true)(
-        src_ptrs.data(), nt_dst.data(), w, omega, force_shift, cs2);
+    simd::tile_kernel<T>(backend, /*nt_stores=*/false)(
+        src_ptrs.data(), plain_dst.data(), w, omega, force_shift);
+    simd::tile_kernel<T>(backend, /*nt_stores=*/true)(
+        src_ptrs.data(), nt_dst.data(), w, omega, force_shift);
     simd::store_fence(backend);
     for (std::size_t q = 0; q < static_cast<std::size_t>(kQ); ++q) {
       const auto& row = nt.rows[q].v;
       EXPECT_EQ(std::memcmp(plain.rows[q].v.data(), row.data(),
                             sizeof(row)),
                 0)
-          << to_string(backend) << (les ? " les" : " plain") << " w=" << w
-          << " q=" << q;
+          << to_string(backend) << " w=" << w << " q=" << q;
       const auto last = static_cast<std::size_t>(w) - 1;
       EXPECT_NE(row[last], T(-7)) << "last point of the call not written";
       if (last + 1 < row.size()) {
@@ -275,10 +267,8 @@ void expect_nt_matches_plain(Backend backend, bool les) {
 
 TEST(SimdTile, StreamingStoresMatchPlainStoresBitForBit) {
   for (const Backend b : simd::detected_backends()) {
-    for (const bool les : {false, true}) {
-      expect_nt_matches_plain<float>(b, les);
-      expect_nt_matches_plain<double>(b, les);
-    }
+    expect_nt_matches_plain<float>(b);
+    expect_nt_matches_plain<double>(b);
   }
 }
 
@@ -288,11 +278,10 @@ class SimdBackendBitIdentity
 TEST_P(SimdBackendBitIdentity, MatchesScalarSingleThreadEverywhere) {
   const auto [backend, threads] = GetParam();
   if (!simd::cpu_supports(backend) ||
-      simd::tile_kernel<float>(backend, false, false) == nullptr) {
+      simd::tile_kernel<float>(backend, false) == nullptr) {
     GTEST_SKIP() << to_string(backend) << " not available on this host";
   }
-  for (const Variant v :
-       {Variant::kPlain, Variant::kLes, Variant::kPulsatile}) {
+  for (const Variant v : {Variant::kPlain, Variant::kPulsatile}) {
     for (const Layout layout : {Layout::kAoS, Layout::kSoA}) {
       for (const Propagation prop : {Propagation::kAB, Propagation::kAA}) {
         expect_matches_scalar<float>(v, layout, prop, backend, threads);
@@ -315,19 +304,19 @@ TEST(SimdBackends, EffectiveBackendIsScalarOffTheSegmentedSoaPath) {
   const auto geo = make_geometry(Variant::kPlain);
   // AoS: no unit-stride direction streams, so even the widest request
   // runs (and reports) scalar.
-  SolverParams aos = make_params(Variant::kPlain, Layout::kAoS,
-                                 Propagation::kAB, Backend::kAuto, 1);
+  SolverParams aos =
+      make_params(Layout::kAoS, Propagation::kAB, Backend::kAuto, 1);
   Solver<double> aos_solver(shared_mesh(), aos, std::span(geo.inlets));
   EXPECT_EQ(aos_solver.backend(), Backend::kScalar);
   // Reference path: same.
-  SolverParams ref = make_params(Variant::kPlain, Layout::kSoA,
-                                 Propagation::kAB, Backend::kAuto, 1);
+  SolverParams ref =
+      make_params(Layout::kSoA, Propagation::kAB, Backend::kAuto, 1);
   ref.kernel.path = KernelPath::kReference;
   Solver<double> ref_solver(shared_mesh(), ref, std::span(geo.inlets));
   EXPECT_EQ(ref_solver.backend(), Backend::kScalar);
   // Segmented SoA resolves the request for real.
-  SolverParams soa = make_params(Variant::kPlain, Layout::kSoA,
-                                 Propagation::kAB, Backend::kAuto, 1);
+  SolverParams soa =
+      make_params(Layout::kSoA, Propagation::kAB, Backend::kAuto, 1);
   Solver<double> soa_solver(shared_mesh(), soa, std::span(geo.inlets));
   EXPECT_EQ(soa_solver.backend(), simd::detected_backends().front());
   EXPECT_EQ(soa_solver.threads(), 1);
@@ -338,8 +327,8 @@ TEST(SimdBackends, CheckpointsArePortableAcrossBackends) {
   // any other backend to the bit — checkpoints carry no backend imprint.
   const auto geo = make_geometry(Variant::kPlain);
   for (const Propagation prop : {Propagation::kAB, Propagation::kAA}) {
-    SolverParams scalar_params = make_params(
-        Variant::kPlain, Layout::kSoA, prop, Backend::kScalar, 1);
+    SolverParams scalar_params =
+        make_params(Layout::kSoA, prop, Backend::kScalar, 1);
     Solver<double> scalar(shared_mesh(), scalar_params,
                           std::span(geo.inlets));
     scalar.run(6);
@@ -348,8 +337,7 @@ TEST(SimdBackends, CheckpointsArePortableAcrossBackends) {
     const std::vector<double> expected = scalar.export_state();
 
     for (const Backend b : simd::detected_backends()) {
-      SolverParams params =
-          make_params(Variant::kPlain, Layout::kSoA, prop, b, 1);
+      SolverParams params = make_params(Layout::kSoA, prop, b, 1);
       Solver<double> other(shared_mesh(), params, std::span(geo.inlets));
       other.restore_state(snapshot, 6);
       other.run(4);
