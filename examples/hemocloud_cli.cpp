@@ -245,8 +245,7 @@ int cmd_kernels(const Args& args) {
   std::cout << "selected: " << lbm::to_string(selected) << " ("
             << lbm::simd::lanes(selected, sizeof(float)) << "x float, "
             << lbm::simd::lanes(selected, sizeof(double))
-            << "x double; override with HEMO_SIMD or "
-               "KernelConfig::backend)\n";
+            << "x double; override with KernelConfig::backend)\n";
 
   const auto geo = geometry::make_named(geometry_name);
   const auto mesh = lbm::FluidMesh::build(geo.grid);

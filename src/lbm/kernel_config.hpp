@@ -53,7 +53,7 @@ enum class KernelPath {
 /// all of them produce bit-identical state (asserted by
 /// tests/test_simd_backends.cpp); the choice only moves throughput.
 enum class Backend {
-  kAuto,    ///< resolve at bind time: HEMO_SIMD env, else best detected
+  kAuto,    ///< resolve at bind time: the widest detected backend
   kScalar,  ///< portable autovectorized tile (always compiled)
   kAVX2,    ///< 256-bit x86 vectors, masked tails
   kAVX512,  ///< 512-bit x86 vectors, native masked tails

@@ -2,7 +2,6 @@
 
 #include <algorithm>
 #include <cctype>
-#include <cstdlib>
 
 #include "lbm/simd_backends.hpp"
 
@@ -94,26 +93,16 @@ std::optional<Backend> parse_backend(std::string_view name) {
 }
 
 Backend resolve_backend(Backend requested) {
-  Backend want = requested;
-  if (want == Backend::kAuto) {
-    if (const char* env = std::getenv("HEMO_SIMD")) {
-      const auto parsed = parse_backend(env);
-      HEMO_REQUIRE(parsed.has_value(),
-                   "HEMO_SIMD must be auto|scalar|avx2|avx512");
-      want = *parsed;
-    }
-  }
-  if (want == Backend::kAuto) {
-    const auto detected = detected_backends();
+  if (requested == Backend::kAuto) {
     // detected_backends() always contains kScalar.
-    return detected.front();
+    return detected_backends().front();
   }
-  HEMO_REQUIRE(compiled(want),
+  HEMO_REQUIRE(compiled(requested),
                "requested SIMD backend is not compiled into this binary "
                "(see the HEMO_SIMD CMake option)");
-  HEMO_REQUIRE(cpu_supports(want),
+  HEMO_REQUIRE(cpu_supports(requested),
                "requested SIMD backend is not supported by this CPU");
-  return want;
+  return requested;
 }
 
 template <>

@@ -14,8 +14,7 @@
 //  * resolution — resolve_backend() turns a KernelConfig request into the
 //    backend lbm::bind_sweep() actually binds: an explicit request
 //    must be compiled in and CPU-supported (hard error otherwise, never a
-//    silent fallback), kAuto honours the HEMO_SIMD environment variable
-//    and otherwise picks the widest detected backend.
+//    silent fallback), kAuto picks the widest detected backend.
 //
 // Bit-identity contract: every backend performs the identical per-point
 // IEEE-754 operation sequence of lbm/point_update.hpp — vector lanes are
@@ -59,12 +58,11 @@ using TileFn = void (*)(const T* const* src, T* const* dst, index_t w,
 /// case-insensitive); nullopt for anything else.
 [[nodiscard]] std::optional<Backend> parse_backend(std::string_view name);
 
-/// Resolves a KernelConfig backend request to the backend to bind.
-/// Precedence: an explicit (non-kAuto) request wins and must be compiled
-/// in and CPU-supported (hard error otherwise — tests and benchmarks that
-/// pin a backend must never be silently redirected); kAuto defers to the
-/// HEMO_SIMD environment variable when set (same validation), and
-/// otherwise selects the widest detected backend.
+/// Resolves a KernelConfig backend request to the backend to bind. An
+/// explicit (non-kAuto) request must be compiled in and CPU-supported
+/// (hard error otherwise — tests and benchmarks that pin a backend must
+/// never be silently redirected); kAuto selects the widest detected
+/// backend.
 [[nodiscard]] Backend resolve_backend(Backend requested);
 
 /// Tile kernel for (backend, non-temporal stores). Returns

@@ -8,16 +8,14 @@
 // step no point reads a location another point writes. These tests assert
 // that exhaustively — backends x threads {1, 2, 8} x {AB, AA} x
 // {AoS, SoA} x {float, double} x {plain, pulsatile} — plus the
-// resolution rules (explicit > HEMO_SIMD env > widest detected),
-// checkpoint portability across backends, and streaming-store tiles equal
-// to plain-store tiles.
+// resolution rules (explicit > widest detected), checkpoint portability
+// across backends, and streaming-store tiles equal to plain-store tiles.
 #include <gtest/gtest.h>
 
 #include <algorithm>
 #include <array>
 #include <cmath>
 #include <cstdint>
-#include <cstdlib>
 #include <cstring>
 #include <map>
 #include <string>
@@ -67,14 +65,8 @@ TEST(SimdDispatch, ParseRoundTripsEveryName) {
 TEST(SimdDispatch, ResolutionPrecedence) {
   // Explicit request wins (scalar is always available).
   EXPECT_EQ(simd::resolve_backend(Backend::kScalar), Backend::kScalar);
-  // kAuto with the environment variable set follows the environment.
-  ::setenv("HEMO_SIMD", "scalar", 1);
-  EXPECT_EQ(simd::resolve_backend(Backend::kAuto), Backend::kScalar);
-  ::setenv("HEMO_SIMD", "bogus", 1);
-  EXPECT_THROW((void)simd::resolve_backend(Backend::kAuto), PreconditionError);
-  ::unsetenv("HEMO_SIMD");
-  // kAuto without the environment variable takes the widest detected
-  // backend (never silently something unsupported).
+  // kAuto takes the widest detected backend (never silently something
+  // unsupported).
   const auto detected = simd::detected_backends();
   EXPECT_EQ(simd::resolve_backend(Backend::kAuto), detected.front());
 }
