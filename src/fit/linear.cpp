@@ -1,27 +1,6 @@
 #include "fit/linear.hpp"
 
-#include <cmath>
-
 namespace hemo::fit {
-
-Line fit_line(std::span<const real_t> xs, std::span<const real_t> ys) {
-  HEMO_REQUIRE(xs.size() == ys.size() && xs.size() >= 2,
-               "fit_line needs >= 2 paired points");
-  const real_t n = static_cast<real_t>(xs.size());
-  real_t sx = 0.0, sy = 0.0, sxx = 0.0, sxy = 0.0;
-  for (std::size_t i = 0; i < xs.size(); ++i) {
-    sx += xs[i];
-    sy += ys[i];
-    sxx += xs[i] * xs[i];
-    sxy += xs[i] * ys[i];
-  }
-  const real_t denom = n * sxx - sx * sx;
-  if (denom == 0.0) throw NumericError("fit_line: degenerate x values");
-  Line out;
-  out.slope = (n * sxy - sx * sy) / denom;
-  out.intercept = (sy - out.slope * sx) / n;
-  return out;
-}
 
 Line fit_line_fixed_intercept(std::span<const real_t> xs,
                               std::span<const real_t> ys, real_t intercept) {

@@ -1,12 +1,11 @@
 // Ordinary least squares for the linear models in the paper.
 //
-// Two variants are needed:
-//  * an unconstrained line y = slope * x + intercept, and
-//  * the paper's communication fit (Eq. 12): latency is *enforced* to equal
-//    the measured time of a zero-byte message, and only the bandwidth term
-//    is fit by least squares ("Curve fits enforce that latency is the
-//    communication time for 0 bytes and bandwidth depends on all data
-//    points", Fig. 6 caption).
+// The paper's communication fit (Eq. 12) enforces latency to equal the
+// measured time of a zero-byte message and fits only the bandwidth term
+// by least squares ("Curve fits enforce that latency is the communication
+// time for 0 bytes and bandwidth depends on all data points", Fig. 6
+// caption), so the one line fit needed is a slope fit with a fixed
+// intercept.
 #pragma once
 
 #include <span>
@@ -24,11 +23,6 @@ struct Line {
     return slope * x + intercept;
   }
 };
-
-/// Unconstrained OLS fit of y = slope * x + intercept.
-/// Requires >= 2 points with non-degenerate x spread.
-[[nodiscard]] Line fit_line(std::span<const real_t> xs,
-                            std::span<const real_t> ys);
 
 /// OLS fit of the slope only, with the intercept fixed:
 /// minimizes sum_i (y_i - intercept - slope * x_i)^2 over slope.

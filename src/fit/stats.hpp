@@ -13,18 +13,6 @@ namespace hemo::fit {
 /// Sample standard deviation (n-1 denominator). Requires at least 2 samples.
 [[nodiscard]] real_t stddev(std::span<const real_t> xs);
 
-/// Coefficient of variation: stddev / mean. Requires non-zero mean.
-[[nodiscard]] real_t coefficient_of_variation(std::span<const real_t> xs);
-
-/// Sum of squared errors between two equally-sized spans.
-[[nodiscard]] real_t sse(std::span<const real_t> actual,
-                         std::span<const real_t> predicted);
-
-/// Coefficient of determination R^2 of `predicted` against `actual`.
-/// Returns 1 for a perfect fit; can be negative for fits worse than the mean.
-[[nodiscard]] real_t r_squared(std::span<const real_t> actual,
-                               std::span<const real_t> predicted);
-
 /// Population summary produced by repeated noisy measurements (Table IV).
 struct Summary {
   real_t mean = 0.0;

@@ -100,23 +100,4 @@ std::string TextTable::to_string() const {
   return oss.str();
 }
 
-void CsvWriter::row(const std::vector<std::string>& cells) {
-  for (std::size_t i = 0; i < cells.size(); ++i) {
-    if (i > 0) os_ << ',';
-    os_ << escape(cells[i]);
-  }
-  os_ << '\n';
-}
-
-std::string CsvWriter::escape(const std::string& cell) {
-  if (cell.find_first_of(",\"\n") == std::string::npos) return cell;
-  std::string out = "\"";
-  for (char c : cell) {
-    if (c == '"') out += "\"\"";
-    else out += c;
-  }
-  out += '"';
-  return out;
-}
-
 }  // namespace hemo

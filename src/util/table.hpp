@@ -50,17 +50,4 @@ class TextTable {
   std::vector<std::vector<std::string>> rows_;
 };
 
-/// Writes rows as CSV (comma-separated, minimal quoting). Used so that the
-/// bench binaries can optionally emit machine-readable series for plotting.
-class CsvWriter {
- public:
-  explicit CsvWriter(std::ostream& os) : os_(os) {}
-
-  void row(const std::vector<std::string>& cells);
-
- private:
-  static std::string escape(const std::string& cell);
-  std::ostream& os_;
-};
-
 }  // namespace hemo

@@ -1,7 +1,5 @@
-// Unit tests for the util module: tables, CSV, RNG determinism.
+// Unit tests for the util module: tables, RNG determinism.
 #include <gtest/gtest.h>
-
-#include <sstream>
 
 #include "util/common.hpp"
 #include "util/rng.hpp"
@@ -85,13 +83,6 @@ TEST(TextTable, RendersAlignedColumns) {
 TEST(TextTable, NumFormatsIntegers) {
   EXPECT_EQ(TextTable::num(static_cast<index_t>(2048)), "2048");
   EXPECT_EQ(TextTable::num(3.14159, 3), "3.142");
-}
-
-TEST(CsvWriter, EscapesSpecialCells) {
-  std::ostringstream oss;
-  CsvWriter csv(oss);
-  csv.row({"a", "b,c", "d\"e"});
-  EXPECT_EQ(oss.str(), "a,\"b,c\",\"d\"\"e\"\n");
 }
 
 }  // namespace
