@@ -58,10 +58,11 @@ struct HaloExchange {
   [[nodiscard]] real_t bytes_per_exchange() const;
 };
 
-/// Builds every rank's segmented slot space (ghost discovery, local
-/// neighbor table, interior/frontier order and RLE spans in one pass per
-/// rank) and one directed channel per (owner, receiver) pair that shares
-/// ghosts, with rows in the receiver's ascending ghost order.
+/// Builds every rank's segmented slot space (SegmentedMesh::build_rank:
+/// ghost discovery and interior/frontier order, then the local neighbor
+/// table in an OpenMP row pass, then the RLE spans) and one directed
+/// channel per (owner, receiver) pair that shares ghosts, with rows in the
+/// receiver's ascending ghost order.
 [[nodiscard]] HaloExchange build_halo_exchange(
     const lbm::FluidMesh& mesh, const decomp::Partition& partition);
 

@@ -20,10 +20,15 @@ FluidMesh FluidMesh::build(const geometry::VoxelGrid& grid,
     }
   }
 
-  // Second pass: neighbor table + solid-link counts.
+  // Second pass: neighbor table + solid-link counts. Every point writes
+  // every entry of its own row, so the rows are sized unwritten here and
+  // first touched by the thread that fills them.
   const index_t n = mesh.num_points();
-  mesh.neighbors_.resize(static_cast<std::size_t>(n * kQ), kSolidLink);
-  mesh.solid_links_.resize(static_cast<std::size_t>(n), 0);
+  mesh.neighbors_.resize(static_cast<std::size_t>(n * kQ));
+  mesh.solid_links_.resize(static_cast<std::size_t>(n));
+#ifdef _OPENMP
+#pragma omp parallel for schedule(static)
+#endif
   for (index_t p = 0; p < n; ++p) {
     const Voxel& v = mesh.coords_[static_cast<std::size_t>(p)];
     index_t solid = 0;

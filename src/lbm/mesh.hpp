@@ -14,6 +14,7 @@
 #include "geometry/voxel_grid.hpp"
 #include "lbm/lattice.hpp"
 #include "util/common.hpp"
+#include "util/uninit_vector.hpp"
 
 namespace hemo::lbm {
 
@@ -72,8 +73,9 @@ class FluidMesh {
  private:
   std::vector<Voxel> coords_;
   std::vector<PointType> types_;
-  std::vector<std::int32_t> neighbors_;  // num_points * kQ
-  std::vector<std::int16_t> solid_links_;
+  // Sized unwritten, then filled by the parallel row pass of build().
+  UninitVector<std::int32_t> neighbors_;  // num_points * kQ
+  UninitVector<std::int16_t> solid_links_;
 };
 
 }  // namespace hemo::lbm

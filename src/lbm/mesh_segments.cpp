@@ -95,17 +95,32 @@ void SegmentedMesh::assemble(const FluidMesh& mesh, index_t n_owned,
     return static_cast<std::int32_t>(n_ + (it - ghosts.begin()));
   };
 
-  // One pass in position order: neighbor rows, types, the class census,
-  // and the RLE spans over the bulk-interior segment. A span extends while
-  // every direction's neighbor offset matches the span's; bulk-interior
-  // points have no solid links and no ghost neighbors, so every offset is
-  // a real delta between owned positions.
-  neighbors_.assign(static_cast<std::size_t>(n_ * kQ), kSolidLink);
+  // Row pass: every position writes its whole neighbor row and its type,
+  // so the rows are sized unwritten here and first touched by the thread
+  // that fills them. The pass only reads the tables built above.
+  neighbors_.resize(static_cast<std::size_t>(n_ * kQ));
   types_.resize(static_cast<std::size_t>(n_));
+#ifdef _OPENMP
+#pragma omp parallel for schedule(static)
+#endif
   for (index_t i = 0; i < n_; ++i) {
     const index_t p = point_at_[static_cast<std::size_t>(i)];
     types_[static_cast<std::size_t>(i)] = mesh.type(p);
-    switch (mesh.type(p)) {
+    std::int32_t* row = neighbors_.data() + i * kQ;
+    for (index_t q = 0; q < kQ; ++q) {
+      const std::int32_t nb = mesh.neighbor(p, q);
+      row[q] = nb == kSolidLink ? kSolidLink : slot_of(nb);
+    }
+  }
+
+  // Census pass in position order: the class counts, and the RLE spans
+  // over the bulk-interior segment from the stored rows. A span extends
+  // while every direction's neighbor offset matches the span's;
+  // bulk-interior points have no solid links and no ghost neighbors, so
+  // every offset is a real delta between owned positions.
+  for (index_t i = 0; i < n_; ++i) {
+    const index_t p = point_at_[static_cast<std::size_t>(i)];
+    switch (types_[static_cast<std::size_t>(i)]) {
       case PointType::kBulk:
         if (mesh.solid_links(p) == 0) ++counts_.bulk_interior;
         else ++counts_.bulk_edge;
@@ -115,12 +130,8 @@ void SegmentedMesh::assemble(const FluidMesh& mesh, index_t n_owned,
       case PointType::kOutlet: ++counts_.outlet; break;
       case PointType::kSolid: break;  // never stored in a FluidMesh
     }
-    std::int32_t* row = neighbors_.data() + i * kQ;
-    for (index_t q = 0; q < kQ; ++q) {
-      const std::int32_t nb = mesh.neighbor(p, q);
-      if (nb != kSolidLink) row[q] = slot_of(nb);
-    }
     if (i >= bulk_count_) continue;
+    const std::int32_t* row = neighbors_.data() + i * kQ;
     std::array<std::int32_t, kQ> offsets;
     for (index_t q = 0; q < kQ; ++q) {
       offsets[static_cast<std::size_t>(q)] =

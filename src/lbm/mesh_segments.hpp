@@ -45,6 +45,7 @@
 
 #include "lbm/mesh.hpp"
 #include "util/common.hpp"
+#include "util/uninit_vector.hpp"
 
 namespace hemo::lbm {
 
@@ -149,8 +150,9 @@ class SegmentedMesh {
   index_t frontier_begin_ = 0;
   std::vector<std::int32_t> position_of_;  // whole-mesh views only
   std::vector<index_t> point_at_;          // num_slots()
-  std::vector<std::int32_t> neighbors_;    // n_ * kQ, slots
-  std::vector<PointType> types_;           // by position
+  // Sized unwritten, then filled by the parallel row pass of assemble().
+  UninitVector<std::int32_t> neighbors_;   // n_ * kQ, slots
+  UninitVector<PointType> types_;          // by position
   std::vector<SegmentSpan> spans_;
   SegmentCounts counts_;
 };

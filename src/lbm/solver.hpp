@@ -45,6 +45,7 @@
 #include "lbm/mesh_segments.hpp"
 #include "lbm/simd.hpp"
 #include "util/common.hpp"
+#include "util/uninit_vector.hpp"
 
 namespace hemo::lbm {
 
@@ -265,8 +266,9 @@ class Solver {
   /// partition).
   std::vector<index_t> block_bounds_;
 
-  std::vector<T> f_;   // main array (internal point order)
-  std::vector<T> f2_;  // second array (AB only)
+  // Sized unwritten by the constructor; initialize() first-touches them.
+  UninitVector<T> f_;   // main array (internal point order)
+  UninitVector<T> f2_;  // second array (AB only)
 
   /// Inlet targets by internal position.
   InletTables<T> bc_;

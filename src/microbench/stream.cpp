@@ -7,6 +7,7 @@
 #include "cluster/hardware.hpp"
 #include "obs/metrics.hpp"
 #include "obs/profile.hpp"
+#include "util/uninit_vector.hpp"
 
 #ifdef _OPENMP
 #include <omp.h>
@@ -75,7 +76,8 @@ StreamResult run_stream_local(index_t elements, index_t repetitions,
                           {"threads", std::to_string(threads)}};
   });
   const auto n = static_cast<std::size_t>(elements);
-  std::vector<double> a(n), b(n), c(n);
+  // Sized unwritten: init() first-touches them under the kernels' split.
+  UninitVector<double> a(n), b(n), c(n);
   const StreamKernels k{a.data(), b.data(), c.data(), n, 3.0, threads};
   k.init();
 

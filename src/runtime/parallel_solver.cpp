@@ -14,32 +14,6 @@ namespace hemo::runtime {
 
 using lbm::kQ;
 
-namespace {
-
-/// A distribution array of `rows` rows at rest equilibrium (rho = 1,
-/// u = 0), written in one pass.
-std::vector<double> rest_array(lbm::Layout layout, index_t rows) {
-  std::array<double, kQ> rest;
-  for (index_t q = 0; q < kQ; ++q) {
-    rest[static_cast<std::size_t>(q)] =
-        lbm::equilibrium<double>(q, 1.0, 0.0, 0.0, 0.0);
-  }
-  std::vector<double> f;
-  f.reserve(static_cast<std::size_t>(rows * kQ));
-  if (layout == lbm::Layout::kAoS) {
-    for (index_t s = 0; s < rows; ++s) {
-      f.insert(f.end(), rest.begin(), rest.end());
-    }
-  } else {
-    for (const double value : rest) {
-      f.insert(f.end(), static_cast<std::size_t>(rows), value);
-    }
-  }
-  return f;
-}
-
-}  // namespace
-
 /// noexcept callable the barrier runs on phase completion (while every
 /// rank thread is parked inside the barrier).
 struct EpochCallback {
@@ -78,14 +52,46 @@ void ParallelSolver::build_runtime_structures() {
   topo_ = harvey::build_halo_exchange(*mesh_, partition_);
   const std::size_t n_ranks = topo_.ranks.size();
 
+  // The calling thread sizes every rank array (unwritten) and builds the
+  // inlet tables; then one helper thread per rank writes the rest state
+  // (rho = 1, u = 0) into every slot of f and zeros into f2, ghost tail
+  // included, so the ranks' first touches run side by side. The helpers
+  // only write: an allocation on a helper thread would give it a malloc
+  // arena of its own (DESIGN.md §11).
   states_.resize(n_ranks);
   for (std::size_t r = 0; r < n_ranks; ++r) {
     const lbm::SegmentedMesh& view = topo_.ranks[r];
     RankState& rank = states_[r];
-    rank.f = rest_array(layout_, view.num_slots());
-    rank.f2.assign(rank.f.size(), 0.0);
+    const auto values = static_cast<std::size_t>(view.num_slots() * kQ);
+    rank.f = UninitVector<double>(values);
+    rank.f2 = UninitVector<double>(values);
     rank.bc = lbm::inlet_tables<double>(*mesh_, view, inlets_);
   }
+  std::array<double, kQ> rest;
+  for (index_t q = 0; q < kQ; ++q) {
+    rest[static_cast<std::size_t>(q)] =
+        lbm::equilibrium<double>(q, 1.0, 0.0, 0.0, 0.0);
+  }
+  {
+    std::vector<std::jthread> fill;
+    fill.reserve(n_ranks);
+    for (std::size_t r = 0; r < n_ranks; ++r) {
+      fill.emplace_back([layout = layout_, &rank = states_[r], &rest] {
+        const auto rows = static_cast<index_t>(rank.f.size()) / kQ;
+        double* const f = rank.f.data();
+        if (layout == lbm::Layout::kAoS) {
+          for (index_t s = 0; s < rows; ++s) {
+            std::copy(rest.begin(), rest.end(), f + s * kQ);
+          }
+        } else {
+          for (index_t q = 0; q < kQ; ++q) {
+            std::fill_n(f + q * rows, rows, rest[static_cast<std::size_t>(q)]);
+          }
+        }
+        std::fill(rank.f2.begin(), rank.f2.end(), 0.0);
+      });
+    }
+  }  // join the helpers
 
   mailboxes_.clear();
   out_channels_.assign(n_ranks, {});

@@ -39,6 +39,17 @@
 // kernels directly, outside any OpenMP region, so it is exactly one busy
 // thread (SolverParams::num_threads does not apply to ranks).
 //
+// Set-up runs on every core. harvey::build_halo_exchange builds the rank
+// views, whose neighbor-row passes run under OpenMP; then
+// build_runtime_structures() sizes every rank's f and f2 on the calling
+// thread without writing them, and one helper std::jthread per rank
+// first-touches them (rest state into f, zeros into f2, ghost tail
+// included) before joining. Helpers only write into storage the caller
+// allocated: a helper that allocated would get a glibc malloc arena of its
+// own and raise the resident set (DESIGN.md §11). The same rebuild runs
+// from apply_migration() inside the barrier completion step, where the
+// helpers are joined before any rank thread is released.
+//
 // Dynamic rebalancing: when measured busy-time imbalance (max/mean) stays
 // above threshold for `patience` windows, a contiguous canonical-order
 // block migrates from the hottest rank to its coolest channel neighbor
@@ -69,6 +80,7 @@
 #include "lbm/solver.hpp"
 #include "runtime/rebalance.hpp"
 #include "util/common.hpp"
+#include "util/uninit_vector.hpp"
 
 namespace hemo::runtime {
 
@@ -169,7 +181,7 @@ class ParallelSolver {
   /// (owned + ghosts) * kQ in the configured layout, and the inlet
   /// targets of its owned positions.
   struct RankState {
-    std::vector<double> f, f2;
+    UninitVector<double> f, f2;
     lbm::InletTables<double> bc;
   };
 
@@ -186,7 +198,8 @@ class ParallelSolver {
   };
 
   /// (Re)builds topology, mailboxes, channel maps, and rank arrays from
-  /// partition_; the front arrays start at rest equilibrium.
+  /// partition_; the front arrays start at rest equilibrium, written by
+  /// one helper thread per rank.
   void build_runtime_structures();
 
   /// Canonical-order gather / scatter of all ranks' owned rows.

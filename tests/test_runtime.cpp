@@ -131,6 +131,26 @@ TEST(ParallelSolver, RequestedMigrationPreservesBitIdentity) {
   }
 }
 
+TEST(ParallelSolver, ConstructedStateIsRest) {
+  // The rank arrays are sized unwritten and filled by one helper thread
+  // per rank, at construction and again on every rebuild: either way the
+  // state must be the serial solver's rest state.
+  const auto geo = geometry::make_cylinder({.radius = 5, .length = 24});
+  const auto mesh = lbm::FluidMesh::build(geo.grid);
+  const auto part = decomp::make_partition(mesh, 4, decomp::Strategy::kSlab);
+  for (const lbm::Layout layout : kLayouts) {
+    SCOPED_TRACE(lbm::to_string(layout));
+    const auto params = base_params(layout);
+    const lbm::Solver<double> serial(mesh, params, std::span(geo.inlets));
+    const auto rest = serial.export_state();
+    ParallelSolver parallel(mesh, part, params, std::span(geo.inlets));
+    EXPECT_EQ(parallel.export_state(), rest);
+    parallel.request_migration(0, 1, 40);
+    EXPECT_EQ(parallel.rebalance_count(), 1);
+    EXPECT_EQ(parallel.export_state(), rest);
+  }
+}
+
 TEST(ParallelSolver, DynamicRebalanceTriggersAndPreservesBitIdentity) {
   // A deliberately skewed two-rank split: rank 0 owns ~4x the points of
   // rank 1, so measured busy-time imbalance exceeds the threshold in every

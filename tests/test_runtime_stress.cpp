@@ -103,5 +103,38 @@ TEST(RuntimeStress, ConcurrentSolversDoNotInterfere) {
   EXPECT_EQ(b.export_state(), expected);
 }
 
+TEST(RuntimeStress, ConcurrentConstructionStaysBitIdentical) {
+  // Three solvers constructed at once on one shared mesh: each
+  // construction runs the OpenMP view row passes and its own helper
+  // threads that fill the rank arrays, side by side with the others.
+  const auto geo = geometry::make_cylinder({.radius = 4, .length = 20});
+  const auto mesh = lbm::FluidMesh::build(geo.grid);
+  const auto part = decomp::make_partition(mesh, 8, decomp::Strategy::kRcb);
+  for (const lbm::Layout layout : {lbm::Layout::kAoS, lbm::Layout::kSoA}) {
+    SCOPED_TRACE(lbm::to_string(layout));
+    auto params = base_params();
+    params.kernel.layout = layout;
+    lbm::Solver<double> serial(mesh, params, std::span(geo.inlets));
+    serial.run(10);
+    const auto expected = serial.export_state();
+
+    constexpr std::size_t kSolvers = 3;
+    std::vector<std::vector<double>> states(kSolvers);
+    {
+      std::vector<std::jthread> threads;
+      for (std::size_t k = 0; k < kSolvers; ++k) {
+        threads.emplace_back([&, k] {
+          ParallelSolver parallel(mesh, part, params, std::span(geo.inlets));
+          parallel.run(10);
+          states[k] = parallel.export_state();
+        });
+      }
+    }
+    for (std::size_t k = 0; k < kSolvers; ++k) {
+      EXPECT_EQ(states[k], expected) << "solver " << k;
+    }
+  }
+}
+
 }  // namespace
 }  // namespace hemo::runtime
