@@ -18,10 +18,11 @@
 //
 // Honesty rules: every result records the *effective* backend and thread
 // count the solver actually ran (Solver::backend() / Solver::threads()),
-// never the request. Variants whose hot path cannot use a vector backend
-// (AoS layouts, the reference path) appear only under "scalar", and the
-// regression checker refuses to compare results across different
-// (backend, threads) coordinates.
+// never the request. Every segmented variant (AoS and SoA) runs the
+// backend's tile and appears under each requested backend; the reference
+// path, whose hot path cannot use a vector backend, appears only under
+// "scalar". The regression checker refuses to compare results across
+// different (backend, threads) coordinates.
 //
 // Usage:
 //   bench_lbm_json [--geometry=cylinder] [--out=BENCH_lbm.json]
@@ -94,7 +95,8 @@ std::optional<lbm::Backend> read_backend(std::string_view text) {
   const auto backend = lbm::simd::parse_backend(text);
   if (backend && *backend != lbm::Backend::kAuto &&
       lbm::simd::cpu_supports(*backend) &&
-      lbm::simd::tile_kernel<float>(*backend, false) != nullptr) {
+      lbm::simd::tile_kernel<float>(*backend, lbm::Layout::kSoA, false) !=
+          nullptr) {
     return backend;
   }
   return std::nullopt;
@@ -283,11 +285,10 @@ int main(int argc, char** argv) {
       for (const auto layout : {lbm::Layout::kAoS, lbm::Layout::kSoA}) {
         for (const auto precision :
              {lbm::Precision::kDouble, lbm::Precision::kSingle}) {
-          // Vector backends exist only on the segmented SoA hot path;
-          // everything else runs scalar and is recorded once, not
-          // duplicated under backend names it cannot execute.
-          const bool vectorizable = path == lbm::KernelPath::kSegmented &&
-                                    layout == lbm::Layout::kSoA;
+          // Vector backends exist only on the segmented path (either
+          // layout); the reference path runs scalar and is recorded once,
+          // not duplicated under backend names it cannot execute.
+          const bool vectorizable = path == lbm::KernelPath::kSegmented;
           for (const lbm::Backend backend : opt.backends) {
             if (!vectorizable && backend != lbm::Backend::kScalar) continue;
             for (const index_t threads : opt.threads) {

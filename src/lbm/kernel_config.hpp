@@ -48,7 +48,7 @@ enum class KernelPath {
   kSegmented,  ///< branch-free RLE span kernel over the bulk segment
 };
 
-/// SIMD backend of the segmented SoA bulk kernels (lbm/simd.hpp). Every
+/// SIMD backend of the segmented bulk kernels (lbm/simd.hpp). Every
 /// backend executes the identical per-point IEEE operation sequence, so
 /// all of them produce bit-identical state (asserted by
 /// tests/test_simd_backends.cpp); the choice only moves throughput.
@@ -69,10 +69,10 @@ struct KernelConfig {
   /// tests/test_kernel_paths.cpp); kSegmented is the production default,
   /// kReference is the differential oracle and model anchor.
   KernelPath path = KernelPath::kSegmented;
-  /// SIMD backend request; only the segmented SoA bulk kernels dispatch on
-  /// it (AoS and the reference path always run the portable code). An
-  /// explicit value must name a compiled-in, CPU-supported backend where
-  /// it is used; AoS and reference bindings do not check it.
+  /// SIMD backend request; the segmented bulk kernels of both layouts
+  /// dispatch on it (the reference path always runs the portable code).
+  /// An explicit value must name a compiled-in, CPU-supported backend
+  /// where it is used; reference bindings do not check it.
   Backend backend = Backend::kAuto;
 
   friend bool operator==(const KernelConfig&, const KernelConfig&) = default;

@@ -1,5 +1,5 @@
-// Runtime-selected multi-backend SIMD dispatch for the segmented SoA bulk
-// kernels.
+// Runtime-selected multi-backend SIMD dispatch for the segmented bulk
+// kernels (both layouts).
 //
 // The portability layer has three parts:
 //  * compile-time backend inventory — each explicit-intrinsic variant of
@@ -37,8 +37,11 @@
 namespace hemo::lbm::simd {
 
 /// Signature of a bulk tile kernel: per-direction source/destination
-/// stream pointers (contiguous over w consecutive bulk-interior points —
-/// the RLE span property), BGK omega and the forcing velocity shift.
+/// pointers to the first of w consecutive bulk-interior points that share
+/// their 19 neighbor offsets (the RLE span property), BGK omega and the
+/// forcing velocity shift. Consecutive points' values of one direction
+/// sit one element apart under SoA and kQ elements apart under AoS; the
+/// tile's layout fixes which.
 template <typename T>
 using TileFn = void (*)(const T* const* src, T* const* dst, index_t w,
                         T omega, const std::array<T, 3>& force_shift);
@@ -65,13 +68,16 @@ using TileFn = void (*)(const T* const* src, T* const* dst, index_t w,
 /// backend.
 [[nodiscard]] Backend resolve_backend(Backend requested);
 
-/// Tile kernel for (backend, non-temporal stores). Returns
-/// nullptr when the backend is not compiled into this binary. `nt_stores`
-/// selects a variant that uses streaming stores for full-width aligned
-/// destination vectors (AB back-array only — callers must issue
-/// store_fence() before any cross-thread hand-off of the written data).
+/// Tile kernel for (backend, layout, non-temporal stores). Returns
+/// nullptr when the backend is not compiled into this binary. For SoA,
+/// `nt_stores` selects a variant that uses streaming stores for
+/// full-width aligned destination vectors (AB back-array only — callers
+/// must issue store_fence() before any cross-thread hand-off of the
+/// written data). AoS tiles scatter their stores, which have no streaming
+/// form, so `nt_stores` does not apply to them.
 template <typename T>
-[[nodiscard]] TileFn<T> tile_kernel(Backend b, bool nt_stores);
+[[nodiscard]] TileFn<T> tile_kernel(Backend b, Layout layout,
+                                    bool nt_stores);
 
 /// Orders non-temporal stores issued by the calling thread ahead of its
 /// later normal stores (x86 sfence). Required between an NT-store kernel

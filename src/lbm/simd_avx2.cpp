@@ -8,14 +8,12 @@
 
 namespace hemo::lbm::simd::detail {
 
-TileFn<float> avx2_tile_f32(bool nt_stores) {
-  return nt_stores ? &tile_run<Avx2VecF, true>
-                   : &tile_run<Avx2VecF, false>;
+TileFn<float> avx2_tile_f32(Layout layout, bool nt_stores) {
+  return strided_tile<Avx2VecF>(layout, nt_stores);
 }
 
-TileFn<double> avx2_tile_f64(bool nt_stores) {
-  return nt_stores ? &tile_run<Avx2VecD, true>
-                   : &tile_run<Avx2VecD, false>;
+TileFn<double> avx2_tile_f64(Layout layout, bool nt_stores) {
+  return strided_tile<Avx2VecD>(layout, nt_stores);
 }
 
 }  // namespace hemo::lbm::simd::detail

@@ -8,14 +8,12 @@
 
 namespace hemo::lbm::simd::detail {
 
-TileFn<float> avx512_tile_f32(bool nt_stores) {
-  return nt_stores ? &tile_run<Avx512VecF, true>
-                   : &tile_run<Avx512VecF, false>;
+TileFn<float> avx512_tile_f32(Layout layout, bool nt_stores) {
+  return strided_tile<Avx512VecF>(layout, nt_stores);
 }
 
-TileFn<double> avx512_tile_f64(bool nt_stores) {
-  return nt_stores ? &tile_run<Avx512VecD, true>
-                   : &tile_run<Avx512VecD, false>;
+TileFn<double> avx512_tile_f64(Layout layout, bool nt_stores) {
+  return strided_tile<Avx512VecD>(layout, nt_stores);
 }
 
 }  // namespace hemo::lbm::simd::detail

@@ -1,6 +1,5 @@
-// Scalar (portable) backend: the autovectorized interleaved tile that was
-// previously embedded in solver.cpp, unchanged arithmetic — this is the
-// baseline every SIMD backend must match bit-for-bit.
+// Scalar (portable) backend: the autovectorized interleaved tile, the
+// baseline every SIMD backend must match bit-for-bit, for both layouts.
 #include <algorithm>
 
 #include "lbm/simd_backends.hpp"
@@ -15,7 +14,8 @@ namespace {
 /// rows + moments) stays in L1.
 constexpr index_t kTileWidth = 32;
 
-/// Interleaved SoA bulk update over w <= kTileWidth consecutive points.
+/// Interleaved bulk update over w <= kTileWidth consecutive points whose
+/// values of one direction sit Stride elements apart (1: SoA, kQ: AoS).
 /// The arithmetic is the exact per-point sequence of
 /// update_interior_values (moments accumulated in direction order, the
 /// same velocity-shift expressions, equilibria in direction order), only
@@ -26,7 +26,7 @@ constexpr index_t kTileWidth = 32;
 /// Arrivals are buffered in gt before any store: for the in-place AA
 /// steps every location is read and written by the same point, so
 /// draining all tile reads first cannot observe another point's write.
-template <typename T>
+template <typename T, index_t Stride>
 void interleaved_tile(const T* const* src, T* const* dst, index_t w,
                       T omega, const std::array<T, 3>& force_shift) {
   T gt[kQ][kTileWidth];
@@ -44,7 +44,7 @@ void interleaved_tile(const T* const* src, T* const* dst, index_t w,
     const T cx = static_cast<T>(c.dx), cy = static_cast<T>(c.dy),
             cz = static_cast<T>(c.dz);
     for (index_t i = 0; i < w; ++i) {
-      const T fq = s[i];
+      const T fq = s[i * Stride];
       g[i] = fq;
       rho[i] += fq;
       jx[i] += fq * cx;
@@ -66,14 +66,14 @@ void interleaved_tile(const T* const* src, T* const* dst, index_t w,
     T* d = dst[q];
     for (index_t i = 0; i < w; ++i) {
       const T feq = equilibrium<T>(q, rho[i], fx[i], fy[i], fz[i]);
-      d[i] = bgk_collide(g[i], feq, omega);
+      d[i * Stride] = bgk_collide(g[i], feq, omega);
     }
   }
 }
 
 /// TileFn adapter: walks an arbitrary-length span chunk in kTileWidth
 /// pieces.
-template <typename T>
+template <typename T, index_t Stride>
 void scalar_tile(const T* const* src, T* const* dst, index_t w, T omega,
                  const std::array<T, 3>& force_shift) {
   const T* s[kQ];
@@ -82,10 +82,10 @@ void scalar_tile(const T* const* src, T* const* dst, index_t w, T omega,
     const index_t tw = std::min(kTileWidth, w - t0);
     for (index_t q = 0; q < kQ; ++q) {
       const auto sq = static_cast<std::size_t>(q);
-      s[sq] = src[sq] + t0;
-      d[sq] = dst[sq] + t0;
+      s[sq] = src[sq] + t0 * Stride;
+      d[sq] = dst[sq] + t0 * Stride;
     }
-    interleaved_tile<T>(s, d, tw, omega, force_shift);
+    interleaved_tile<T, Stride>(s, d, tw, omega, force_shift);
   }
 }
 
@@ -93,14 +93,16 @@ void scalar_tile(const T* const* src, T* const* dst, index_t w, T omega,
 
 namespace detail {
 
-TileFn<float> scalar_tile_f32(bool nt_stores) {
-  (void)nt_stores;  // no streaming stores without intrinsics
-  return &scalar_tile<float>;
+// No streaming stores without intrinsics: nt_stores is ignored.
+
+TileFn<float> scalar_tile_f32(Layout layout, bool /*nt_stores*/) {
+  return layout == Layout::kAoS ? &scalar_tile<float, kQ>
+                                : &scalar_tile<float, 1>;
 }
 
-TileFn<double> scalar_tile_f64(bool nt_stores) {
-  (void)nt_stores;
-  return &scalar_tile<double>;
+TileFn<double> scalar_tile_f64(Layout layout, bool /*nt_stores*/) {
+  return layout == Layout::kAoS ? &scalar_tile<double, kQ>
+                                : &scalar_tile<double, 1>;
 }
 
 }  // namespace detail

@@ -219,89 +219,50 @@ namespace {
       [](index_t v, const SegmentSpan& s) { return v < s.begin + s.length; });
 }
 
+// The bulk kernels hand every span (AA even: the whole range) to the
+// bound tile in one call. Per direction they pass the first point's source
+// and destination slot; the tile steps point by point through them, one
+// element apart under SoA and kQ elements apart under AoS.
+
 template <typename T, Layout L>
 void seg_bulk_ab(const Sweep<T>& sweep, index_t lo, index_t hi) {
   const auto& spans = sweep.view->spans();
   const index_t rows = sweep.view->num_slots();
   const T* const f = sweep.f;
   T* const f2 = sweep.f2;
-  const T omega = sweep.omega;
-  const std::array<T, 3> force_shift = sweep.force_shift;
   for (auto it = first_span(spans, lo); it != spans.end() && it->begin < hi;
        ++it) {
     const index_t s0 = std::max(lo, it->begin);
     const index_t s1 = std::min(hi, it->begin + it->length);
     const auto& off = it->offsets;
-    if constexpr (L == Layout::kSoA) {
-      // Every per-direction stream is contiguous across the span, so the
-      // whole span goes to the backend tile kernel in one call.
-      const T* src[kQ];
-      T* dst[kQ];
-      for (index_t q = 0; q < kQ; ++q) {
-        const index_t from =
-            s0 + static_cast<index_t>(
-                     off[static_cast<std::size_t>(opposite(q))]);
-        src[q] = f + static_cast<std::size_t>(dist_offset(L, rows, from, q));
-        dst[q] = f2 + static_cast<std::size_t>(dist_offset(L, rows, s0, q));
-      }
-      sweep.tile(src, dst, s1 - s0, omega, force_shift);
-      continue;
+    const T* src[kQ];
+    T* dst[kQ];
+    for (index_t q = 0; q < kQ; ++q) {
+      const index_t from =
+          s0 + static_cast<index_t>(off[static_cast<std::size_t>(opposite(q))]);
+      src[q] = f + static_cast<std::size_t>(dist_offset(L, rows, from, q));
+      dst[q] = f2 + static_cast<std::size_t>(dist_offset(L, rows, s0, q));
     }
-#ifdef _OPENMP
-#pragma omp simd
-#endif
-    for (index_t i = s0; i < s1; ++i) {
-      T g[kQ], out[kQ];
-      for (index_t q = 0; q < kQ; ++q) {
-        const index_t src =
-            i + static_cast<index_t>(
-                    off[static_cast<std::size_t>(opposite(q))]);
-        g[q] = f[static_cast<std::size_t>(dist_offset(L, rows, src, q))];
-      }
-      update_interior_values<T>(g, out, omega, force_shift);
-      for (index_t q = 0; q < kQ; ++q) {
-        f2[static_cast<std::size_t>(dist_offset(L, rows, i, q))] = out[q];
-      }
-    }
+    sweep.tile(src, dst, s1 - s0, sweep.omega, sweep.force_shift);
   }
 }
 
 template <typename T, Layout L>
 void seg_bulk_aa_even(const Sweep<T>& sweep, index_t lo, index_t hi) {
   // The even AA step touches only the point's own row — no neighbor
-  // indexing at all, so spans are irrelevant here.
+  // indexing at all, so spans are irrelevant here. In-place safe: each
+  // tile group loads all 19 directions before it stores any, and the even
+  // step's reader of every location is its writer.
   const index_t rows = sweep.view->num_slots();
   T* const f = sweep.f2;
-  const T omega = sweep.omega;
-  const std::array<T, 3> force_shift = sweep.force_shift;
-  if constexpr (L == Layout::kSoA) {
-    // In-place safe: each vector group loads all 19 directions before it
-    // stores any, and the even step's reader of every location is its
-    // writer. Never NT — the data is re-read next step.
-    const T* src[kQ];
-    T* dst[kQ];
-    for (index_t q = 0; q < kQ; ++q) {
-      src[q] = f + static_cast<std::size_t>(dist_offset(L, rows, lo, q));
-      dst[q] = f + static_cast<std::size_t>(
-                       dist_offset(L, rows, lo, opposite(q)));
-    }
-    sweep.tile(src, dst, hi - lo, omega, force_shift);
-    return;
+  const T* src[kQ];
+  T* dst[kQ];
+  for (index_t q = 0; q < kQ; ++q) {
+    src[q] = f + static_cast<std::size_t>(dist_offset(L, rows, lo, q));
+    dst[q] = f + static_cast<std::size_t>(
+                     dist_offset(L, rows, lo, opposite(q)));
   }
-#ifdef _OPENMP
-#pragma omp simd
-#endif
-  for (index_t i = lo; i < hi; ++i) {
-    T g[kQ], out[kQ];
-    for (index_t q = 0; q < kQ; ++q) {
-      g[q] = f[static_cast<std::size_t>(dist_offset(L, rows, i, q))];
-    }
-    update_interior_values<T>(g, out, omega, force_shift);
-    for (index_t q = 0; q < kQ; ++q) {
-      f[static_cast<std::size_t>(dist_offset(L, rows, i, opposite(q)))] =
-          out[q];
-    }
-  }
+  sweep.tile(src, dst, hi - lo, sweep.omega, sweep.force_shift);
 }
 
 template <typename T, Layout L>
@@ -309,49 +270,26 @@ void seg_bulk_aa_odd(const Sweep<T>& sweep, index_t lo, index_t hi) {
   const auto& spans = sweep.view->spans();
   const index_t rows = sweep.view->num_slots();
   T* const f = sweep.f2;
-  const T omega = sweep.omega;
-  const std::array<T, 3> force_shift = sweep.force_shift;
   for (auto it = first_span(spans, lo); it != spans.end() && it->begin < hi;
        ++it) {
     const index_t s0 = std::max(lo, it->begin);
     const index_t s1 = std::min(hi, it->begin + it->length);
     const auto& off = it->offsets;
-    if constexpr (L == Layout::kSoA) {
-      // In-place safe: group-at-a-time load-all/store-all plus the
-      // reader == writer property of the odd step (see the
-      // parallelization notes above). Never NT — in-place sweep.
-      const T* src[kQ];
-      T* dst[kQ];
-      for (index_t q = 0; q < kQ; ++q) {
-        const index_t opp = opposite(q);
-        const index_t from =
-            s0 + static_cast<index_t>(off[static_cast<std::size_t>(opp)]);
-        const index_t to =
-            s0 + static_cast<index_t>(off[static_cast<std::size_t>(q)]);
-        src[q] = f + static_cast<std::size_t>(dist_offset(L, rows, from, opp));
-        dst[q] = f + static_cast<std::size_t>(dist_offset(L, rows, to, q));
-      }
-      sweep.tile(src, dst, s1 - s0, omega, force_shift);
-      continue;
+    // In-place safe: group-at-a-time load-all/store-all plus the
+    // reader == writer property of the odd step (see the
+    // parallelization notes above).
+    const T* src[kQ];
+    T* dst[kQ];
+    for (index_t q = 0; q < kQ; ++q) {
+      const index_t opp = opposite(q);
+      const index_t from =
+          s0 + static_cast<index_t>(off[static_cast<std::size_t>(opp)]);
+      const index_t to =
+          s0 + static_cast<index_t>(off[static_cast<std::size_t>(q)]);
+      src[q] = f + static_cast<std::size_t>(dist_offset(L, rows, from, opp));
+      dst[q] = f + static_cast<std::size_t>(dist_offset(L, rows, to, q));
     }
-#ifdef _OPENMP
-#pragma omp simd
-#endif
-    for (index_t i = s0; i < s1; ++i) {
-      T g[kQ], out[kQ];
-      for (index_t q = 0; q < kQ; ++q) {
-        const index_t opp = opposite(q);
-        const index_t m =
-            i + static_cast<index_t>(off[static_cast<std::size_t>(opp)]);
-        g[q] = f[static_cast<std::size_t>(dist_offset(L, rows, m, opp))];
-      }
-      update_interior_values<T>(g, out, omega, force_shift);
-      for (index_t q = 0; q < kQ; ++q) {
-        const index_t nb =
-            i + static_cast<index_t>(off[static_cast<std::size_t>(q)]);
-        f[static_cast<std::size_t>(dist_offset(L, rows, nb, q))] = out[q];
-      }
-    }
+    sweep.tile(src, dst, s1 - s0, sweep.omega, sweep.force_shift);
   }
 }
 
@@ -453,20 +391,20 @@ SweepBinding<T> bind_sweep(const SolverParams& params, index_t num_points) {
   } else {
     bind.template operator()<Layout::kSoA>();
   }
-  // Only the segmented SoA bulk kernels call a vector tile. AoS
-  // interleaves the 19 directions per point and the reference binding
-  // gathers every point through the neighbor table, so neither has
-  // unit-stride streams: the backend stays kScalar, unresolved.
-  if (kernel.layout == Layout::kAoS || reference) return b;
+  // The reference binding gathers every point through the neighbor
+  // table, so it calls no tile: the backend stays kScalar, unresolved.
+  if (reference) return b;
 
   b.backend = simd::resolve_backend(kernel.backend);
-  // Streaming stores suit only AB's write-only back array: the AA sweeps
-  // re-read in place what they write.
+  // Streaming stores suit only AB's write-only back array (the AA sweeps
+  // re-read in place what they write), and only SoA's contiguous streams:
+  // the AoS tile scatters, and a scatter has no streaming form.
   const auto ab_bytes =
       static_cast<std::size_t>(num_points) * kQ * sizeof(T) * 2;
-  b.nt_stores = ab && b.backend != Backend::kScalar &&
+  b.nt_stores = ab && kernel.layout == Layout::kSoA &&
+                b.backend != Backend::kScalar &&
                 ab_bytes > (std::size_t{64} << 20);
-  b.tile = simd::tile_kernel<T>(b.backend, b.nt_stores);
+  b.tile = simd::tile_kernel<T>(b.backend, kernel.layout, b.nt_stores);
   return b;
 }
 

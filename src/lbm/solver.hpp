@@ -22,8 +22,9 @@
 // operation (lbm/point_update.hpp), so they produce bit-identical state:
 //  * KernelPath::kSegmented (default) — the bulk segment streams
 //    span-by-span with constant neighbor offsets (direct indexing, no
-//    gather table) through a branch-free inner loop; only the small
-//    boundary segment runs the general gather + type-switch kernel.
+//    gather table) through the backend's SIMD tile, for either layout;
+//    only the small boundary segment runs the general gather +
+//    type-switch kernel.
 //  * KernelPath::kReference — the general kernel sweeps both segments:
 //    every point pays a 19-wide neighbor-table gather and a type/pulse
 //    dispatch.
@@ -86,8 +87,9 @@ struct Sweep {
   T omega = T{0};
   std::array<T, 3> force_shift = {T{0}, T{0}, T{0}};  ///< tau * body_force
   index_t timestep = 0;
-  /// SoA bulk tile kernel (normal or streaming-store variant; a caller
-  /// that binds the latter must simd::store_fence() before publishing f2).
+  /// Bulk tile kernel of the sweep's layout (normal or, for SoA,
+  /// streaming-store variant; a caller that binds the latter must
+  /// simd::store_fence() before publishing f2).
   simd::TileFn<T> tile = nullptr;
 };
 
@@ -107,9 +109,10 @@ struct SweepBinding {
   /// path binds the boundary kernels as `bulk` too.
   std::array<SweepFn<T>, 2> bulk{};
   std::array<SweepFn<T>, 2> boundary{};
-  /// SoA bulk tile; null on the AoS and reference paths.
+  /// Bulk tile of the kernel's layout, which every segmented bulk kernel
+  /// calls; null on the reference path.
   simd::TileFn<T> tile = nullptr;
-  /// The backend `tile` runs; kScalar off the segmented SoA path.
+  /// The backend `tile` runs; kScalar on the reference path.
   Backend backend = Backend::kScalar;
   /// `tile` uses streaming stores: fence them with
   /// simd::store_fence(backend) before publishing a step's f2.
@@ -199,10 +202,10 @@ class Solver {
     return &seg_;
   }
 
-  /// The SIMD backend the bulk kernels actually execute. Only the
-  /// segmented SoA binding runs intrinsic kernels; the reference and AoS
-  /// bindings always report kScalar (benchmark honesty: what is recorded is
-  /// what ran, not what was requested).
+  /// The SIMD backend the bulk kernels actually execute. The segmented
+  /// bindings (AoS and SoA) run the resolved backend's tile; the reference
+  /// binding always reports kScalar (benchmark honesty: what is recorded
+  /// is what ran, not what was requested).
   [[nodiscard]] Backend backend() const noexcept { return binding_.backend; }
 
   /// The OpenMP team size the kernels run with (resolved from

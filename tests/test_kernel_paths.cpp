@@ -462,19 +462,25 @@ TEST(SweepBinding, AaNeverBindsStreamingStores) {
   EXPECT_FALSE(f.nt_stores);
 }
 
-TEST(SweepBinding, AosAndReferenceReportScalar) {
+TEST(SweepBinding, SegmentedAosBindsTileAndReferenceReportsScalar) {
+  const Backend widest = widest_backend();
   const auto big = nt_threshold_points<double>().second;
   for (const Propagation prop : {Propagation::kAB, Propagation::kAA}) {
+    // Segmented AoS runs the resolved backend's strided tile, never with
+    // streaming stores (a scatter has no streaming form), even past the
+    // threshold at which AB SoA streams.
     const auto aos = bind_sweep<double>(
-        binding_params(Layout::kAoS, prop, widest_backend()), big);
-    EXPECT_EQ(aos.backend, Backend::kScalar);
-    EXPECT_EQ(aos.tile, nullptr);
+        binding_params(Layout::kAoS, prop, widest), big);
+    EXPECT_EQ(aos.backend, widest);
+    EXPECT_NE(aos.tile, nullptr);
+    EXPECT_EQ(aos.tile, simd::tile_kernel<double>(widest, Layout::kAoS,
+                                                  /*nt_stores=*/false));
     EXPECT_FALSE(aos.nt_stores);
     EXPECT_NE(aos.bulk[0], nullptr);
     EXPECT_NE(aos.boundary[1], nullptr);
 
     for (const Layout layout : {Layout::kAoS, Layout::kSoA}) {
-      auto params = binding_params(layout, prop, widest_backend());
+      auto params = binding_params(layout, prop, widest);
       params.kernel.path = KernelPath::kReference;
       const auto ref = bind_sweep<double>(params, big);
       EXPECT_EQ(ref.backend, Backend::kScalar);
@@ -498,11 +504,11 @@ void expect_ab_soa_streams_past_threshold() {
   const auto large = bind_sweep<T>(params, above);
   EXPECT_EQ(small.backend, widest);
   EXPECT_FALSE(small.nt_stores);
-  EXPECT_EQ(small.tile, simd::tile_kernel<T>(widest, false));
+  EXPECT_EQ(small.tile, simd::tile_kernel<T>(widest, Layout::kSoA, false));
   // A vector backend streams past the threshold; scalar never does.
   const bool vector = widest != Backend::kScalar;
   EXPECT_EQ(large.nt_stores, vector) << to_string(widest);
-  EXPECT_EQ(large.tile, simd::tile_kernel<T>(widest, vector));
+  EXPECT_EQ(large.tile, simd::tile_kernel<T>(widest, Layout::kSoA, vector));
   // AB runs one kernel pair for both parities.
   EXPECT_EQ(large.bulk[0], large.bulk[1]);
   EXPECT_EQ(large.boundary[0], large.boundary[1]);

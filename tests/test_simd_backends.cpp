@@ -9,7 +9,9 @@
 // that exhaustively — backends x threads {1, 2, 8} x {AB, AA} x
 // {AoS, SoA} x {float, double} x {plain, pulsatile} — plus the
 // resolution rules (explicit > widest detected), checkpoint portability
-// across backends, and streaming-store tiles equal to plain-store tiles.
+// across backends, every tile of either layout equal to the per-point
+// update inside the exact footprint of its stores, and streaming-store
+// tiles equal to plain-store tiles.
 #include <gtest/gtest.h>
 
 #include <algorithm>
@@ -24,6 +26,7 @@
 
 #include "geometry/generators.hpp"
 #include "lbm/mesh.hpp"
+#include "lbm/point_update.hpp"
 #include "lbm/simd.hpp"
 #include "lbm/solver.hpp"
 
@@ -73,9 +76,13 @@ TEST(SimdDispatch, ResolutionPrecedence) {
 
 TEST(SimdDispatch, TileKernelExistsForEveryCompiledBackend) {
   for (const Backend b : simd::compiled_backends()) {
-    for (const bool nt : {false, true}) {
-      EXPECT_NE(simd::tile_kernel<float>(b, nt), nullptr) << to_string(b);
-      EXPECT_NE(simd::tile_kernel<double>(b, nt), nullptr) << to_string(b);
+    for (const Layout layout : {Layout::kAoS, Layout::kSoA}) {
+      for (const bool nt : {false, true}) {
+        EXPECT_NE(simd::tile_kernel<float>(b, layout, nt), nullptr)
+            << to_string(b) << " " << to_string(layout);
+        EXPECT_NE(simd::tile_kernel<double>(b, layout, nt), nullptr)
+            << to_string(b) << " " << to_string(layout);
+      }
     }
   }
 }
@@ -138,6 +145,11 @@ std::pair<std::vector<T>, std::vector<T>> run_states(
   Solver<T> solver(shared_mesh(),
                    make_params(layout, prop, backend, threads),
                    std::span(geo.inlets));
+  // Both layouts bind the pinned backend's tile. Were either to fall back
+  // to scalar, its half of the identity matrix would compare scalar with
+  // scalar and could never fail.
+  EXPECT_EQ(solver.backend(), backend)
+      << to_string(layout) << " " << to_string(prop);
   solver.run(5);
   std::vector<T> odd = solver.export_state();
   solver.run(4);
@@ -182,6 +194,101 @@ void expect_matches_scalar(Variant v, Layout layout, Propagation prop,
       << variant_name(v) << " " << to_string(prop) << " "
       << to_string(layout) << " " << to_string(backend) << " threads="
       << threads << " diverged at the even checkpoint";
+}
+
+// ---- Tile-level identity with the per-point update -----------------------
+
+/// One tile call over w points of a `layout` array with kPad sentinel
+/// rows on either side of the span. Direction q reads from the row dx_q
+/// behind the point and writes to the row dx_q ahead of it, as the pull
+/// and AA odd kernels do, so the rows next to the span have some columns
+/// written and others not.
+template <typename T>
+struct FootprintCase {
+  static constexpr index_t kPad = 2;
+  static constexpr T kSentinel = T(-7);
+  Layout layout;
+  index_t w;
+  index_t rows = w + 2 * kPad;
+  std::vector<T> src = std::vector<T>(static_cast<std::size_t>(rows * kQ));
+
+  [[nodiscard]] std::size_t slot(index_t row, index_t q) const {
+    return static_cast<std::size_t>(dist_offset(layout, rows, row, q));
+  }
+  [[nodiscard]] static index_t shift(index_t q) {
+    return kD3Q19[static_cast<std::size_t>(q)].dx;
+  }
+  [[nodiscard]] std::size_t src_slot(index_t i, index_t q) const {
+    return slot(kPad + i - shift(q), q);
+  }
+  [[nodiscard]] std::size_t dst_slot(index_t i, index_t q) const {
+    return slot(kPad + i + shift(q), q);
+  }
+  [[nodiscard]] std::vector<T> sentinels() const {
+    return std::vector<T>(src.size(), kSentinel);
+  }
+};
+
+/// Every tile of (backend, layout) must equal update_interior_values
+/// applied point by point, to the bit, and write nothing but the span's
+/// destination slots: every other column of the span's neighbor rows and
+/// every column of the outer sentinel rows keeps its sentinel. Inside the
+/// masked gathers and scatters ASan sees no access, so this is the check
+/// that partial groups stay inside the span.
+template <typename T>
+void expect_tile_matches_point_update(Backend backend, Layout layout) {
+  const std::array<T, 3> force_shift{T(1e-4), T(-2e-5), T(3e-5)};
+  const T omega = T(1.3);
+  // w in 1..2*lanes+1 gives every vector backend partial-only,
+  // full-plus-partial and multi-group spans; at least 33 crosses the
+  // scalar tile's 32-point chunks.
+  const index_t max_width =
+      std::max<index_t>(2 * simd::lanes(backend, sizeof(T)) + 1, 33);
+  for (index_t w = 1; w <= max_width; ++w) {
+    FootprintCase<T> c{layout, w};
+    for (std::size_t k = 0; k < c.src.size(); ++k) {
+      // Near-equilibrium populations with a slot-dependent wobble, so
+      // every lane sees a different density and velocity.
+      c.src[k] = static_cast<T>(
+          kWeights[k % static_cast<std::size_t>(kQ)] *
+          (1.0 + 0.02 * std::sin(0.37 * static_cast<double>(k))));
+    }
+    std::vector<T> expected = c.sentinels();
+    for (index_t i = 0; i < w; ++i) {
+      T g[kQ], out[kQ];
+      for (index_t q = 0; q < kQ; ++q) g[q] = c.src[c.src_slot(i, q)];
+      update_interior_values<T>(g, out, omega, force_shift);
+      for (index_t q = 0; q < kQ; ++q) expected[c.dst_slot(i, q)] = out[q];
+    }
+
+    std::vector<T> got = c.sentinels();
+    std::array<const T*, kQ> src{};
+    std::array<T*, kQ> dst{};
+    for (index_t q = 0; q < kQ; ++q) {
+      const auto sq = static_cast<std::size_t>(q);
+      src[sq] = c.src.data() + c.src_slot(0, q);
+      dst[sq] = got.data() + c.dst_slot(0, q);
+    }
+    simd::tile_kernel<T>(backend, layout, /*nt_stores=*/false)(
+        src.data(), dst.data(), w, omega, force_shift);
+
+    std::size_t mismatches = 0;
+    for (std::size_t k = 0; k < got.size(); ++k) {
+      if (std::memcmp(&got[k], &expected[k], sizeof(T)) != 0) ++mismatches;
+    }
+    EXPECT_EQ(mismatches, 0u) << to_string(backend) << " "
+                              << to_string(layout) << " " << sizeof(T) * 8
+                              << "-bit w=" << w;
+  }
+}
+
+TEST(SimdTile, EveryLayoutMatchesPointUpdateInsideItsFootprint) {
+  for (const Backend b : simd::detected_backends()) {
+    for (const Layout layout : {Layout::kAoS, Layout::kSoA}) {
+      expect_tile_matches_point_update<float>(b, layout);
+      expect_tile_matches_point_update<double>(b, layout);
+    }
+  }
 }
 
 // ---- Tile-level streaming-store identity ---------------------------------
@@ -237,9 +344,9 @@ void expect_nt_matches_plain(Backend backend) {
     for (const T* p : nt_dst) {
       ASSERT_EQ(reinterpret_cast<std::uintptr_t>(p) % 64, 0u);
     }
-    simd::tile_kernel<T>(backend, /*nt_stores=*/false)(
+    simd::tile_kernel<T>(backend, Layout::kSoA, /*nt_stores=*/false)(
         src_ptrs.data(), plain_dst.data(), w, omega, force_shift);
-    simd::tile_kernel<T>(backend, /*nt_stores=*/true)(
+    simd::tile_kernel<T>(backend, Layout::kSoA, /*nt_stores=*/true)(
         src_ptrs.data(), nt_dst.data(), w, omega, force_shift);
     simd::store_fence(backend);
     for (std::size_t q = 0; q < static_cast<std::size_t>(kQ); ++q) {
@@ -270,7 +377,7 @@ class SimdBackendBitIdentity
 TEST_P(SimdBackendBitIdentity, MatchesScalarSingleThreadEverywhere) {
   const auto [backend, threads] = GetParam();
   if (!simd::cpu_supports(backend) ||
-      simd::tile_kernel<float>(backend, false) == nullptr) {
+      simd::tile_kernel<float>(backend, Layout::kSoA, false) == nullptr) {
     GTEST_SKIP() << to_string(backend) << " not available on this host";
   }
   for (const Variant v : {Variant::kPlain, Variant::kPulsatile}) {
@@ -292,15 +399,15 @@ INSTANTIATE_TEST_SUITE_P(
              std::to_string(std::get<1>(info.param));
     });
 
-TEST(SimdBackends, EffectiveBackendIsScalarOffTheSegmentedSoaPath) {
+TEST(SimdBackends, EffectiveBackendIsScalarOffTheSegmentedPath) {
   const auto geo = make_geometry(Variant::kPlain);
-  // AoS: no unit-stride direction streams, so even the widest request
-  // runs (and reports) scalar.
+  // Segmented AoS runs the strided tile of the resolved request.
   SolverParams aos =
       make_params(Layout::kAoS, Propagation::kAB, Backend::kAuto, 1);
   Solver<double> aos_solver(shared_mesh(), aos, std::span(geo.inlets));
-  EXPECT_EQ(aos_solver.backend(), Backend::kScalar);
-  // Reference path: same.
+  EXPECT_EQ(aos_solver.backend(), simd::detected_backends().front());
+  // Reference path: every point gathers through the neighbor table, so
+  // even the widest request runs (and reports) scalar.
   SolverParams ref =
       make_params(Layout::kSoA, Propagation::kAB, Backend::kAuto, 1);
   ref.kernel.path = KernelPath::kReference;
